@@ -9,7 +9,6 @@ either directly (rad/s) or via an equivalent magnetic field amplitude.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Literal
 
@@ -381,9 +380,3 @@ def target_frequency_hz(config: RunConfig) -> float:
     tones = [t for g in groups for t in g.tones]
     return max(tones, key=lambda t: t.amplitude_rad_per_s).frequency_hz
 
-
-def validate_numeric(value: float, name: str) -> float:
-    """Reject NaN/inf config-derived scalars (maps to exit code 2)."""
-    if not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
-    return value

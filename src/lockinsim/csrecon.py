@@ -35,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import linalg
 
 from .spectral import PowerSpectrum
 
@@ -348,7 +349,9 @@ class NnlsInfo:
 
 
 class NnlsError(RuntimeError):
-    """Raised when NNLS hits the iteration cap before KKT tolerance."""
+    """Raised when NNLS stops short of the KKT tolerance: at the iteration
+    cap, or when an entering column is numerically dependent on the passive
+    columns."""
 
     def __init__(self, message: str, iterations: int, residual_norm: float):
         super().__init__(
@@ -367,38 +370,60 @@ def nnls_active_set(
 ) -> tuple[np.ndarray, NnlsInfo]:
     """Solve min ||A x - b||_2 subject to x >= 0 (Lawson-Hanson active set).
 
-    Columns enter the passive set by largest positive gradient
-    w = A^T (b - A x); the unconstrained least-squares subproblem on the
-    passive columns is solved densely (the passive set stays small for
-    sparse spectra). Terminates when max(w over active columns) <=
-    tol * ||A^T b||_inf (KKT) or raises after ``max_iterations`` (default
-    10x the column count).
+    Columns enter the passive set P by largest positive gradient
+    w = A^T (b - A x) (the lowest index among ties). The unconstrained
+    subproblem on P is solved from the normal equations G_PP z = c_P, with
+    G = A^T A and c = A^T b (Bro & De Jong 1997). A lower Cholesky factor L
+    of G_PP gains one row per entering column j, from the Gram column
+    A^T a_j formed as j enters (a sparse solution enters few columns, so G
+    is never formed whole); z = L^-T L^-1 c_P, and L is refactored only
+    when columns leave P. Terminates when max(w over active columns) <=
+    tol * ||A^T b||_inf (KKT).
+
+    Raises:
+        NnlsError: After ``max_iterations`` (default max(3 * column count,
+            30), the scipy.optimize.nnls cap), or when an entering column is
+            numerically dependent on P (its Cholesky pivot is not positive;
+            the normal equations square the condition number of A_P).
 
     Returns:
         (x, info) with x >= 0 elementwise.
     """
-    is_sparse = sp.issparse(a_matrix)
+    a_csc = sp.csc_matrix(a_matrix, dtype=float)
     b = np.asarray(b, dtype=float)
-    n_rows, n_cols = a_matrix.shape
+    n_rows, n_cols = a_csc.shape
     if b.shape != (n_rows,):
         raise ValueError(f"b must have shape ({n_rows},), got {b.shape}")
     if max_iterations is None:
-        max_iterations = max(10 * n_cols, 30)
+        max_iterations = max(3 * n_cols, 30)
 
-    at = a_matrix.T.tocsr() if is_sparse else np.ascontiguousarray(a_matrix.T)
+    at = a_csc.T.tocsr()
+    c = at @ b
     x = np.zeros(n_cols)
-    passive: list[int] = []
-    passive_mask = np.zeros(n_cols, dtype=bool)
-    resid = b.copy()
-    w_scale = float(np.max(np.abs(at @ b))) if n_cols else 0.0
+    w_scale = float(np.max(np.abs(c))) if n_cols else 0.0
     if w_scale == 0.0:
         return x, NnlsInfo(0, float(np.linalg.norm(b)), 0.0, True)
     threshold = tol * w_scale
+    column = np.zeros(n_rows)  # scratch: one dense column of A
+    passive: list[int] = []
+    passive_mask = np.zeros(n_cols, dtype=bool)
+    # Lower Cholesky factor L of G_PP: the leading k x k block of a buffer
+    # that doubles when full.
+    chol = np.empty((64, 64))
 
-    def dense_passive() -> np.ndarray:
-        cols = a_matrix[:, passive]
-        return cols.toarray() if is_sparse else np.asarray(cols, dtype=float)
+    def solve(rhs: np.ndarray, transpose: bool) -> np.ndarray:
+        """L^-1 rhs, or L^-T rhs when ``transpose``."""
+        k = len(passive)
+        if not k:
+            return rhs
+        # L^T is upper triangular in Fortran order. A nonzero info would flag
+        # a zero diagonal, which positive pivots rule out.
+        solution, _info = linalg.lapack.dtrtrs(
+            chol[:k, :k].T, rhs, lower=0, trans=int(not transpose)
+        )
+        return solution
 
+    resid = b.copy()
     iterations = 0
     kkt_max = math.inf
     while iterations < max_iterations:
@@ -411,12 +436,34 @@ def nnls_active_set(
             return x, NnlsInfo(
                 iterations, float(np.linalg.norm(resid)), kkt_max, True
             )
+
+        rows = a_csc.indices[a_csc.indptr[j] : a_csc.indptr[j + 1]]
+        column[rows] = a_csc.data[a_csc.indptr[j] : a_csc.indptr[j + 1]]
+        gram_column = at @ column
+        column[rows] = 0.0
+        g_pj = gram_column[passive]
+        g_jj = gram_column[j]
+        l_row = solve(g_pj, transpose=False)
+        pivot_sq = g_jj - float(l_row @ l_row)
+        if not pivot_sq > 0.0:
+            raise NnlsError(
+                f"entering column {j} is numerically dependent on the "
+                f"{len(passive)} passive columns",
+                iterations,
+                float(np.linalg.norm(resid)),
+            )
+        k = len(passive)
+        if k == chol.shape[0]:
+            grown = np.empty((2 * k, 2 * k))
+            grown[:k, :k] = chol
+            chol = grown
+        chol[k, :k] = l_row
+        chol[k, k] = math.sqrt(pivot_sq)
         passive.append(j)
         passive_mask[j] = True
 
         while True:
-            ap = dense_passive()
-            z, *_ = np.linalg.lstsq(ap, b, rcond=None)
+            z = solve(solve(c[passive], transpose=False), transpose=True)
             if np.all(z > 0.0):
                 x[:] = 0.0
                 x[passive] = z
@@ -434,12 +481,25 @@ def nnls_active_set(
             passive = [idx for idx in passive if passive_mask[idx]]
             if not passive:
                 break
-        resid = b - (a_matrix @ x)
+            a_passive = a_csc[:, passive]
+            try:
+                factor = linalg.cholesky(
+                    (a_passive.T @ a_passive).toarray(), lower=True
+                )
+            except np.linalg.LinAlgError as exc:
+                raise NnlsError(
+                    f"passive Gram block is not positive definite ({exc})",
+                    iterations,
+                    float(np.linalg.norm(b - a_csc @ x)),
+                ) from exc
+            k = len(passive)
+            chol[:k, :k] = factor
+        resid = b - (a_csc @ x)
 
     raise NnlsError(
         "NNLS iteration cap reached before KKT tolerance",
         iterations,
-        float(np.linalg.norm(b - a_matrix @ x)),
+        float(np.linalg.norm(b - a_csc @ x)),
     )
 
 
@@ -590,13 +650,12 @@ def reconstruct(
             y_full = y_full - floors[i]
         y_full *= 4.0 / (grid.num_bins * n_i)
 
-        csr = mat.matrix.tocsr()
-        touched = np.unique(mat.matrix.tocoo().row)
+        coo = mat.matrix.tocoo()
+        touched = np.unique(coo.row)
         if touched.size and touched[0] == 0:
-            cols_at_dc = mat.matrix.tocoo().col[mat.matrix.tocoo().row == 0]
-            dc_coupled.update(int(c) for c in np.unique(cols_at_dc))
+            dc_coupled.update(int(c) for c in np.unique(coo.col[coo.row == 0]))
             touched = touched[1:]
-        blocks.append(csr[touched, :])
+        blocks.append(mat.matrix.tocsr()[touched, :])
         data.append(y_full[touched])
         rows_used += int(touched.size)
 

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import yaml
 from scipy.optimize import nnls as scipy_nnls
 
+from lockinsim import csrecon
+from lockinsim.cli import EXIT_OK, main
 from lockinsim.csrecon import (
     NnlsError,
     SamplingMatrix,
@@ -25,6 +29,68 @@ from lockinsim.csrecon import (
 )
 from lockinsim.sampler import undersampled_bin
 from lockinsim.spectral import power_spectrum
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def reference_nnls(a_matrix, b, tol=1e-10):
+    """Lawson-Hanson with the passive least-squares subproblem re-solved by
+    np.linalg.lstsq on the dense passive columns at every step (the solver
+    ``nnls_active_set`` replaced). Test oracle only.
+
+    Returns:
+        (x, iterations).
+    """
+    a_csc = sp.csc_matrix(a_matrix, dtype=float)
+    at = a_csc.T.tocsr()
+    x = np.zeros(a_csc.shape[1])
+    passive: list[int] = []
+    threshold = tol * float(np.max(np.abs(at @ b)))
+    resid = np.array(b, dtype=float)
+    for iterations in range(1, 10 * a_csc.shape[1] + 30):
+        w = at @ resid
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= threshold:
+            return x, iterations
+        passive.append(j)
+        while passive:
+            z, *_ = np.linalg.lstsq(a_csc[:, passive].toarray(), b, rcond=None)
+            if np.all(z > 0.0):
+                x[:] = 0.0
+                x[passive] = z
+                break
+            xp = x[passive]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = np.min(np.where(z <= 0.0, xp / (xp - z), np.inf))
+            xp = np.maximum(xp + alpha * (z - xp), 0.0)
+            x[:] = 0.0
+            x[passive] = xp
+            passive = [idx for idx, val in zip(passive, xp) if val > 0.0]
+        resid = b - a_csc @ x
+    raise AssertionError("reference NNLS did not converge")
+
+
+def assert_matches_reference(a_matrix, b, tol=1e-10):
+    """Same iteration count, identical support, components within 1e-12."""
+    x, info = nnls_active_set(a_matrix, b, tol=tol)
+    x_ref, iterations_ref = reference_nnls(a_matrix, b, tol=tol)
+    assert info.iterations == iterations_ref
+    np.testing.assert_array_equal(np.nonzero(x)[0], np.nonzero(x_ref)[0])
+    np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+
+
+def capture_nnls_problems(monkeypatch):
+    """Record (A, b, tol) of every nnls_active_set call made through csrecon."""
+    problems = []
+    solver = csrecon.nnls_active_set
+
+    def recording(a_matrix, b, *, tol=1e-10, **kwargs):
+        problems.append((a_matrix, b, tol))
+        return solver(a_matrix, b, tol=tol, **kwargs)
+
+    monkeypatch.setattr(csrecon, "nnls_active_set", recording)
+    return problems
 
 
 class TestWidebandGrid:
@@ -230,6 +296,59 @@ class TestNnls:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             nnls_active_set(np.eye(4), np.zeros(5))
+
+    def test_numerically_dependent_entering_column_raises(self):
+        # Column 2 is column 1 plus 2^-30 e_2 - 2^-29 e_1: its gradient
+        # 2^-30 passes the KKT threshold, but its Cholesky pivot
+        # 1 - 2^-28 - (1 - 2^-29)^2 rounds to exactly zero.
+        a_matrix = np.array([[1.0, 1.0 - 2.0**-29], [0.0, 2.0**-30], [0.0, 0.0]])
+        b = np.array([1.0, 1.0, 0.0])
+        with pytest.raises(NnlsError, match="numerically dependent") as excinfo:
+            nnls_active_set(a_matrix, b)
+        assert excinfo.value.iterations == 2
+        assert math.isfinite(excinfo.value.residual_norm)
+
+
+class TestNnlsMatchesReference:
+    """The Cholesky solver retraces the dense least-squares oracle: same
+    iterations, same support, components within rel 1e-12."""
+
+    def test_wideband_recovery_problem(self, tmp_path, monkeypatch):
+        # The shipped reconstruction cut from 2 s to 0.2 s, so that the
+        # oracle takes about a second.
+        cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
+        cfg["reconstruction"]["duration_s"] = 0.2
+        path = tmp_path / "wideband.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        problems = capture_nnls_problems(monkeypatch)
+        out = tmp_path / "out.json"
+        assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        ((a_matrix, b, tol),) = problems
+        assert a_matrix.shape == (1036, 724)
+        assert_matches_reference(a_matrix, b, tol=tol)
+
+    def test_phase_diagram_instances(self, monkeypatch):
+        problems = capture_nnls_problems(monkeypatch)
+        recovery_phase_diagram([1, 2, 3], [4, 5, 6], trials=3, seed=909, grid_bins=1024)
+        assert len(problems) == 27
+        for a_matrix, b, tol in problems:
+            assert_matches_reference(a_matrix, b, tol=tol)
+
+    def test_random_problems_through_the_drop_path(self, monkeypatch):
+        refactors = []
+        cholesky = csrecon.linalg.cholesky
+
+        def counting(*args, **kwargs):
+            refactors.append(args[0].shape[0])
+            return cholesky(*args, **kwargs)
+
+        monkeypatch.setattr(csrecon.linalg, "cholesky", counting)
+        rng = np.random.default_rng(7)
+        for _ in range(25):
+            a_matrix = rng.normal(size=(20, 12))
+            b = rng.normal(size=20)
+            assert_matches_reference(a_matrix, b)
+        assert refactors  # columns left the passive set
 
 
 class TestWidebandSpectrum:
