@@ -81,8 +81,7 @@ def _require_finite(value: float, what: str) -> float:
 def _strongest_phi_max(
     signal: AcSignal | CompositeSignal, seq
 ) -> float:
-    groups = signal.groups if isinstance(signal, CompositeSignal) else (signal,)
-    tones = [t for g in groups for t in g.tones]
+    tones = [t for g in signal.groups for t in g.tones]
     strongest = max(tones, key=lambda t: t.amplitude_rad_per_s)
     return abs(phase_amplitude(strongest, seq))
 

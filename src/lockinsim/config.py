@@ -376,7 +376,6 @@ def target_frequency_hz(config: RunConfig) -> float:
         return config.analysis.target_frequency_hz
     config.require("signal")
     signal = config.signal.build()
-    groups = signal.groups if isinstance(signal, CompositeSignal) else (signal,)
-    tones = [t for g in groups for t in g.tones]
+    tones = [t for g in signal.groups for t in g.tones]
     return max(tones, key=lambda t: t.amplitude_rad_per_s).frequency_hz
 

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .signal import AcSignal, AnySignal, CompositeSignal, PhaseNoisePath, Tone, evaluate, expand_am
+from .signal import AcSignal, AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
 
 __all__ = [
     "CpmgSequence",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+#: Windows per block of the FM kernel; bounds its (windows x pieces)
+#: temporaries whatever the number of windows.
+_FM_BLOCK_WINDOWS = 1024
 
 
 @dataclass(frozen=True)
@@ -168,47 +172,124 @@ def _tone_phase(
     return prefactor * carrier
 
 
+def _fm_phase(
+    tones: Sequence[Tone], seq: CpmgSequence, t: np.ndarray, path: PhaseNoisePath
+) -> np.ndarray:
+    """Exact phi(t) for tones sharing the piecewise-linear carrier phase ``path``.
+
+    The window [t, t + t_a] is cut at the K+1 pulse edges and at every path
+    node inside it. On each piece (width w, midpoint s_m, pulse interval k,
+    path segment j) psi is linear, so the tone is a pure carrier at
+    omega' = omega + psi'_j and its integral is
+
+        Omega (-1)^k w sinc(omega' w / 2 pi) cos(omega s_m + alpha + psi(s_m)),
+
+    which stays accurate for arbitrarily short pieces. Each block of windows
+    has the same number of cuts: nodes that fall outside a window clip to
+    its ends as zero-width pieces. Pulse signs and segments come from index
+    arithmetic at the midpoints.
+    """
+    t_flat = t.ravel()
+    tau = seq.tau_s
+    t_a = seq.sensing_time_s
+    dt = path.dt_s
+    if t_flat.size:  # every window must lie within the path
+        path.segment_at(np.array([t_flat.min(), t_flat.max() + t_a]))
+    edges = np.arange(seq.pulse_count + 1) * tau
+    # Node steps covering (t, t + t_a], one spare for floor(t/dt) rounding.
+    steps = np.arange(int(t_a / dt) + 2)
+    out = np.empty(t_flat.size)
+    for lo in range(0, t_flat.size, _FM_BLOCK_WINDOWS):
+        start = t_flat[lo : lo + _FM_BLOCK_WINDOWS, None]
+        nodes = (np.floor(start / dt) + 1.0 + steps) * dt - start
+        cuts = np.sort(
+            np.concatenate(
+                (np.broadcast_to(edges, (start.shape[0], edges.size)), np.clip(nodes, 0.0, t_a)),
+                axis=1,
+            ),
+            axis=1,
+        )
+        width = np.diff(cuts, axis=1)
+        offset = cuts[:, :-1] + 0.5 * width
+        signed_width = np.where(np.floor(offset / tau) % 2 == 0, width, -width)
+        mid = start + offset
+        psi, slope = path.segment_at(mid)
+        block = np.zeros(start.shape[0])
+        for tone in tones:
+            omega = TWO_PI * tone.frequency_hz
+            pieces = (
+                signed_width
+                * np.sinc((omega + slope) * width / TWO_PI)
+                * np.cos(omega * mid + tone.phase_rad + psi)
+            )
+            block += tone.amplitude_rad_per_s * pieces.sum(axis=1)
+        out[lo : lo + _FM_BLOCK_WINDOWS] = block
+    return out.reshape(t.shape)
+
+
 def phase_closed_form(
-    signal: Union[Tone, AcSignal],
+    signal: AnySignal | Tone,
     seq: CpmgSequence,
     t: float | np.ndarray,
     *,
     extra_phase_rad: float | np.ndarray = 0.0,
+    phase_noise: PhaseNoisePath | tuple[PhaseNoisePath | None, ...] | None = None,
 ) -> np.ndarray:
     """Accumulated phase phi(t) from the closed-form filter response.
 
     Multi-tone signals sum per-tone phases (the integral is linear in x);
-    an AM envelope is first expanded exactly into sideband tones.
+    an AM envelope is first expanded exactly into sideband tones, and a
+    composite signal sums its groups. A group with FM noise and a
+    materialized path is integrated exactly over the piecewise-linear
+    carrier phase psi(t): each (pulse interval x path segment) piece has a
+    closed form. Without a path, FM enters quasi-statically through
+    ``extra_phase_rad``.
 
     Args:
-        signal: A :class:`Tone` or an :class:`AcSignal` without FM noise.
+        signal: A :class:`Tone`, :class:`AcSignal` or
+            :class:`CompositeSignal`.
         seq: CPMG sequence (even pulse count enforced by the type).
         t: Start time(s) of the sensing window (s).
-        extra_phase_rad: Additional carrier phase added to every tone,
-            broadcast against ``t`` (used for quasi-static FM offsets).
+        extra_phase_rad: Additional carrier phase added to every tone of
+            the groups integrated without a path, broadcast against ``t``
+            (the frozen offset of quasi-static FM).
+        phase_noise: Materialized FM path(s), as for
+            :func:`lockinsim.signal.evaluate`: one path, or one entry per
+            group (None for groups without FM). Every window must lie
+            within the path.
 
     Returns:
         phi(t) in radians, shaped like the broadcast of ``t`` and
         ``extra_phase_rad``.
 
     Raises:
-        ValueError: If the signal carries FM noise (use
-            :func:`phase_by_integration` with a materialized path, or the
-            sampler's quasi-static path which supplies ``extra_phase_rad``).
+        ValueError: If an FM group has neither a path nor an
+            ``extra_phase_rad``, the path count does not match the groups,
+            or a window runs past its path.
     """
     t_arr = np.asarray(t, dtype=float)
     if isinstance(signal, Tone):
-        tones: Sequence[Tone] = (signal,)
-    else:
-        if signal.fm is not None and np.ndim(extra_phase_rad) == 0 and extra_phase_rad == 0.0:
-            raise ValueError(
-                "signal has fm configured: the closed form needs the carrier "
-                "phase offset; use phase_by_integration or pass extra_phase_rad"
-            )
-        tones = expand_am(signal).tones
+        signal = AcSignal(tones=(signal,))
+    groups = signal.groups
+    if isinstance(phase_noise, PhaseNoisePath):
+        phase_noise = (phase_noise,)
+    paths = (None,) * len(groups) if phase_noise is None else tuple(phase_noise)
+    if len(paths) != len(groups):
+        raise ValueError(f"expected {len(groups)} phase-noise paths, got {len(paths)}")
     total = np.zeros(np.broadcast_shapes(t_arr.shape, np.shape(extra_phase_rad)))
-    for tone in tones:
-        total = total + _tone_phase(tone, seq, t_arr, extra_phase_rad)
+    for group, path in zip(groups, paths):
+        tones = expand_am(group).tones
+        if group.fm is not None and path is not None:
+            total = total + _fm_phase(tones, seq, t_arr, path)
+            continue
+        if group.fm is not None and np.ndim(extra_phase_rad) == 0 and extra_phase_rad == 0.0:
+            raise ValueError(
+                "signal has fm configured: the closed form needs the "
+                "materialized path (phase_noise=) or the carrier phase "
+                "offset (extra_phase_rad=)"
+            )
+        for tone in tones:
+            total = total + _tone_phase(tone, seq, t_arr, extra_phase_rad)
     return total
 
 
@@ -237,9 +318,10 @@ def phase_by_integration(
 
     Composite trapezoid over each inter-pulse interval at three resolutions
     (n, 2n, 4n points) combined by two Richardson extrapolation levels,
-    giving ~O(h^6) convergence for smooth integrands. Serves as the oracle
-    for :func:`phase_closed_form` and as the general path for arbitrary
-    (AM/FM/composite) signals.
+    giving ~O(h^6) convergence for smooth integrands. It is the independent
+    test oracle for :func:`phase_closed_form`, FM paths included; nothing
+    in the simulation calls it, since its cost is a Python loop over the
+    windows.
 
     Args:
         signal: Any signal accepted by :func:`lockinsim.signal.evaluate`,

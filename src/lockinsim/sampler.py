@@ -24,10 +24,10 @@ from typing import Any, Union
 import numpy as np
 
 from . import __version__
-from .lockin import CpmgSequence, phase_by_integration, phase_closed_form, transition_probability
+from .lockin import CpmgSequence, phase_closed_form, transition_probability
+from .lockin import phase_by_integration  # noqa: F401  (bench/ traces it by this name)
 from .readout import ReadoutModel, sample_counts
 from .signal import (
-    AcSignal,
     AnySignal,
     CompositeSignal,
     PhaseNoisePath,
@@ -253,26 +253,21 @@ def _validate_consistency(
         )
 
 
-def _groups(signal: AnySignal) -> tuple[AcSignal, ...]:
-    if isinstance(signal, CompositeSignal):
-        return signal.groups
-    return (signal,)
-
-
 def _resolve_phase_method(signal: AnySignal, seq: CpmgSequence, method: str) -> str:
     """Pick the per-sample phase evaluation strategy.
 
     "closed_form": per-tone closed form (exact for tone/AM signals; FM enters
     quasi-statically via the frozen carrier-phase offset at the window start,
     valid when tau_c >> t_a).
-    "integration": brute-force quadrature of every window (slow; exact for
-    any configuration).
+    "integration": the exact CPMG integral over the materialized
+    piecewise-linear FM path, in closed form piece by piece (exact for any
+    configuration).
     """
     if method not in ("auto", "closed_form", "integration"):
         raise ValueError(f"unknown phase_method {method!r}")
     if method != "auto":
         return method
-    for group in _groups(signal):
+    for group in signal.groups:
         if group.fm is not None:
             ratio = group.fm.correlation_time_s / seq.sensing_time_s
             if ratio < QUASI_STATIC_RATIO:
@@ -284,7 +279,7 @@ def _materialize_paths(
     signal: AnySignal, last_time_s: float, seq: CpmgSequence
 ) -> tuple[PhaseNoisePath | None, ...]:
     paths: list[PhaseNoisePath | None] = []
-    for group in _groups(signal):
+    for group in signal.groups:
         if group.fm is None:
             paths.append(None)
         else:
@@ -302,13 +297,10 @@ def _phases_at(
     paths: tuple[PhaseNoisePath | None, ...],
 ) -> np.ndarray:
     """phi(t_k) for every sample time, by the resolved method."""
-    groups = _groups(signal)
     if method == "integration":
-        if isinstance(signal, CompositeSignal):
-            return phase_by_integration(signal, seq, times, phase_noise=paths)
-        return phase_by_integration(signal, seq, times, phase_noise=paths[0])
+        return phase_closed_form(signal, seq, times, phase_noise=paths)
     total = np.zeros_like(times)
-    for group, path in zip(groups, paths):
+    for group, path in zip(signal.groups, paths):
         extra = path.phase_at(times) if path is not None else 0.0
         total = total + phase_closed_form(group, seq, times, extra_phase_rad=extra)
     return total

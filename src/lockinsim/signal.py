@@ -161,6 +161,11 @@ class AcSignal:
         object.__setattr__(self, "tones", tones)
 
     @property
+    def groups(self) -> tuple["AcSignal", ...]:
+        """The signal as its single group, mirroring :attr:`CompositeSignal.groups`."""
+        return (self,)
+
+    @property
     def max_frequency_hz(self) -> float:
         """Highest tone frequency (Hz), AM sidebands included."""
         top = max(t.frequency_hz for t in self.tones)
@@ -231,16 +236,31 @@ class PhaseNoisePath:
         """Time of the last node (s); phase_at accepts t in [0, duration_s]."""
         return (self.psi_rad.size - 1) * self.dt_s
 
-    def phase_at(self, t: float | np.ndarray) -> np.ndarray:
-        """Interpolate psi(t) (rad) at times ``t`` within [0, duration_s]."""
+    def segment_at(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi(t) (rad) and its slope psi' (rad/s) at times within [0, duration_s].
+
+        The segment [j dt, (j+1) dt] holding t (the last one closed at its
+        right end) is found in O(1) from floor(t/dt), moved by one where
+        rounding put t across a node, so before the last node psi(t) equals
+        ``np.interp`` over the nodes bit for bit.
+        """
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() > self.duration_s * (1 + 1e-12)):
             raise ValueError(
                 "phase_at time outside the materialized range "
                 f"[0, {self.duration_s}]: [{t_arr.min()}, {t_arr.max()}]"
             )
-        nodes = np.arange(self.psi_rad.size) * self.dt_s
-        return np.interp(t_arr, nodes, self.psi_rad)
+        last = self.psi_rad.size - 2
+        j = np.clip(np.floor(t_arr / self.dt_s).astype(np.int64), 0, last)
+        j -= (t_arr < j * self.dt_s) & (j > 0)
+        j += (t_arr >= (j + 1) * self.dt_s) & (j < last)
+        left = j * self.dt_s
+        slope = (self.psi_rad[j + 1] - self.psi_rad[j]) / ((j + 1) * self.dt_s - left)
+        return slope * (t_arr - left) + self.psi_rad[j], slope
+
+    def phase_at(self, t: float | np.ndarray) -> np.ndarray:
+        """Interpolate psi(t) (rad) at times ``t`` within [0, duration_s]."""
+        return self.segment_at(t)[0]
 
 
 def materialize_fm_noise(

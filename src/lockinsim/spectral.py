@@ -566,9 +566,8 @@ def _reseed_fm(signal: AnySignal, entropy: tuple[int, ...]) -> AnySignal:
     frozen path would make the "independent seeds" of a study share one
     line-shape realization. Signals without FM noise pass through.
     """
-    groups = signal.groups if isinstance(signal, CompositeSignal) else (signal,)
     reseeded = []
-    for g_idx, group in enumerate(groups):
+    for g_idx, group in enumerate(signal.groups):
         if group.fm is None:
             reseeded.append(group)
             continue
@@ -658,11 +657,12 @@ def scaling_study(
     if seeds_per_point < 1:
         raise ValueError(f"seeds_per_point must be >= 1, got {seeds_per_point}")
 
-    groups = signal.groups if isinstance(signal, CompositeSignal) else (signal,)
     if target_frequency_hz is None:
-        tones = [t for g in groups for t in g.tones]
+        tones = [t for g in signal.groups for t in g.tones]
         target_frequency_hz = max(tones, key=lambda t: t.amplitude_rad_per_s).frequency_hz
-    linewidth_hz = max((g.fm.linewidth_hz for g in groups if g.fm is not None), default=0.0)
+    linewidth_hz = max(
+        (g.fm.linewidth_hz for g in signal.groups if g.fm is not None), default=0.0
+    )
 
     durations = np.empty(len(n_list))
     bin_widths = np.empty(len(n_list))

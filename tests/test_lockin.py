@@ -19,7 +19,14 @@ from lockinsim.lockin import (
     phase_closed_form,
     transition_probability,
 )
-from lockinsim.signal import AcSignal, FmNoise, Tone
+from lockinsim.signal import (
+    AcSignal,
+    AmModulation,
+    CompositeSignal,
+    FmNoise,
+    Tone,
+    materialize_fm_noise,
+)
 
 # Frozen independent value: sum of squared odd-order Bessel amplitudes at
 # argument 14 equals (1 - J0(28)) / 4.
@@ -205,6 +212,74 @@ class TestPhaseClosedForm:
         seq = CpmgSequence(pulse_count=16, tau_s=1e-6)
         with pytest.raises(ValueError):
             phase_by_integration(tone_signal(5e5), seq, 0.0, dt=seq.tau_s / 10.0)
+
+
+class TestPhaseOverFmPath:
+    """The piecewise closed form over a materialized FM path, against quadrature.
+
+    Correlation times span tau_c/t_a = 50 (a node every few windows) to 0.1
+    (80 nodes per window); window starts sit on path nodes and just before
+    them, so windows straddle nodes.
+    """
+
+    SEQ = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * 1.2e6))
+
+    @classmethod
+    def fm(cls, ratio):
+        return FmNoise(
+            linewidth_hz=100.0, rng_seed=7, correlation_time_s=ratio * cls.SEQ.sensing_time_s
+        )
+
+    @classmethod
+    def check(cls, signal, fm_group, paths_for):
+        t_a = cls.SEQ.sensing_time_s
+        dt = fm_group.fm.correlation_time_s / 8.0
+        nodes = dt * (math.ceil(t_a / dt) + np.array([1.0, 2.0, 5.0]))
+        starts = np.concatenate([nodes, nodes - 0.4 * t_a, [0.0, 0.37 * t_a, 3.1 * t_a]])
+        path = materialize_fm_noise(fm_group, float(starts.max()) + t_a, dt)
+        exact = phase_closed_form(signal, cls.SEQ, starts, phase_noise=paths_for(path))
+        quad = phase_by_integration(signal, cls.SEQ, starts, phase_noise=paths_for(path))
+        omega = max(tone.amplitude_rad_per_s for g in signal.groups for tone in g.tones)
+        tol = 1e-9 * omega * t_a
+        np.testing.assert_allclose(exact, quad, rtol=0.0, atol=tol)
+        # The path matters: freezing psi at the window start is far off.
+        moving = phase_closed_form(fm_group, cls.SEQ, starts, phase_noise=path)
+        frozen = phase_closed_form(fm_group, cls.SEQ, starts, extra_phase_rad=path.phase_at(starts))
+        assert float(np.max(np.abs(moving - frozen))) > 1e3 * tol
+
+    @pytest.mark.parametrize("ratio", [50.0, 5.0, 1.0, 0.1])
+    def test_composite_of_am_fm_group_and_plain_group_matches_quadrature(self, ratio):
+        fm_group = AcSignal(
+            tones=(
+                Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.3),
+                Tone(frequency_hz=1.2004e6, amplitude_rad_per_s=4e4, phase_rad=1.1),
+            ),
+            am=AmModulation(mod_frequency_hz=2e3, mod_depth=0.5, mod_phase_rad=0.2),
+            fm=self.fm(ratio),
+        )
+        plain = AcSignal(
+            tones=(Tone(frequency_hz=1.1999e6, amplitude_rad_per_s=3e4, phase_rad=2.0),)
+        )
+        signal = CompositeSignal(groups=(fm_group, plain))
+        self.check(signal, fm_group, lambda path: (path, None))
+
+    @pytest.mark.parametrize("ratio", [50.0, 5.0, 1.0, 0.1])
+    def test_single_fm_tone_matches_quadrature(self, ratio):
+        signal = AcSignal(
+            tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.7),),
+            fm=self.fm(ratio),
+        )
+        self.check(signal, signal, lambda path: path)
+
+    def test_window_past_the_path_end_raises(self):
+        signal = AcSignal(tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5),), fm=self.fm(5.0))
+        t_a = self.SEQ.sensing_time_s
+        path = materialize_fm_noise(signal, 40.0 * t_a, signal.fm.correlation_time_s / 8.0)
+        last_start = path.duration_s - t_a
+        phase_closed_form(signal, self.SEQ, last_start, phase_noise=path)
+        late = np.array([0.0, last_start + 1e-3 * self.SEQ.tau_s])
+        with pytest.raises(ValueError, match="outside the materialized range"):
+            phase_closed_form(signal, self.SEQ, late, phase_noise=path)
 
 
 class TestTransitionProbability:

@@ -42,6 +42,24 @@ def tone_signal(frequency_hz=F_CARRIER, amplitude=5e4, phase=0.0, **kwargs) -> A
     )
 
 
+def fast_fm_signal(seq) -> AcSignal:
+    """FM with tau_c = 50 t_a, below the quasi-static threshold."""
+    return tone_signal(
+        amplitude=4e4,
+        fm=FmNoise(linewidth_hz=1e-2, rng_seed=5, correlation_time_s=50.0 * seq.sensing_time_s),
+    )
+
+
+def best_time_per_sample(sig, seq, model, sched) -> float:
+    """Best of three wall times of run_sampling, per sample."""
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        run_sampling(sig, seq, model, sched, 1)
+        best = min(best, time.perf_counter() - start)
+    return best / sched.num_samples
+
+
 class TestSamplingSchedule:
     def test_period_is_sum_of_sensing_readout_and_dead_time(self):
         seq, model, sched = make_parts(dead_time_s=5e-4)
@@ -260,11 +278,7 @@ class TestRunSampling:
 
     def test_auto_selects_quadrature_for_fast_frequency_noise(self):
         seq, model, sched = make_parts(num_samples=8)
-        fast = tone_signal(
-            amplitude=4e4,
-            fm=FmNoise(linewidth_hz=1e-2, rng_seed=5, correlation_time_s=50.0 * seq.sensing_time_s),
-        )
-        trace = run_sampling(fast, seq, model, sched, 1)
+        trace = run_sampling(fast_fm_signal(seq), seq, model, sched, 1)
         assert trace.metadata["phase_method"] == "integration"
 
     def test_rejects_unknown_phase_method(self):
@@ -290,16 +304,24 @@ class TestRunSampling:
         seq, model, small = make_parts(num_samples=25_000)
         _, _, large = make_parts(num_samples=200_000)
         sig = tone_signal()
+        assert best_time_per_sample(sig, seq, model, large) <= 2.5 * best_time_per_sample(
+            sig, seq, model, small
+        )
 
-        def per_sample(sched):
-            best = math.inf
-            for _ in range(3):
-                start = time.perf_counter()
-                run_sampling(sig, seq, model, sched, 1)
-                best = min(best, time.perf_counter() - start)
-            return best / sched.num_samples
+    def test_fast_fm_generation_time_scales_linearly_in_the_record_length(self):
+        seq, model, small = make_parts(num_samples=5_000)
+        _, _, large = make_parts(num_samples=40_000)
+        sig = fast_fm_signal(seq)
+        assert best_time_per_sample(sig, seq, model, large) <= 2.5 * best_time_per_sample(
+            sig, seq, model, small
+        )
 
-        assert per_sample(large) <= 2.5 * per_sample(small)
+    def test_fast_fm_counts_do_not_depend_on_the_thread_count(self):
+        seq, model, sched = make_parts(num_samples=CHUNK_SAMPLES + 1001)
+        sig = fast_fm_signal(seq)
+        a = run_sampling(sig, seq, model, sched, 99, num_threads=1)
+        b = run_sampling(sig, seq, model, sched, 99, num_threads=2)
+        np.testing.assert_array_equal(a.counts, b.counts)
 
 
 class TestTraceIO:
