@@ -37,7 +37,6 @@ from .config import (
     build_signal,
     config_hash,
     load_config,
-    signal_linewidth_hz,
     target_frequency_hz,
 )
 from .csrecon import (
@@ -52,14 +51,17 @@ from .csrecon import (
 )
 from .lockin import phase_amplitude
 from .readout import ReadoutModel
-from .sampler import SamplingSchedule, run_sampling, undersampled_bin, write_trace
-from .signal import AcSignal, CompositeSignal
+from .sampler import SamplingSchedule, run_sampling, write_trace
+from .signal import AnySignal, max_linewidth_hz, strongest_tone
 from .spectral import (
     FitError,
+    PowerSpectrum,
+    SnrReport,
+    TargetPeak,
     average_spectra,
     default_noise_band,
-    find_peak_bin,
     fit_lorentzian,
+    locate_target_peak,
     measure_snr,
     power_spectrum,
     scaling_study,
@@ -78,12 +80,45 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _strongest_phi_max(
-    signal: AcSignal | CompositeSignal, seq
-) -> float:
-    tones = [t for g in signal.groups for t in g.tones]
-    strongest = max(tones, key=lambda t: t.amplitude_rad_per_s)
-    return abs(phase_amplitude(strongest, seq))
+def _strongest_phi_max(signal: AnySignal, seq) -> float:
+    return abs(phase_amplitude(strongest_tone(signal), seq))
+
+
+def _target_peak(
+    config: RunConfig, spec: PowerSpectrum, f_target: float, signal: AnySignal
+) -> TargetPeak:
+    return locate_target_peak(
+        spec,
+        f_target,
+        max_linewidth_hz(signal),
+        window_bins=config.analysis.window_half_bins,
+        window_linewidth_factor=config.analysis.window_linewidth_factor,
+    )
+
+
+def _target_snr(
+    config: RunConfig,
+    spec: PowerSpectrum,
+    f_target: float,
+    signal: AnySignal,
+    model: ReadoutModel,
+    phi_max: float,
+    what: str,
+) -> tuple[TargetPeak, SnrReport]:
+    """Locate the target peak and measure its SNR against the noise band."""
+    peak = _target_peak(config, spec, f_target, signal)
+    band = default_noise_band(
+        spec,
+        [peak.peak_bin],
+        linewidth_bins=max(1.0, max_linewidth_hz(signal) / spec.bin_width_hz),
+        guard_linewidths=config.analysis.noise_guard_linewidths,
+    )
+    report = measure_snr(
+        spec, peak.peak_bin, band, model=model, phi_max=phi_max,
+        exact=config.analysis.exact_snr,
+    )
+    _require_finite(report.measured_snr, what)
+    return peak, report
 
 
 def _payload(config: RunConfig, command: str, result: dict[str, Any]) -> dict[str, Any]:
@@ -130,7 +165,7 @@ def _simulate_trace(config: RunConfig, seed: int, threads: int):
     trace = run_sampling(
         signal, seq, model, sched, np.random.SeedSequence(seed), num_threads=threads
     )
-    return signal, seq, model, sched, trace
+    return signal, seq, model, trace
 
 
 def cmd_simulate(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
@@ -143,46 +178,19 @@ def cmd_simulate(config: RunConfig, seed: int, out: str | None, threads: int, fm
     write_trace(trace, out)
 
 
-def _analysis_window(config: RunConfig, bin_width_hz: float) -> int:
-    """Half window in bins: fixed floor, widened with the intrinsic linewidth."""
-    linewidth = signal_linewidth_hz(config)
-    return max(
-        config.analysis.window_half_bins,
-        int(math.ceil(config.analysis.window_linewidth_factor * linewidth / bin_width_hz)),
-    )
-
-
 def cmd_spectrum(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
     """Simulate a trace and report its power spectrum and SNR."""
-    signal, seq, model, sched, trace = _simulate_trace(config, seed, threads)
+    signal, seq, model, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
-    f_target = target_frequency_hz(config)
-    expected_bin = undersampled_bin(f_target, sched.sample_rate_hz, sched.num_samples)
-    half = _analysis_window(config, spec.bin_width_hz)
-    peak = find_peak_bin(
-        spec, max(1, expected_bin - half), min(spec.num_bins, expected_bin + half + 1)
+    peak, report = _target_snr(
+        config, spec, target_frequency_hz(config, signal), signal, model,
+        _strongest_phi_max(signal, seq), "measured SNR",
     )
-    linewidth_bins = max(1.0, signal_linewidth_hz(config) / spec.bin_width_hz)
-    band = default_noise_band(
-        spec,
-        [peak],
-        linewidth_bins=linewidth_bins,
-        guard_linewidths=config.analysis.noise_guard_linewidths,
-    )
-    report = measure_snr(
-        spec,
-        peak,
-        band,
-        model=model,
-        phi_max=_strongest_phi_max(signal, seq),
-        exact=config.analysis.exact_snr,
-    )
-    _require_finite(report.measured_snr, "measured SNR")
     result = {
         "num_samples": spec.num_samples,
         "bin_width_hz": spec.bin_width_hz,
         "sample_rate_hz": spec.sample_rate_hz,
-        "expected_bin": expected_bin,
+        "expected_bin": peak.expected_bin,
         "peak_bin": report.peak_bin,
         "peak_power": report.peak_power,
         "noise_mean": report.noise_mean,
@@ -207,17 +215,11 @@ def cmd_spectrum(config: RunConfig, seed: int, out: str | None, threads: int, fm
 
 def cmd_fit(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
     """Fit a Lorentzian to the spectral peak near the target frequency."""
-    _, _, _, sched, trace = _simulate_trace(config, seed, threads)
+    signal, *_, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
-    f_target = target_frequency_hz(config)
-    expected_bin = undersampled_bin(f_target, sched.sample_rate_hz, sched.num_samples)
-    half = _analysis_window(config, spec.bin_width_hz)
-    peak = find_peak_bin(
-        spec, max(1, expected_bin - half), min(spec.num_bins, expected_bin + half + 1)
-    )
-    lo = max(1, peak - half)
-    hi = min(spec.num_bins, peak + half + 1)
-    fit = fit_lorentzian(spec, (lo, hi))
+    f_target = target_frequency_hz(config, signal)
+    peak = _target_peak(config, spec, f_target, signal)
+    fit = fit_lorentzian(spec, peak.window)
     _require_finite(fit.center_hz, "fitted center")
     _require_finite(fit.sigma_center_hz, "fitted center uncertainty")
     result = {
@@ -231,7 +233,7 @@ def cmd_fit(config: RunConfig, seed: int, out: str | None, threads: int, fmt: st
         "n_iterations": fit.n_iterations,
         "converged": fit.converged,
         "target_frequency_hz": f_target,
-        "expected_bin": expected_bin,
+        "expected_bin": peak.expected_bin,
     }
     rows = [tuple(result[k] for k in ("center_hz", "width_hz", "amplitude", "offset", "sigma_center_hz"))]
     _emit(
@@ -249,14 +251,8 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
     signal = build_signal(config)
     seq = build_sequence(config)
     base_model = build_readout(config)
-    config.require("schedule")
-    if config.schedule.dead_time_s is not None:
-        dead_time = config.schedule.dead_time_s
-    else:
-        base_sched = build_schedule(config, seq, base_model)
-        dead_time = base_sched.dead_time_s
-    num_samples = config.schedule.num_samples
-    f_target = target_frequency_hz(config)
+    base_sched = build_schedule(config, seq, base_model)
+    f_target = target_frequency_hz(config, signal)
     phi_max = _strongest_phi_max(signal, seq)
 
     rows = []
@@ -265,33 +261,19 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
         sched = SamplingSchedule.from_components(
             seq,
             model,
-            dead_time,
-            num_samples,
-            start_time_s=config.schedule.start_time_s,
-            clock_jitter_std_s=config.schedule.clock_jitter_std_s,
+            base_sched.dead_time_s,
+            base_sched.num_samples,
+            start_time_s=base_sched.start_time_s,
+            clock_jitter_std_s=base_sched.clock_jitter_std_s,
         )
         trace = run_sampling(
             signal, seq, model, sched,
             np.random.SeedSequence((seed, idx)), num_threads=threads,
         )
         spec = power_spectrum(trace)
-        expected_bin = undersampled_bin(f_target, sched.sample_rate_hz, num_samples)
-        half = _analysis_window(config, spec.bin_width_hz)
-        peak = find_peak_bin(
-            spec, max(1, expected_bin - half), min(spec.num_bins, expected_bin + half + 1)
+        _, report = _target_snr(
+            config, spec, f_target, signal, model, phi_max, f"measured SNR at n={n}"
         )
-        linewidth_bins = max(1.0, signal_linewidth_hz(config) / spec.bin_width_hz)
-        band = default_noise_band(
-            spec,
-            [peak],
-            linewidth_bins=linewidth_bins,
-            guard_linewidths=config.analysis.noise_guard_linewidths,
-        )
-        report = measure_snr(
-            spec, peak, band, model=model, phi_max=phi_max,
-            exact=config.analysis.exact_snr,
-        )
-        _require_finite(report.measured_snr, f"measured SNR at n={n}")
         rows.append(
             (
                 n,
@@ -332,16 +314,11 @@ def cmd_scaling(config: RunConfig, seed: int, out: str | None, threads: int, fmt
     signal = build_signal(config)
     seq = build_sequence(config)
     model = build_readout(config)
-    config.require("schedule")
-    if config.schedule.dead_time_s is not None:
-        dead_time = config.schedule.dead_time_s
-    else:
-        dead_time = build_schedule(config, seq, model).dead_time_s
     result_obj = scaling_study(
         signal,
         seq,
         model,
-        dead_time,
+        build_schedule(config, seq, model).dead_time_s,
         config.scaling.num_samples_list,
         seed,
         seeds_per_point=config.scaling.seeds_per_point,

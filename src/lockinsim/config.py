@@ -22,10 +22,12 @@ from .sampler import SamplingSchedule
 from .signal import (
     AcSignal,
     AmModulation,
+    AnySignal,
     CompositeSignal,
     FmNoise,
     Tone,
     amplitude_from_field_tesla,
+    strongest_tone,
 )
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "build_sequence",
     "build_readout",
     "build_schedule",
+    "target_frequency_hz",
 ]
 
 
@@ -360,22 +363,8 @@ def build_schedule(
         raise ConfigError(str(exc)) from exc
 
 
-def signal_linewidth_hz(config: RunConfig) -> float:
-    """Largest FM linewidth declared in the signal (0 for coherent tones)."""
-    if config.signal is None:
-        return 0.0
-    if config.signal.groups is not None:
-        fms = [g.fm.linewidth_hz for g in config.signal.groups if g.fm is not None]
-        return max(fms, default=0.0)
-    return config.signal.fm.linewidth_hz if config.signal.fm else 0.0
-
-
-def target_frequency_hz(config: RunConfig) -> float:
+def target_frequency_hz(config: RunConfig, signal: AnySignal) -> float:
     """Analysis target tone (explicit setting or the strongest tone)."""
     if config.analysis.target_frequency_hz is not None:
         return config.analysis.target_frequency_hz
-    config.require("signal")
-    signal = config.signal.build()
-    tones = [t for g in signal.groups for t in g.tones]
-    return max(tones, key=lambda t: t.amplitude_rad_per_s).frequency_hz
-
+    return strongest_tone(signal).frequency_hz

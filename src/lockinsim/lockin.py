@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import special
 
 from .signal import AcSignal, AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
 
@@ -41,7 +42,6 @@ __all__ = [
     "phase_by_integration",
     "transition_probability",
     "nonlinear_spectrum_prediction",
-    "bessel_j",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -378,53 +378,6 @@ def transition_probability(phi: float | np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 - np.sin(phi))
 
 
-def bessel_j(orders: int | Sequence[int] | np.ndarray, x: float) -> np.ndarray:
-    """Bessel functions of the first kind J_n(x) by downward recurrence.
-
-    Miller's algorithm: run J_{n-1} = (2n/x) J_n - J_{n+1} downward from an
-    order comfortably above max(n, |x|), then normalize with the identity
-    J_0(x) + 2 sum_{k>=1} J_{2k}(x) = 1. Accurate to ~1e-12 relative for the
-    moderate arguments used here (|x| <~ 60).
-
-    Args:
-        orders: Non-negative order(s) n.
-        x: Argument (any finite real; negative x uses J_n(-x) = (-1)^n J_n(x)).
-
-    Returns:
-        J_n(x) as a float array shaped like ``orders`` (0-d for scalar).
-    """
-    orders_arr = np.asarray(orders)
-    if orders_arr.size and orders_arr.min() < 0:
-        raise ValueError("orders must be non-negative")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    n_max = int(orders_arr.max()) if orders_arr.size else 0
-
-    if x == 0.0:
-        result = np.where(orders_arr == 0, 1.0, 0.0)
-        return result if orders_arr.ndim else result[()]
-
-    ax = abs(x)
-    start = int(max(n_max, ax) + 16 + 12.0 * math.sqrt(max(n_max, ax)))
-    if start % 2 == 1:
-        start += 1
-
-    j_vals = np.zeros(start + 2)
-    j_vals[start + 1] = 0.0
-    j_vals[start] = 1e-30
-    for n in range(start, 0, -1):
-        j_vals[n - 1] = (2.0 * n / ax) * j_vals[n] - j_vals[n + 1]
-        if abs(j_vals[n - 1]) > 1e250:  # rescale to avoid overflow
-            j_vals[n - 1 :] /= 1e250
-    norm = j_vals[0] + 2.0 * j_vals[2::2].sum()
-    j_vals /= norm
-
-    result = j_vals[orders_arr]
-    if x < 0.0:  # parity: J_n(-x) = (-1)^n J_n(x)
-        result = result * np.where(orders_arr % 2 == 0, 1.0, -1.0)
-    return result if orders_arr.ndim else result[()]
-
-
 @dataclass(frozen=True)
 class HarmonicLine:
     """One predicted probability-signal harmonic.
@@ -466,7 +419,7 @@ def nonlinear_spectrum_prediction(
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     orders = 2 * np.arange(k_max + 1) + 1
-    amplitudes = bessel_j(orders, phi_max)
+    amplitudes = special.jv(orders, phi_max)
     return [
         HarmonicLine(order=int(n), frequency_hz=n * f_ac, amplitude=float(a))
         for n, a in zip(orders, amplitudes)

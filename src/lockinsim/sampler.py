@@ -253,7 +253,7 @@ def _validate_consistency(
         )
 
 
-def _resolve_phase_method(signal: AnySignal, seq: CpmgSequence, method: str) -> str:
+def _resolve_phase_method(signal: AnySignal, seq: CpmgSequence) -> str:
     """Pick the per-sample phase evaluation strategy.
 
     "closed_form": per-tone closed form (exact for tone/AM signals; FM enters
@@ -261,12 +261,9 @@ def _resolve_phase_method(signal: AnySignal, seq: CpmgSequence, method: str) -> 
     valid when tau_c >> t_a).
     "integration": the exact CPMG integral over the materialized
     piecewise-linear FM path, in closed form piece by piece (exact for any
-    configuration).
+    configuration). Quasi-static FM is used only where it is valid,
+    tau_c >= ``QUASI_STATIC_RATIO`` t_a for every FM group.
     """
-    if method not in ("auto", "closed_form", "integration"):
-        raise ValueError(f"unknown phase_method {method!r}")
-    if method != "auto":
-        return method
     for group in signal.groups:
         if group.fm is not None:
             ratio = group.fm.correlation_time_s / seq.sensing_time_s
@@ -333,7 +330,6 @@ def run_sampling(
     rng: RngLike,
     *,
     num_threads: int = 1,
-    phase_method: str = "auto",
 ) -> TimeTrace:
     """Generate a photon-count time trace.
 
@@ -349,14 +345,13 @@ def run_sampling(
         rng: Seed, SeedSequence, or Generator. Chunk streams are spawned from
             it; the result is bit-identical for any ``num_threads``.
         num_threads: Worker threads for chunk generation.
-        phase_method: "auto" (closed form, quasi-static FM when valid),
-            "closed_form", or "integration".
 
     Returns:
-        The trace with a full parameter record in ``metadata``.
+        The trace with a full parameter record in ``metadata``, including
+        the ``phase_method`` selected for the signal.
     """
     _validate_consistency(seq, model, sched)
-    method = _resolve_phase_method(signal, seq, phase_method)
+    method = _resolve_phase_method(signal, seq)
     n = sched.num_samples
     t_s = sched.sampling_period_s
     last_nominal = sched.start_time_s + (n - 1) * t_s
@@ -411,8 +406,6 @@ def expected_probabilities(
     signal: AnySignal,
     seq: CpmgSequence,
     sched: SamplingSchedule,
-    *,
-    phase_method: str = "auto",
 ) -> np.ndarray:
     """Noise-free transition probabilities p_k on the nominal time grid.
 
@@ -420,7 +413,7 @@ def expected_probabilities(
     noise); composing with :func:`lockinsim.readout.expected_counts` yields
     the analytic expected trace.
     """
-    method = _resolve_phase_method(signal, seq, phase_method)
+    method = _resolve_phase_method(signal, seq)
     times = sched.start_time_s + np.arange(sched.num_samples) * sched.sampling_period_s
     paths = _materialize_paths(signal, float(times[-1]), seq)
     return transition_probability(_phases_at(signal, seq, times, method, paths))

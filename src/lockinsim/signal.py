@@ -37,6 +37,8 @@ __all__ = [
     "evaluate",
     "expand_am",
     "materialize_fm_noise",
+    "max_linewidth_hz",
+    "strongest_tone",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -198,6 +200,20 @@ class CompositeSignal:
 
 
 AnySignal = Union[AcSignal, CompositeSignal]
+
+
+def strongest_tone(signal: AnySignal) -> Tone:
+    """Largest-amplitude listed tone over all groups (ties: the first)."""
+    return max(
+        (t for g in signal.groups for t in g.tones), key=lambda t: t.amplitude_rad_per_s
+    )
+
+
+def max_linewidth_hz(signal: AnySignal) -> float:
+    """Largest FM linewidth over the groups (0 for coherent signals)."""
+    return max(
+        (g.fm.linewidth_hz for g in signal.groups if g.fm is not None), default=0.0
+    )
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,12 @@ import numpy as np
 from .lockin import CpmgSequence
 from .readout import ReadoutModel, depolarization_survival, noise_variance
 from .sampler import SamplingSchedule, TimeTrace, run_sampling, undersampled_bin
-from .signal import AnySignal, CompositeSignal
+from .signal import AnySignal, CompositeSignal, max_linewidth_hz, strongest_tone
 
 __all__ = [
     "PowerSpectrum",
     "SnrReport",
+    "TargetPeak",
     "LorentzianFit",
     "FitError",
     "ScalingStudyResult",
@@ -40,6 +41,7 @@ __all__ = [
     "predicted_snr",
     "default_noise_band",
     "find_peak_bin",
+    "locate_target_peak",
     "measure_snr",
     "lorentzian",
     "fit_lorentzian",
@@ -230,6 +232,49 @@ def find_peak_bin(
     if not (0 <= lo_bin < hi <= spectrum.num_bins):
         raise ValueError(f"invalid search range [{lo_bin}, {hi})")
     return int(lo_bin + np.argmax(spectrum.power[lo_bin:hi]))
+
+
+@dataclass(frozen=True)
+class TargetPeak:
+    """Where the target tone sits in a spectrum.
+
+    Attributes:
+        expected_bin: Folded (undersampled) bin of the target frequency.
+        peak_bin: Highest-power bin within the half window of
+            ``expected_bin`` (DC excluded).
+        window: Fit window [lo, hi) of the same half width around
+            ``peak_bin``.
+    """
+
+    expected_bin: int
+    peak_bin: int
+    window: tuple[int, int]
+
+
+def locate_target_peak(
+    spectrum: PowerSpectrum,
+    target_frequency_hz: float,
+    linewidth_hz: float,
+    *,
+    window_bins: int,
+    window_linewidth_factor: float,
+) -> TargetPeak:
+    """Find the target tone's peak near its folded bin.
+
+    The half window is ``window_bins`` bins for Fourier-limited lines,
+    widened to ``window_linewidth_factor`` x ``linewidth_hz`` once that is
+    wider; the peak search and the fit window share it.
+    """
+    n_bins = spectrum.num_bins
+    expected = undersampled_bin(
+        target_frequency_hz, spectrum.sample_rate_hz, spectrum.num_samples
+    )
+    half = max(
+        window_bins,
+        int(math.ceil(window_linewidth_factor * linewidth_hz / spectrum.bin_width_hz)),
+    )
+    peak = find_peak_bin(spectrum, max(1, expected - half), min(n_bins, expected + half + 1))
+    return TargetPeak(expected, peak, (max(1, peak - half), min(n_bins, peak + half + 1)))
 
 
 def measure_snr(
@@ -622,9 +667,10 @@ def scaling_study(
       uncertainty is instead measured directly as the standard deviation
       of the fitted centers across the replicates.
 
-    The fit half-window is +-``window_bins`` bins for Fourier-limited
-    lines, widened to ``window_linewidth_factor`` x the intrinsic
-    linewidth once resolved. The linewidth-proportional window is what
+    Every fit runs over the window :func:`locate_target_peak` returns
+    around the target tone's peak: +-``window_bins`` bins for
+    Fourier-limited lines, widened to ``window_linewidth_factor`` x the
+    intrinsic linewidth once resolved. The linewidth-proportional window is what
     makes the covariance-based sigma_fc(T) exponents (-1.5 coherent,
     -0.5 resolved-broadened) emerge; a fixed-Hz window mixes regimes.
 
@@ -658,11 +704,18 @@ def scaling_study(
         raise ValueError(f"seeds_per_point must be >= 1, got {seeds_per_point}")
 
     if target_frequency_hz is None:
-        tones = [t for g in signal.groups for t in g.tones]
-        target_frequency_hz = max(tones, key=lambda t: t.amplitude_rad_per_s).frequency_hz
-    linewidth_hz = max(
-        (g.fm.linewidth_hz for g in signal.groups if g.fm is not None), default=0.0
-    )
+        target_frequency_hz = strongest_tone(signal).frequency_hz
+    linewidth_hz = max_linewidth_hz(signal)
+
+    def fit_target(spec: PowerSpectrum) -> LorentzianFit:
+        peak = locate_target_peak(
+            spec,
+            target_frequency_hz,
+            linewidth_hz,
+            window_bins=window_bins,
+            window_linewidth_factor=window_linewidth_factor,
+        )
+        return fit_lorentzian(spec, peak.window)
 
     durations = np.empty(len(n_list))
     bin_widths = np.empty(len(n_list))
@@ -670,19 +723,7 @@ def scaling_study(
     sigmas = np.empty(len(n_list))
     for i, n in enumerate(n_list):
         sched = SamplingSchedule.from_components(seq, model, dead_time_s, n)
-        f_s = sched.sample_rate_hz
-        df = f_s / n
-        expected_bin = undersampled_bin(target_frequency_hz, f_s, n)
-        half_window = max(window_bins, int(math.ceil(window_linewidth_factor * linewidth_hz / df)))
-
-        def fit_in_window(spec: PowerSpectrum) -> LorentzianFit:
-            search_lo = max(1, expected_bin - half_window)
-            search_hi = min(spec.num_bins, expected_bin + half_window + 1)
-            peak = find_peak_bin(spec, search_lo, search_hi)
-            lo = max(1, peak - half_window)
-            hi = min(spec.num_bins, peak + half_window + 1)
-            return fit_lorentzian(spec, (lo, hi))
-
+        df = sched.sample_rate_hz / n
         point_resolved = linewidth_hz > df
         specs = []
         seed_sigmas = np.empty(seeds_per_point)
@@ -698,10 +739,10 @@ def scaling_study(
             )
             spec = power_spectrum(trace)
             specs.append(spec)
-            seed_fit = fit_in_window(spec)
+            seed_fit = fit_target(spec)
             seed_sigmas[r] = seed_fit.sigma_center_hz
             seed_centers[r] = seed_fit.center_hz
-        ensemble_fit = fit_in_window(average_spectra(specs))
+        ensemble_fit = fit_target(average_spectra(specs))
         durations[i] = sched.duration_s
         bin_widths[i] = df
         widths[i] = ensemble_fit.width_hz

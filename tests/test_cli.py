@@ -246,6 +246,22 @@ class TestSnrSweepCommand:
         assert all(s > 0.0 for s in result["measured_snr"])
         assert len(result["peak_bin"]) == 2
 
+    def test_sampling_period_fixes_the_dead_time_at_the_base_depth(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "sweep": {"qnd_repetitions": [130, 260, 498]},
+                "schedule": {"num_samples": 1500, "sampling_period_s": 1.2e-3},
+            },
+        )
+        result = run_json(["snr-sweep", "--config", str(path)], capsys)["result"]
+        periods = result["sampling_period_s"]
+        # The configured period holds at the config's own depth (260); the
+        # dead time it implies is then kept across the sweep.
+        assert periods[1] == pytest.approx(1.2e-3, rel=1e-12)
+        assert periods[1] - periods[0] == pytest.approx(130 * 2.32e-6, rel=1e-9)
+        assert periods[2] - periods[1] == pytest.approx(238 * 2.32e-6, rel=1e-9)
+
     def test_requires_the_sweep_section(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["snr-sweep", "--config", str(path)]) == EXIT_CONFIG

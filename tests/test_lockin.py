@@ -1,4 +1,4 @@
-"""Tests for CPMG phase accumulation, the Bessel kernel, and harmonic predictions."""
+"""Tests for CPMG phase accumulation and the nonlinear harmonic predictions."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from scipy import special
 
 from lockinsim.lockin import (
     CpmgSequence,
-    bessel_j,
     modulation_function,
     nonlinear_spectrum_prediction,
     phase_amplitude,
@@ -306,41 +305,35 @@ class TestTransitionProbability:
 
 
 class TestBessel:
-    def test_matches_reference_implementation_on_a_grid(self):
-        rng = np.random.default_rng(5)
-        orders = rng.integers(0, 41, 60)
-        args = rng.uniform(0.0, 60.0, 60)
-        for n, x in zip(orders, args):
-            mine = bessel_j([int(n)], float(x))[0]
-            ref = special.jv(int(n), float(x))
-            assert mine == pytest.approx(ref, rel=1e-10, abs=1e-13)
+    """The Bessel amplitudes J_{2k+1}(phi_max) of the harmonic prediction."""
 
-    def test_vectorized_orders_match_scalar_calls(self):
-        orders = [0, 1, 2, 7, 21]
-        got = bessel_j(orders, 14.0)
-        for n, value in zip(orders, got):
-            assert value == pytest.approx(special.jv(n, 14.0), rel=1e-12)
-
-    def test_zero_argument_is_kronecker_delta(self):
-        np.testing.assert_array_equal(bessel_j([0, 1, 5], 0.0), [1.0, 0.0, 0.0])
-
-    def test_negative_argument_parity(self):
-        for n in range(6):
-            left = bessel_j([n], -5.0)[0]
-            right = (-1.0) ** n * bessel_j([n], 5.0)[0]
-            assert left == pytest.approx(right, rel=1e-12, abs=1e-300)
+    def test_zero_phase_gives_all_zero_amplitudes(self):
+        lines = nonlinear_spectrum_prediction(0.0, 100.0)
+        assert [line.amplitude for line in lines] == [0.0] * len(lines)
 
     def test_deep_evanescent_order_keeps_relative_accuracy(self):
-        # J_40(3) is ~1e-41; downward recursion must not lose it to overflow
-        # or underflow.
-        assert bessel_j([40], 3.0)[0] == pytest.approx(special.jv(40, 3.0), rel=1e-10)
+        # J_41(3) is ~5e-43; the power series converges fast at small x and
+        # serves as the oracle.
+        x, n = 3.0, 41
+        series = math.fsum(
+            (-1) ** m * (x / 2) ** (2 * m + n) / (math.factorial(m) * math.factorial(m + n))
+            for m in range(30)
+        )
+        lines = nonlinear_spectrum_prediction(x, 100.0, k_max=20)
+        assert lines[-1].order == n
+        assert lines[-1].amplitude == pytest.approx(series, rel=1e-10)
 
-    @given(st.integers(1, 30), st.floats(0.5, 50.0))
-    def test_three_term_recurrence(self, n, x):
-        jm, j0, jp = bessel_j([n - 1, n, n + 1], x)
-        residual = jm + jp - (2.0 * n / x) * j0
-        scale = abs(jm) + abs(jp) + abs(2.0 * n / x * j0) + 1e-12
-        assert abs(residual) <= 1e-10 * scale
+    @given(st.integers(1, 14), st.floats(0.5, 50.0))
+    def test_three_term_recurrence(self, k, x):
+        # J_{n-1} + J_{n+1} = (2n/x) J_n with the even orders eliminated:
+        # x/(4k) (J_{2k-1} + J_{2k+1}) + x/(4k+4) (J_{2k+1} + J_{2k+3})
+        # = (2(2k+1)/x) J_{2k+1}.
+        amps = [line.amplitude for line in nonlinear_spectrum_prediction(x, 100.0, k_max=k + 1)]
+        jm, j0, jp = amps[k - 1], amps[k], amps[k + 1]
+        left = x / (4 * k) * (jm + j0) + x / (4 * k + 4) * (j0 + jp)
+        right = 2.0 * (2 * k + 1) / x * j0
+        scale = x / (4 * k) * (abs(jm) + abs(j0)) + x / (4 * k + 4) * (abs(j0) + abs(jp))
+        assert abs(left - right) <= 1e-10 * (scale + abs(right) + 1e-12)
 
 
 class TestNonlinearPrediction:

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lockinsim.lockin import CpmgSequence, phase_amplitude
+from lockinsim.lockin import (
+    CpmgSequence,
+    phase_amplitude,
+    phase_closed_form,
+    transition_probability,
+)
 from lockinsim.readout import ReadoutModel, expected_counts, noise_variance
 from lockinsim.sampler import (
     CHUNK_SAMPLES,
@@ -21,7 +26,7 @@ from lockinsim.sampler import (
     undersampled_bin,
     write_trace,
 )
-from lockinsim.signal import AcSignal, FmNoise, Tone
+from lockinsim.signal import AcSignal, FmNoise, Tone, materialize_fm_noise
 
 F_CARRIER = 1.2e6
 
@@ -272,19 +277,18 @@ class TestRunSampling:
         # phase-offset evaluation must match full quadrature.
         seq, model, sched = make_parts(num_samples=48)
         sig = tone_signal(amplitude=4e4, fm=FmNoise(linewidth_hz=7.6e-4, rng_seed=5))
-        quasi = expected_probabilities(sig, seq, sched, phase_method="closed_form")
-        exact = expected_probabilities(sig, seq, sched, phase_method="integration")
-        assert float(np.max(np.abs(quasi - exact))) < 2e-5
+        t = sched.sampling_period_s * np.arange(48)
+        dt = sig.fm.correlation_time_s / 8.0
+        path = materialize_fm_noise(sig, t[-1] + seq.sensing_time_s + 2.0 * dt, dt)
+        quasi = phase_closed_form(sig, seq, t, extra_phase_rad=path.phase_at(t))
+        exact = phase_closed_form(sig, seq, t, phase_noise=path)
+        gap = transition_probability(quasi) - transition_probability(exact)
+        assert float(np.max(np.abs(gap))) < 2e-5
 
     def test_auto_selects_quadrature_for_fast_frequency_noise(self):
         seq, model, sched = make_parts(num_samples=8)
         trace = run_sampling(fast_fm_signal(seq), seq, model, sched, 1)
         assert trace.metadata["phase_method"] == "integration"
-
-    def test_rejects_unknown_phase_method(self):
-        seq, model, sched = make_parts(num_samples=8)
-        with pytest.raises(ValueError):
-            run_sampling(tone_signal(), seq, model, sched, 1, phase_method="magic")
 
     def test_rejects_schedule_inconsistent_with_sequence(self):
         seq, model, _ = make_parts()

@@ -19,6 +19,8 @@ from lockinsim.signal import (
     evaluate,
     expand_am,
     materialize_fm_noise,
+    max_linewidth_hz,
+    strongest_tone,
 )
 
 from .helpers import brute_force_power
@@ -130,6 +132,21 @@ class TestEvaluate:
             )
         )
         assert sig.max_frequency_hz == pytest.approx(120.0)
+
+    def test_strongest_tone_and_linewidth_span_all_groups(self):
+        coherent = single_tone(frequency_hz=40.0, amplitude=3.0)
+        broadened = AcSignal(
+            tones=(
+                Tone(frequency_hz=90.0, amplitude_rad_per_s=5.0),
+                Tone(frequency_hz=95.0, amplitude_rad_per_s=5.0),
+            ),
+            fm=FmNoise(linewidth_hz=2e-3, rng_seed=0),
+        )
+        comp = CompositeSignal(groups=(coherent, broadened))
+        assert strongest_tone(comp).frequency_hz == 90.0  # ties go to the first
+        assert max_linewidth_hz(comp) == 2e-3
+        assert strongest_tone(coherent).frequency_hz == 40.0
+        assert max_linewidth_hz(coherent) == 0.0
 
 
 class TestAmExpansion:

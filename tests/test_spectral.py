@@ -21,6 +21,7 @@ from lockinsim.spectral import (
     default_noise_band,
     find_peak_bin,
     fit_lorentzian,
+    locate_target_peak,
     lorentzian,
     measure_snr,
     noise_floor_level,
@@ -276,6 +277,34 @@ class TestSnrMeasurement:
         assert np.all(np.abs(band - 100) > 9)
         sub_bin = default_noise_band(spec, [100], linewidth_bins=0.2)
         np.testing.assert_array_equal(band, sub_bin)  # linewidth floors at one bin
+
+
+def spiked_spectrum(spikes: dict[int, float]) -> PowerSpectrum:
+    """201 bins of 1 Hz (N = 400, f_s = 400 Hz) on a floor of 1: f folds to f mod 400."""
+    power = np.ones(201)
+    for b, value in spikes.items():
+        power[b] = value
+    return synthetic_spectrum(power)
+
+
+class TestTargetPeak:
+    WINDOW = {"window_bins": 12, "window_linewidth_factor": 8.0}
+
+    def test_searches_the_half_window_around_the_folded_bin(self):
+        spec = spiked_spectrum({105: 20.0, 120: 50.0})
+        peak = locate_target_peak(spec, 500.0, 0.0, **self.WINDOW)
+        assert (peak.expected_bin, peak.peak_bin, peak.window) == (100, 105, (93, 118))
+
+    def test_window_widens_with_the_linewidth(self):
+        spec = spiked_spectrum({105: 20.0, 120: 50.0})
+        peak = locate_target_peak(spec, 100.0, 2.5, **self.WINDOW)
+        assert (peak.peak_bin, peak.window) == (120, (100, 141))
+
+    def test_window_excludes_dc_and_stops_at_the_last_bin(self):
+        low = locate_target_peak(spiked_spectrum({0: 1e3, 2: 5.0}), 3.0, 0.0, **self.WINDOW)
+        assert (low.peak_bin, low.window) == (2, (1, 15))
+        high = locate_target_peak(spiked_spectrum({200: 5.0}), 199.0, 0.0, **self.WINDOW)
+        assert (high.peak_bin, high.window) == (200, (188, 201))
 
 
 class TestLorentzianFit:
