@@ -51,8 +51,8 @@ from .csrecon import (
 )
 from .lockin import phase_amplitude
 from .readout import ReadoutModel
-from .sampler import SamplingSchedule, run_sampling, write_trace
-from .signal import AnySignal, max_linewidth_hz, strongest_tone
+from .sampler import SamplingSchedule, run_sampling, undersampled_bin, write_trace
+from .signal import AnySignal, expanded_tones, max_linewidth_hz, strongest_tone
 from .spectral import (
     FitError,
     PowerSpectrum,
@@ -105,11 +105,19 @@ def _target_snr(
     phi_max: float,
     what: str,
 ) -> tuple[TargetPeak, SnrReport]:
-    """Locate the target peak and measure its SNR against the noise band."""
+    """Locate the target peak and measure its SNR against the noise band.
+
+    The band is guarded around the peak and around the folded bin of every
+    tone of the signal, AM sidebands included, so no other line enters it.
+    """
     peak = _target_peak(config, spec, f_target, signal)
+    tone_bins = [
+        undersampled_bin(t.frequency_hz, spec.sample_rate_hz, spec.num_samples)
+        for t in expanded_tones(signal)
+    ]
     band = default_noise_band(
         spec,
-        [peak.peak_bin],
+        [peak.peak_bin, *tone_bins],
         linewidth_bins=max(1.0, max_linewidth_hz(signal) / spec.bin_width_hz),
         guard_linewidths=config.analysis.noise_guard_linewidths,
     )

@@ -36,6 +36,7 @@ __all__ = [
     "amplitude_from_field_tesla",
     "evaluate",
     "expand_am",
+    "expanded_tones",
     "materialize_fm_noise",
     "max_linewidth_hz",
     "strongest_tone",
@@ -207,6 +208,11 @@ def strongest_tone(signal: AnySignal) -> Tone:
     return max(
         (t for g in signal.groups for t in g.tones), key=lambda t: t.amplitude_rad_per_s
     )
+
+
+def expanded_tones(signal: AnySignal) -> tuple[Tone, ...]:
+    """Every tone of every group, AM envelopes expanded into sidebands."""
+    return tuple(t for g in signal.groups for t in expand_am(g).tones)
 
 
 def max_linewidth_hz(signal: AnySignal) -> float:

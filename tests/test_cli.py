@@ -164,6 +164,24 @@ class TestSpectrumCommand:
         assert result["predicted_snr_ideal"] > 10.0
         assert result["noise_band_bins"] > 100
 
+    def test_noise_band_excludes_a_second_tone_outside_the_peak_guard(self, tmp_path, capsys):
+        # The second tone folds 222 bins from the target, far outside the
+        # 10-bin guard around the peak. Left in the band, its line would
+        # inflate the spread of the exponential floor (std/mean = 1).
+        tones = BASE_CONFIG["signal"]["tones"] + [
+            {"frequency_hz": 1.2e6 + 25.0, "amplitude_rad_per_s": 70685.83, "phase_rad": 0.2}
+        ]
+        path = write_config(
+            tmp_path,
+            {
+                "signal": {"tones": tones},
+                "schedule": {"num_samples": 8000, "dead_time_s": 5.0e-4},
+            },
+        )
+        result = run_json(["spectrum", "--config", str(path)], capsys)["result"]
+        assert result["peak_bin"] == result["expected_bin"]
+        assert 0.9 <= result["noise_std"] / result["noise_mean"] <= 1.1
+
     def test_csv_spectrum_lists_every_bin(self, tmp_path, capsys):
         path = write_config(tmp_path)
         out = tmp_path / "spec.csv"
