@@ -49,10 +49,10 @@ from .csrecon import (
     support_from_bands,
     write_matrix_csv,
 )
-from .lockin import phase_amplitude
+from .lockin import CpmgSequence, phase_amplitude
 from .readout import ReadoutModel
 from .sampler import SamplingSchedule, run_sampling, undersampled_bin, write_trace
-from .signal import AnySignal, expanded_tones, max_linewidth_hz, strongest_tone
+from .signal import AnySignal, expanded_tones, max_linewidth_hz
 from .spectral import (
     FitError,
     PowerSpectrum,
@@ -80,10 +80,6 @@ def _require_finite(value: float, what: str) -> float:
     return value
 
 
-def _strongest_phi_max(signal: AnySignal, seq) -> float:
-    return abs(phase_amplitude(strongest_tone(signal), seq))
-
-
 def _target_peak(
     config: RunConfig, spec: PowerSpectrum, f_target: float, signal: AnySignal
 ) -> TargetPeak:
@@ -101,20 +97,23 @@ def _target_snr(
     spec: PowerSpectrum,
     f_target: float,
     signal: AnySignal,
+    seq: CpmgSequence,
     model: ReadoutModel,
-    phi_max: float,
     what: str,
 ) -> tuple[TargetPeak, SnrReport]:
     """Locate the target peak and measure its SNR against the noise band.
 
     The band is guarded around the peak and around the folded bin of every
     tone of the signal, AM sidebands included, so no other line enters it.
+    The prediction uses phi_max of the tone nearest the target frequency.
     """
     peak = _target_peak(config, spec, f_target, signal)
+    tones = expanded_tones(signal)
     tone_bins = [
         undersampled_bin(t.frequency_hz, spec.sample_rate_hz, spec.num_samples)
-        for t in expanded_tones(signal)
+        for t in tones
     ]
+    target_tone = min(tones, key=lambda t: abs(t.frequency_hz - f_target))
     band = default_noise_band(
         spec,
         [peak.peak_bin, *tone_bins],
@@ -122,8 +121,8 @@ def _target_snr(
         guard_linewidths=config.analysis.noise_guard_linewidths,
     )
     report = measure_snr(
-        spec, peak.peak_bin, band, model=model, phi_max=phi_max,
-        exact=config.analysis.exact_snr,
+        spec, peak.peak_bin, band, model=model,
+        phi_max=abs(phase_amplitude(target_tone, seq)), exact=config.analysis.exact_snr,
     )
     _require_finite(report.measured_snr, what)
     return peak, report
@@ -191,8 +190,7 @@ def cmd_spectrum(config: RunConfig, seed: int, out: str | None, threads: int, fm
     signal, seq, model, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
     peak, report = _target_snr(
-        config, spec, target_frequency_hz(config, signal), signal, model,
-        _strongest_phi_max(signal, seq), "measured SNR",
+        config, spec, target_frequency_hz(config, signal), signal, seq, model, "measured SNR"
     )
     result = {
         "num_samples": spec.num_samples,
@@ -261,7 +259,6 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
     base_model = build_readout(config)
     base_sched = build_schedule(config, seq, base_model)
     f_target = target_frequency_hz(config, signal)
-    phi_max = _strongest_phi_max(signal, seq)
 
     rows = []
     for idx, n in enumerate(config.sweep.qnd_repetitions):
@@ -280,7 +277,7 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
         )
         spec = power_spectrum(trace)
         _, report = _target_snr(
-            config, spec, f_target, signal, model, phi_max, f"measured SNR at n={n}"
+            config, spec, f_target, signal, seq, model, f"measured SNR at n={n}"
         )
         rows.append(
             (

@@ -35,6 +35,17 @@ BASE_CONFIG = {
 }
 
 
+#: BASE_CONFIG's tone plus a weaker one (phase amplitude 0.3) that folds 222
+#: bins away in an 8000-sample record, far outside the 10-bin peak guard.
+TWO_TONES = {
+    "signal": {
+        "tones": BASE_CONFIG["signal"]["tones"]
+        + [{"frequency_hz": 1.2e6 + 25.0, "amplitude_rad_per_s": 70685.83, "phase_rad": 0.2}]
+    },
+    "schedule": {"num_samples": 8000, "dead_time_s": 5.0e-4},
+}
+
+
 def write_config(tmp_path, overrides=None, name="run.yaml", drop=()):
     cfg = copy.deepcopy(BASE_CONFIG)
     for key in drop:
@@ -165,22 +176,24 @@ class TestSpectrumCommand:
         assert result["noise_band_bins"] > 100
 
     def test_noise_band_excludes_a_second_tone_outside_the_peak_guard(self, tmp_path, capsys):
-        # The second tone folds 222 bins from the target, far outside the
-        # 10-bin guard around the peak. Left in the band, its line would
-        # inflate the spread of the exponential floor (std/mean = 1).
-        tones = BASE_CONFIG["signal"]["tones"] + [
-            {"frequency_hz": 1.2e6 + 25.0, "amplitude_rad_per_s": 70685.83, "phase_rad": 0.2}
-        ]
-        path = write_config(
-            tmp_path,
-            {
-                "signal": {"tones": tones},
-                "schedule": {"num_samples": 8000, "dead_time_s": 5.0e-4},
-            },
-        )
+        # Left in the band, the second tone's line would inflate the spread
+        # of the exponential floor (std/mean = 1).
+        path = write_config(tmp_path, TWO_TONES)
         result = run_json(["spectrum", "--config", str(path)], capsys)["result"]
         assert result["peak_bin"] == result["expected_bin"]
         assert 0.9 <= result["noise_std"] / result["noise_mean"] <= 1.1
+
+    def test_prediction_uses_the_targeted_tone(self, tmp_path, capsys):
+        predicted = []
+        for f_target in (1.2e6, 1.2e6 + 25.0):
+            overrides = dict(TWO_TONES, analysis={"target_frequency_hz": f_target})
+            path = write_config(tmp_path, overrides)
+            result = run_json(["spectrum", "--config", str(path)], capsys)["result"]
+            predicted.append(result["predicted_snr_ideal"])
+        # SNR goes as phi_max^2, and phi_max as the tone amplitude (the
+        # 25 Hz detuning moves phi_max by 2e-5 relative).
+        ratio = (70685.83 / 117809.72450700928) ** 2
+        assert predicted[1] / predicted[0] == pytest.approx(ratio, rel=1e-4)
 
     def test_csv_spectrum_lists_every_bin(self, tmp_path, capsys):
         path = write_config(tmp_path)
