@@ -263,14 +263,8 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
     rows = []
     for idx, n in enumerate(config.sweep.qnd_repetitions):
         model = dataclasses.replace(base_model, qnd_repetitions=n)
-        sched = SamplingSchedule.from_components(
-            seq,
-            model,
-            base_sched.dead_time_s,
-            base_sched.num_samples,
-            start_time_s=base_sched.start_time_s,
-            clock_jitter_std_s=base_sched.clock_jitter_std_s,
-        )
+        # The dead time stays fixed; the readout train sets the period.
+        sched = dataclasses.replace(base_sched, readout_time_s=model.readout_time_s)
         trace = run_sampling(
             signal, seq, model, sched,
             np.random.SeedSequence((seed, idx)), num_threads=threads,

@@ -670,8 +670,8 @@ def scaling_study(
     Every fit runs over the window :func:`locate_target_peak` returns
     around the target tone's peak: +-``window_bins`` bins for
     Fourier-limited lines, widened to ``window_linewidth_factor`` x the
-    intrinsic linewidth once resolved. The linewidth-proportional window is what
-    makes the covariance-based sigma_fc(T) exponents (-1.5 coherent,
+    intrinsic linewidth once resolved. The linewidth-proportional window
+    is what makes the covariance-based sigma_fc(T) exponents (-1.5 coherent,
     -0.5 resolved-broadened) emerge; a fixed-Hz window mixes regimes.
 
     Args:
