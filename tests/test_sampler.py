@@ -274,7 +274,7 @@ class TestRunSampling:
     def test_quasi_static_fm_agrees_with_windowed_quadrature(self):
         # At the shipped scale the frequency noise is frozen over a single
         # sensing window (correlation time ~ 300000 windows), so the frozen
-        # phase-offset evaluation must match full quadrature.
+        # phase-offset evaluation must match the exact integral over the path.
         seq, model, sched = make_parts(num_samples=48)
         sig = tone_signal(amplitude=4e4, fm=FmNoise(linewidth_hz=7.6e-4, rng_seed=5))
         t = sched.sampling_period_s * np.arange(48)
