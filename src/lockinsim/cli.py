@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from ._io import canonical_json
+from ._io import canonical_json, csv_text
 from .config import (
     ConfigError,
     RunConfig,
@@ -142,22 +142,20 @@ def _emit(
     fmt: str,
     out: str | None,
     csv_header: Sequence[str] | None = None,
-    csv_rows: Sequence[Sequence[Any]] | None = None,
+    csv_columns: Sequence[Any] | None = None,
 ) -> None:
     if fmt == "json":
         text = canonical_json(payload) + "\n"
     else:
-        if csv_header is None or csv_rows is None:
+        if csv_header is None or csv_columns is None:
             raise ConfigError("this subcommand does not support --format csv")
-        lines = [
+        header = (
             f"# tool_version={payload['tool_version']}",
             f"# config_sha256={payload['config_sha256']}",
             f"# command={payload['command']}",
             ",".join(csv_header),
-        ]
-        for row in csv_rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-        text = "\n".join(lines) + "\n"
+        )
+        text = csv_text(header, csv_columns)
     if out is None:
         sys.stdout.write(text)
     else:
@@ -207,15 +205,16 @@ def cmd_spectrum(config: RunConfig, seed: int, out: str | None, threads: int, fm
         "predicted_snr_depolarized": report.predicted_snr_depolarized,
         "exact": report.exact,
     }
-    rows = [
-        (j, j * spec.bin_width_hz, float(spec.power[j])) for j in range(spec.num_bins)
-    ]
+    columns = None
+    if fmt == "csv":
+        bins = np.arange(spec.num_bins)
+        columns = (bins, bins * spec.bin_width_hz, spec.power)
     _emit(
         _payload(config, "spectrum", result),
         fmt,
         out,
         csv_header=("bin", "frequency_hz", "power"),
-        csv_rows=rows,
+        csv_columns=columns,
     )
 
 
@@ -241,13 +240,13 @@ def cmd_fit(config: RunConfig, seed: int, out: str | None, threads: int, fmt: st
         "target_frequency_hz": f_target,
         "expected_bin": peak.expected_bin,
     }
-    rows = [tuple(result[k] for k in ("center_hz", "width_hz", "amplitude", "offset", "sigma_center_hz"))]
+    header = ("center_hz", "width_hz", "amplitude", "offset", "sigma_center_hz")
     _emit(
         _payload(config, "fit", result),
         fmt,
         out,
-        csv_header=("center_hz", "width_hz", "amplitude", "offset", "sigma_center_hz"),
-        csv_rows=rows,
+        csv_header=header,
+        csv_columns=[[result[k]] for k in header],
     )
 
 
@@ -295,15 +294,8 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
         _payload(config, "snr-sweep", result),
         fmt,
         out,
-        csv_header=(
-            "qnd_repetitions",
-            "sampling_period_s",
-            "peak_bin",
-            "measured_snr",
-            "predicted_snr_ideal",
-            "predicted_snr_depolarized",
-        ),
-        csv_rows=rows,
+        csv_header=tuple(result),
+        csv_columns=tuple(result.values()),
     )
 
 
@@ -342,17 +334,6 @@ def cmd_scaling(config: RunConfig, seed: int, out: str | None, threads: int, fmt
         "sigma_center_slope_unresolved": result_obj.sigma_center_slope_unresolved,
         "sigma_center_slope_resolved": result_obj.sigma_center_slope_resolved,
     }
-    rows = [
-        (int(n), float(t), float(b), float(w), float(s), bool(r))
-        for n, t, b, w, s, r in zip(
-            result_obj.num_samples,
-            result_obj.durations_s,
-            result_obj.bin_width_hz,
-            result_obj.width_hz,
-            result_obj.sigma_center_hz,
-            result_obj.resolved_mask,
-        )
-    ]
     _emit(
         _payload(config, "scaling", result),
         fmt,
@@ -365,7 +346,14 @@ def cmd_scaling(config: RunConfig, seed: int, out: str | None, threads: int, fmt
             "sigma_center_hz",
             "resolved",
         ),
-        csv_rows=rows,
+        csv_columns=(
+            result_obj.num_samples,
+            result_obj.durations_s,
+            result_obj.bin_width_hz,
+            result_obj.width_hz,
+            result_obj.sigma_center_hz,
+            result_obj.resolved_mask,
+        ),
     )
 
 
@@ -414,20 +402,14 @@ def cmd_reconstruct(config: RunConfig, seed: int, out: str | None, threads: int,
         "floor_estimates": diag.floor_estimates.tolist(),
         "num_dc_coupled_columns": diag.num_dc_coupled_columns,
     }
-    rows = [
-        (int(b), float(f), float(x))
-        for b, f, x in zip(
-            spectrum.support[nonzero],
-            spectrum.frequencies_hz[nonzero],
-            spectrum.components[nonzero],
-        )
-    ]
     _emit(
         _payload(config, "reconstruct", result),
         fmt,
         out,
         csv_header=("wideband_bin", "frequency_hz", "component"),
-        csv_rows=rows,
+        csv_columns=[
+            result[k] for k in ("nonzero_bins", "nonzero_frequencies_hz", "nonzero_components")
+        ],
     )
 
 
@@ -470,13 +452,12 @@ def cmd_rate_design(config: RunConfig, seed: int, out: str | None, threads: int,
             base = Path(out)
             for k, mat in enumerate(matrices):
                 write_matrix_csv(mat, base.with_suffix(f".matrix{k}.csv"))
-    rows = [(float(r), float(1.0 / r)) for r in rates]
     _emit(
         _payload(config, "rate-design", result),
         fmt,
         out,
         csv_header=("sample_rate_hz", "sampling_period_s"),
-        csv_rows=rows,
+        csv_columns=[result["sample_rates_hz"], result["sampling_periods_s"]],
     )
 
 

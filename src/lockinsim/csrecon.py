@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import linalg
 
+from ._io import csv_text
 from .spectral import PowerSpectrum
 
 __all__ = [
@@ -781,16 +782,13 @@ def write_matrix_csv(matrix: SamplingMatrix, path: str | Path) -> Path:
     path = Path(path)
     coo = matrix.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    lines = [
+    header = (
         f"# sample_rate_hz={matrix.sample_rate_hz!r}",
         f"# num_record_bins={matrix.num_record_bins}",
         f"# grid_bins={matrix.grid.num_bins}",
         f"# grid_resolution_hz={matrix.grid.resolution_hz!r}",
         "row,wideband_bin,weight",
-    ]
-    sup = matrix.support
-    lines.extend(
-        f"{coo.row[i]},{sup[coo.col[i]]},{float(coo.data[i])!r}" for i in order
     )
-    path.write_text("\n".join(lines) + "\n")
+    columns = (coo.row[order], matrix.support[coo.col[order]], coo.data[order])
+    path.write_text(csv_text(header, columns))
     return path

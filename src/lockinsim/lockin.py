@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .signal import AcSignal, AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
 
@@ -418,6 +417,8 @@ def nonlinear_spectrum_prediction(
         k_max = max(3, int(math.ceil((phi_max + 12.0 * (phi_max ** (1.0 / 3.0) + 1.0)) / 2.0)))
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    from scipy import special  # here, not at module level: no CLI command needs it
+
     orders = 2 * np.arange(k_max + 1) + 1
     amplitudes = special.jv(orders, phi_max)
     return [

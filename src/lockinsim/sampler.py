@@ -33,7 +33,7 @@ from .signal import (
     PhaseNoisePath,
     materialize_fm_noise,
 )
-from ._io import canonical_json, sha256_hex
+from ._io import canonical_json, csv_text, sha256_hex
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -445,17 +445,13 @@ def write_trace(trace: TimeTrace, path: str | Path) -> Path:
     meta_json = canonical_json(meta_doc)
     meta_path.write_text(meta_json + "\n")
 
-    times = trace.times_s
-    lines = [
+    header = (
         f"# lockinsim_version={trace.metadata.get('tool_version', __version__)}",
         f"# metadata_sha256={sha256_hex(meta_json)}",
         "k,t_k_s,counts",
-    ]
-    counts = trace.counts
-    lines.extend(
-        f"{k},{float(times[k])!r},{int(counts[k])}" for k in range(trace.num_samples)
     )
-    path.write_text("\n".join(lines) + "\n")
+    columns = (np.arange(trace.num_samples), trace.times_s, trace.counts)
+    path.write_text(csv_text(header, columns))
     return path
 
 

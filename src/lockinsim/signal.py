@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "GYROMAGNETIC_RATIO_RAD_PER_S_PER_T",
@@ -339,7 +338,7 @@ def materialize_fm_noise(
     innovations[1:] = sigma_f * math.sqrt(1.0 - alpha * alpha) * rng.standard_normal(
         n_nodes - 1
     )
-    x = lfilter([1.0], [1.0, -alpha], innovations)
+    x = _ar1(innovations, alpha)
 
     # Exact per-step integral increment, conditioned jointly on (x_k, x_{k+1}):
     # delta_Y = tau_c (1-alpha) x_k + rho * n1 + s * eta, with n1 the AR(1)
@@ -362,6 +361,33 @@ def materialize_fm_noise(
     psi[0] = 0.0
     np.cumsum(TWO_PI * delta_y, out=psi[1:])
     return PhaseNoisePath(dt_s=dt_s, psi_rad=psi, freq_offset_hz=x)
+
+
+#: Block length of the blocked AR(1) scan in :func:`_ar1`.
+_SCAN_BLOCK = 16
+
+
+def _ar1(v: np.ndarray, alpha: float) -> np.ndarray:
+    """x_k = v_k + alpha * x_(k-1) with x_(-1) = 0, as a blocked scan.
+
+    The recurrence runs from zero inside every block of ``_SCAN_BLOCK`` values,
+    all blocks at once. The true block end values obey the same recurrence in
+    alpha**b over the local end values, so they come from a recursive call;
+    value j of each block then adds alpha**(j+1) times the true end value of
+    the block before it (the first-order recurrence scan of Blelloch 1990,
+    "Prefix sums and their applications").
+    """
+    b = _SCAN_BLOCK
+    n = v.size
+    rows = -(-n // b)
+    y = np.zeros((rows, b))
+    y.reshape(-1)[:n] = v
+    for j in range(1, b):
+        y[:, j] += alpha * y[:, j - 1]
+    if rows > 1:
+        ends = _ar1(y[:-1, -1], alpha**b)
+        y[1:] += np.multiply.outer(ends, alpha ** np.arange(1, b + 1))
+    return y.reshape(-1)[:n]
 
 
 def expand_am(signal: AcSignal) -> AcSignal:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 import yaml
 
+import lockinsim
 from lockinsim import __version__
-from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, main
+from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, _emit, main
 from lockinsim.config import ConfigError, config_hash, load_config
 from lockinsim.sampler import read_trace, undersampled_bin
 from lockinsim.spectral import FitError
@@ -507,6 +509,47 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert __version__ in proc.stdout
+
+
+class TestCsvOutput:
+    def test_numpy_scalars_print_as_plain_numbers(self, tmp_path):
+        # Under numpy 2, repr(np.float64(0.5)) is "np.float64(0.5)".
+        payload = {"tool_version": __version__, "config_sha256": "0", "command": "t"}
+        out = tmp_path / "x.csv"
+        _emit(
+            payload,
+            "csv",
+            str(out),
+            csv_header=("a", "b"),
+            csv_columns=([np.float64(0.5)], [np.int64(3)]),
+        )
+        assert out.read_text().splitlines()[-1] == "0.5,3"
+
+
+class TestImportGraph:
+    def test_cli_start_up_leaves_the_heavy_scipy_subpackages_unloaded(self):
+        # Importing scipy.signal and scipy.special once dominated CLI start-up.
+        config = TestShippedConfigs.CONFIG_DIR / "gain_sweep.yaml"
+        code = (
+            "import sys\n"
+            "import lockinsim.cli, lockinsim.config\n"
+            f"lockinsim.config.load_config({str(config)!r})\n"
+            "print(' '.join(sys.modules))\n"
+        )
+        src = str(Path(lockinsim.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "lockinsim.cli" in loaded
+        heavy = {
+            "scipy.signal", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.interpolate"
+        }
+        assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
 
 
 class TestShippedConfigs:

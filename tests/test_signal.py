@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lockinsim.signal import (
+    _ar1,
     GYROMAGNETIC_RATIO_RAD_PER_S_PER_T,
     AcSignal,
     AmModulation,
@@ -24,6 +25,16 @@ from lockinsim.signal import (
 )
 
 from .helpers import brute_force_power
+
+
+def reference_ar1(v: np.ndarray, alpha: float) -> np.ndarray:
+    """x_k = v_k + alpha * x_(k-1) from x_(-1) = 0, one step at a time."""
+    x = np.empty(len(v))
+    prev = 0.0
+    for k, value in enumerate(v):
+        prev = value + alpha * prev
+        x[k] = prev
+    return x
 
 
 def single_tone(frequency_hz=50.0, amplitude=2.0, phase=0.3, **kwargs) -> AcSignal:
@@ -244,6 +255,17 @@ class TestFmNoise:
             materialize_fm_noise(sig, duration_s=0.1, dt_s=0.5)
         with pytest.raises(ValueError):
             materialize_fm_noise(single_tone(), duration_s=1.0, dt_s=0.25)
+
+    @pytest.mark.parametrize("alpha", [math.exp(-0.25), math.exp(-0.125), math.exp(-0.001)])
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 257, 92_481])
+    def test_ar1_scan_matches_the_sequential_recurrence(self, n, alpha):
+        # alpha = exp(-dt/tau_c): dt = tau_c/4 is the largest step allowed.
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        v[1:] *= math.sqrt(1.0 - alpha * alpha)
+        expected = reference_ar1(v, alpha)
+        err = np.max(np.abs(_ar1(v, alpha) - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected))
 
     def test_frequency_offsets_are_stationary_with_exponential_memory(self):
         # One long path: node offsets must show the stationary variance and
