@@ -154,21 +154,13 @@ def _bandpass_kernel(u: np.ndarray, pulse_count: int) -> np.ndarray:
     return sign * np.cos(v) * kernel
 
 
-def _tone_phase(
-    tone: Tone,
-    seq: CpmgSequence,
-    t: np.ndarray,
-    extra_phase_rad: float | np.ndarray,
-) -> np.ndarray:
+def _tone_phase(tone: Tone, seq: CpmgSequence, t: np.ndarray) -> np.ndarray:
     omega = TWO_PI * tone.frequency_hz
     u = omega * seq.tau_s / 2.0
     prefactor = (2.0 * tone.amplitude_rad_per_s / omega) * _bandpass_kernel(
         u, seq.pulse_count
     )
-    carrier = np.sin(
-        omega * t + tone.phase_rad + seq.pulse_count * u + np.asarray(extra_phase_rad)
-    )
-    return prefactor * carrier
+    return prefactor * np.sin(omega * t + tone.phase_rad + seq.pulse_count * u)
 
 
 def _fm_phase(
@@ -176,10 +168,19 @@ def _fm_phase(
 ) -> np.ndarray:
     """Exact phi(t) for tones sharing the piecewise-linear carrier phase ``path``.
 
-    The window [t, t + t_a] is cut at the K+1 pulse edges and at every path
+    A window inside one path segment j sees each tone as a pure carrier at
+    omega' = omega + psi'_j, so its phase is the tone closed form at omega'
+    with the carrier phase taken at the window midpoint m = t + t_a/2,
+
+        (2 Omega / omega') tan(omega' tau / 2) sin(K omega' tau / 2)
+            * sin(omega m + alpha + psi(m)),
+
+    and its gain is computed once per run of windows with the same slope.
+
+    A window across path nodes is cut at the K+1 pulse edges and at every
     node inside it. On each piece (width w, midpoint s_m, pulse interval k,
-    path segment j) psi is linear, so the tone is a pure carrier at
-    omega' = omega + psi'_j and its integral is
+    path segment j) psi is linear, so the tone is again a pure carrier at
+    omega' and its integral is
 
         Omega (-1)^k w sinc(omega' w / 2 pi) cos(omega s_m + alpha + psi(s_m)),
 
@@ -194,12 +195,32 @@ def _fm_phase(
     dt = path.dt_s
     if t_flat.size:  # every window must lie within the path
         path.segment_at(np.array([t_flat.min(), t_flat.max() + t_a]))
+    # A start that floor(t/dt) rounds into the wrong segment fails one of
+    # these comparisons and is cut into pieces instead.
+    j = np.floor(t_flat / dt).astype(np.int64)
+    inside = (j * dt <= t_flat) & (t_flat + t_a <= (j + 1) * dt)
+    out = np.empty(t_flat.size)
+    if inside.any():
+        mid = t_flat[inside] + 0.5 * t_a
+        psi, slope = path.on_segment(j[inside], mid)
+        runs = np.flatnonzero(np.concatenate(([True], slope[1:] != slope[:-1])))
+        run_lengths = np.diff(runs, append=slope.size)
+        phi = np.zeros(mid.size)
+        for tone in tones:
+            omega = TWO_PI * tone.frequency_hz
+            shifted = omega + slope[runs]
+            gain = (2.0 * tone.amplitude_rad_per_s / shifted) * _bandpass_kernel(
+                shifted * tau / 2.0, seq.pulse_count
+            )
+            phi += np.repeat(gain, run_lengths) * np.sin(omega * mid + tone.phase_rad + psi)
+        out[inside] = phi
+    crossing = np.flatnonzero(~inside)
     edges = np.arange(seq.pulse_count + 1) * tau
     # Node steps covering (t, t + t_a], one spare for floor(t/dt) rounding.
     steps = np.arange(int(t_a / dt) + 2)
-    out = np.empty(t_flat.size)
-    for lo in range(0, t_flat.size, _FM_BLOCK_WINDOWS):
-        start = t_flat[lo : lo + _FM_BLOCK_WINDOWS, None]
+    for lo in range(0, crossing.size, _FM_BLOCK_WINDOWS):
+        block = crossing[lo : lo + _FM_BLOCK_WINDOWS]
+        start = t_flat[block, None]
         nodes = (np.floor(start / dt) + 1.0 + steps) * dt - start
         cuts = np.sort(
             np.concatenate(
@@ -213,7 +234,7 @@ def _fm_phase(
         signed_width = np.where(np.floor(offset / tau) % 2 == 0, width, -width)
         mid = start + offset
         psi, slope = path.segment_at(mid)
-        block = np.zeros(start.shape[0])
+        phi = np.zeros(block.size)
         for tone in tones:
             omega = TWO_PI * tone.frequency_hz
             pieces = (
@@ -221,8 +242,8 @@ def _fm_phase(
                 * np.sinc((omega + slope) * width / TWO_PI)
                 * np.cos(omega * mid + tone.phase_rad + psi)
             )
-            block += tone.amplitude_rad_per_s * pieces.sum(axis=1)
-        out[lo : lo + _FM_BLOCK_WINDOWS] = block
+            phi += tone.amplitude_rad_per_s * pieces.sum(axis=1)
+        out[block] = phi
     return out.reshape(t.shape)
 
 
@@ -231,40 +252,34 @@ def phase_closed_form(
     seq: CpmgSequence,
     t: float | np.ndarray,
     *,
-    extra_phase_rad: float | np.ndarray = 0.0,
     phase_noise: PhaseNoisePath | tuple[PhaseNoisePath | None, ...] | None = None,
 ) -> np.ndarray:
     """Accumulated phase phi(t) from the closed-form filter response.
 
     Multi-tone signals sum per-tone phases (the integral is linear in x);
     an AM envelope is first expanded exactly into sideband tones, and a
-    composite signal sums its groups. A group with FM noise and a
-    materialized path is integrated exactly over the piecewise-linear
-    carrier phase psi(t): each (pulse interval x path segment) piece has a
-    closed form. Without a path, FM enters quasi-statically through
-    ``extra_phase_rad``.
+    composite signal sums its groups. A group with FM noise is integrated
+    exactly over its materialized piecewise-linear carrier phase psi(t):
+    a window inside one path segment is the tone closed form at the
+    shifted frequency, and a window across path nodes is cut into (pulse
+    interval x path segment) pieces, each with a closed form.
 
     Args:
         signal: A :class:`Tone`, :class:`AcSignal` or
             :class:`CompositeSignal`.
         seq: CPMG sequence (even pulse count enforced by the type).
         t: Start time(s) of the sensing window (s).
-        extra_phase_rad: Additional carrier phase added to every tone of
-            the groups integrated without a path, broadcast against ``t``
-            (the frozen offset of quasi-static FM).
         phase_noise: Materialized FM path(s), as for
             :func:`lockinsim.signal.evaluate`: one path, or one entry per
             group (None for groups without FM). Every window must lie
             within the path.
 
     Returns:
-        phi(t) in radians, shaped like the broadcast of ``t`` and
-        ``extra_phase_rad``.
+        phi(t) in radians, shaped like ``t``.
 
     Raises:
-        ValueError: If an FM group has neither a path nor an
-            ``extra_phase_rad``, the path count does not match the groups,
-            or a window runs past its path.
+        ValueError: If an FM group has no path, the path count does not
+            match the groups, or a window runs past its path.
     """
     t_arr = np.asarray(t, dtype=float)
     if isinstance(signal, Tone):
@@ -275,20 +290,19 @@ def phase_closed_form(
     paths = (None,) * len(groups) if phase_noise is None else tuple(phase_noise)
     if len(paths) != len(groups):
         raise ValueError(f"expected {len(groups)} phase-noise paths, got {len(paths)}")
-    total = np.zeros(np.broadcast_shapes(t_arr.shape, np.shape(extra_phase_rad)))
+    total = np.zeros(t_arr.shape)
     for group, path in zip(groups, paths):
         tones = expand_am(group).tones
-        if group.fm is not None and path is not None:
-            total = total + _fm_phase(tones, seq, t_arr, path)
-            continue
-        if group.fm is not None and np.ndim(extra_phase_rad) == 0 and extra_phase_rad == 0.0:
+        if group.fm is None:
+            for tone in tones:
+                total = total + _tone_phase(tone, seq, t_arr)
+        elif path is None:
             raise ValueError(
                 "signal has fm configured: the closed form needs the "
-                "materialized path (phase_noise=) or the carrier phase "
-                "offset (extra_phase_rad=)"
+                "materialized path (phase_noise=)"
             )
-        for tone in tones:
-            total = total + _tone_phase(tone, seq, t_arr, extra_phase_rad)
+        else:
+            total = total + _fm_phase(tones, seq, t_arr, path)
     return total
 
 

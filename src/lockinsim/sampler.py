@@ -50,10 +50,6 @@ __all__ = [
 #: contract: results never depend on thread count).
 CHUNK_SAMPLES = 65536
 
-#: Quasi-static FM threshold: the frozen-phase fast path is used when the
-#: noise correlation time exceeds this many sensing windows.
-QUASI_STATIC_RATIO = 100.0
-
 RngLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
@@ -253,25 +249,6 @@ def _validate_consistency(
         )
 
 
-def _resolve_phase_method(signal: AnySignal, seq: CpmgSequence) -> str:
-    """Pick the per-sample phase evaluation strategy.
-
-    "closed_form": per-tone closed form (exact for tone/AM signals; FM enters
-    quasi-statically via the frozen carrier-phase offset at the window start,
-    valid when tau_c >> t_a).
-    "integration": the exact CPMG integral over the materialized
-    piecewise-linear FM path, in closed form piece by piece (exact for any
-    configuration). Quasi-static FM is used only where it is valid,
-    tau_c >= ``QUASI_STATIC_RATIO`` t_a for every FM group.
-    """
-    for group in signal.groups:
-        if group.fm is not None:
-            ratio = group.fm.correlation_time_s / seq.sensing_time_s
-            if ratio < QUASI_STATIC_RATIO:
-                return "integration"
-    return "closed_form"
-
-
 def _materialize_paths(
     signal: AnySignal, last_time_s: float, seq: CpmgSequence
 ) -> tuple[PhaseNoisePath | None, ...]:
@@ -284,23 +261,6 @@ def _materialize_paths(
             duration = last_time_s + seq.sensing_time_s + 2.0 * dt
             paths.append(materialize_fm_noise(group, duration, dt))
     return tuple(paths)
-
-
-def _phases_at(
-    signal: AnySignal,
-    seq: CpmgSequence,
-    times: np.ndarray,
-    method: str,
-    paths: tuple[PhaseNoisePath | None, ...],
-) -> np.ndarray:
-    """phi(t_k) for every sample time, by the resolved method."""
-    if method == "integration":
-        return phase_closed_form(signal, seq, times, phase_noise=paths)
-    total = np.zeros_like(times)
-    for group, path in zip(signal.groups, paths):
-        extra = path.phase_at(times) if path is not None else 0.0
-        total = total + phase_closed_form(group, seq, times, extra_phase_rad=extra)
-    return total
 
 
 def _seed_metadata(rng: RngLike) -> Any:
@@ -347,11 +307,11 @@ def run_sampling(
         num_threads: Worker threads for chunk generation.
 
     Returns:
-        The trace with a full parameter record in ``metadata``, including
-        the ``phase_method`` selected for the signal.
+        The trace with a full parameter record in ``metadata``. Its
+        ``phase_method`` is always "closed_form": every group's phase, FM
+        included, is the exact closed form of :func:`phase_closed_form`.
     """
     _validate_consistency(seq, model, sched)
-    method = _resolve_phase_method(signal, seq)
     n = sched.num_samples
     t_s = sched.sampling_period_s
     last_nominal = sched.start_time_s + (n - 1) * t_s
@@ -373,7 +333,7 @@ def run_sampling(
         if jittered:
             t_k = np.maximum(t_k + crng.normal(0.0, sched.clock_jitter_std_s, hi - lo), 0.0)
             times_out[lo:hi] = t_k
-        phi = _phases_at(signal, seq, t_k, method, paths)
+        phi = phase_closed_form(signal, seq, t_k, phase_noise=paths)
         p = transition_probability(phi)
         counts_out[lo:hi] = sample_counts(model, p, crng)
 
@@ -391,7 +351,7 @@ def run_sampling(
         "readout": dataclasses.asdict(model),
         "schedule": dataclasses.asdict(sched),
         "seed": _seed_metadata(rng),
-        "phase_method": method,
+        "phase_method": "closed_form",
     }
     return TimeTrace(
         counts=counts_out,
@@ -413,10 +373,9 @@ def expected_probabilities(
     noise); composing with :func:`lockinsim.readout.expected_counts` yields
     the analytic expected trace.
     """
-    method = _resolve_phase_method(signal, seq)
     times = sched.start_time_s + np.arange(sched.num_samples) * sched.sampling_period_s
     paths = _materialize_paths(signal, float(times[-1]), seq)
-    return transition_probability(_phases_at(signal, seq, times, method, paths))
+    return transition_probability(phase_closed_form(signal, seq, times, phase_noise=paths))
 
 
 def _signal_to_dict(signal: AnySignal) -> dict[str, Any]:

@@ -43,6 +43,11 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
+#: Most nodes :func:`materialize_fm_noise` builds: 1 GiB per float64 array,
+#: of which the path keeps two and its construction holds a few more. A
+#: longer path is refused before anything is allocated.
+_MAX_FM_NODES = 2**27
+
 #: Electron gyromagnetic ratio, 2 pi x 28 GHz/T, in rad s^-1 T^-1.
 GYROMAGNETIC_RATIO_RAD_PER_S_PER_T = TWO_PI * 28.0e9
 
@@ -275,9 +280,13 @@ class PhaseNoisePath:
         j = np.clip(np.floor(t_arr / self.dt_s).astype(np.int64), 0, last)
         j -= (t_arr < j * self.dt_s) & (j > 0)
         j += (t_arr >= (j + 1) * self.dt_s) & (j < last)
+        return self.on_segment(j, t_arr)
+
+    def on_segment(self, j: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi(t) (rad) and psi' (rad/s) on segments ``j``, which must hold ``t``."""
         left = j * self.dt_s
         slope = (self.psi_rad[j + 1] - self.psi_rad[j]) / ((j + 1) * self.dt_s - left)
-        return slope * (t_arr - left) + self.psi_rad[j], slope
+        return slope * (t - left) + self.psi_rad[j], slope
 
     def phase_at(self, t: float | np.ndarray) -> np.ndarray:
         """Interpolate psi(t) (rad) at times ``t`` within [0, duration_s]."""
@@ -307,7 +316,8 @@ def materialize_fm_noise(
         A :class:`PhaseNoisePath` with nodes at 0, dt, 2 dt, ... >= duration_s.
 
     Raises:
-        ValueError: If ``fm`` is absent or the durations are invalid.
+        ValueError: If ``fm`` is absent, the durations are invalid, or the
+            path needs more than ``_MAX_FM_NODES`` nodes.
     """
     if signal.fm is None:
         raise ValueError("materialize_fm_noise requires a signal with fm configured")
@@ -323,7 +333,13 @@ def materialize_fm_noise(
     if duration_s < dt_s:
         raise ValueError(f"duration_s ({duration_s}) must be >= dt_s ({dt_s})")
 
-    n_nodes = int(math.ceil(duration_s / dt_s)) + 2  # one spare node of margin
+    steps = duration_s / dt_s
+    if steps > _MAX_FM_NODES - 2:
+        raise ValueError(
+            f"fm.correlation_time_s = {tau_c} s needs {steps + 2.0:.3g} FM path "
+            f"nodes over {duration_s} s, more than the {_MAX_FM_NODES} that fit in memory"
+        )
+    n_nodes = int(math.ceil(steps)) + 2  # one spare node of margin
     sigma_f = fm.frequency_std_hz
     if sigma_f == 0.0:
         zeros = np.zeros(n_nodes)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -485,6 +486,22 @@ class TestExitCodes:
         out = tmp_path / "no_such_dir" / "x.json"
         assert main(["spectrum", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert "i/o error" in capsys.readouterr().err
+
+    def test_fm_path_too_long_for_memory_exits_2_before_allocating(self, tmp_path, capsys):
+        signal = copy.deepcopy(BASE_CONFIG["signal"])
+        signal["fm"] = {"linewidth_hz": 1.0, "rng_seed": 5, "correlation_time_s": 1e-12}
+        path = write_config(tmp_path, {"signal": signal})
+        out = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(path), "--format", "csv", "--out", str(out)])
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert peak_bytes < 2**26  # no path array was allocated
+        err = capsys.readouterr().err
+        assert "correlation_time_s" in err and "nodes" in err
 
     def test_numerical_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, seed, out, threads, fmt):

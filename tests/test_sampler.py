@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lockinsim.lockin import (
-    CpmgSequence,
-    phase_amplitude,
-    phase_closed_form,
-    transition_probability,
-)
+from lockinsim.lockin import CpmgSequence, phase_amplitude
 from lockinsim.readout import ReadoutModel, expected_counts, noise_variance
 from lockinsim.sampler import (
     CHUNK_SAMPLES,
@@ -26,7 +21,7 @@ from lockinsim.sampler import (
     undersampled_bin,
     write_trace,
 )
-from lockinsim.signal import AcSignal, FmNoise, Tone, materialize_fm_noise
+from lockinsim.signal import AcSignal, FmNoise, Tone
 
 F_CARRIER = 1.2e6
 
@@ -48,11 +43,16 @@ def tone_signal(frequency_hz=F_CARRIER, amplitude=5e4, phase=0.0, **kwargs) -> A
 
 
 def fast_fm_signal(seq) -> AcSignal:
-    """FM with tau_c = 50 t_a, below the quasi-static threshold."""
+    """FM with tau_c = 50 t_a: a path node every few sensing windows."""
     return tone_signal(
         amplitude=4e4,
         fm=FmNoise(linewidth_hz=1e-2, rng_seed=5, correlation_time_s=50.0 * seq.sensing_time_s),
     )
+
+
+def slow_fm_signal() -> AcSignal:
+    """FM with the shipped tau_c = 2 s: hundreds of windows per path segment."""
+    return tone_signal(amplitude=4e4, fm=FmNoise(linewidth_hz=7.6e-4, rng_seed=5))
 
 
 def best_time_per_sample(sig, seq, model, sched) -> float:
@@ -271,25 +271,6 @@ class TestRunSampling:
         trace = run_sampling(tone_signal(), seq, model, sched, 3)
         assert trace.sample_times_s is None
 
-    def test_quasi_static_fm_agrees_with_windowed_quadrature(self):
-        # At the shipped scale the frequency noise is frozen over a single
-        # sensing window (correlation time ~ 300000 windows), so the frozen
-        # phase-offset evaluation must match the exact integral over the path.
-        seq, model, sched = make_parts(num_samples=48)
-        sig = tone_signal(amplitude=4e4, fm=FmNoise(linewidth_hz=7.6e-4, rng_seed=5))
-        t = sched.sampling_period_s * np.arange(48)
-        dt = sig.fm.correlation_time_s / 8.0
-        path = materialize_fm_noise(sig, t[-1] + seq.sensing_time_s + 2.0 * dt, dt)
-        quasi = phase_closed_form(sig, seq, t, extra_phase_rad=path.phase_at(t))
-        exact = phase_closed_form(sig, seq, t, phase_noise=path)
-        gap = transition_probability(quasi) - transition_probability(exact)
-        assert float(np.max(np.abs(gap))) < 2e-5
-
-    def test_auto_selects_quadrature_for_fast_frequency_noise(self):
-        seq, model, sched = make_parts(num_samples=8)
-        trace = run_sampling(fast_fm_signal(seq), seq, model, sched, 1)
-        assert trace.metadata["phase_method"] == "integration"
-
     def test_rejects_schedule_inconsistent_with_sequence(self):
         seq, model, _ = make_parts()
         other_seq = CpmgSequence(pulse_count=32, tau_s=1.0 / (2.0 * F_CARRIER))
@@ -321,11 +302,13 @@ class TestRunSampling:
         )
 
     def test_fast_fm_counts_do_not_depend_on_the_thread_count(self):
+        # Slow FM too: runs of windows sharing one path segment, and so one
+        # gain, cross the chunk edge.
         seq, model, sched = make_parts(num_samples=CHUNK_SAMPLES + 1001)
-        sig = fast_fm_signal(seq)
-        a = run_sampling(sig, seq, model, sched, 99, num_threads=1)
-        b = run_sampling(sig, seq, model, sched, 99, num_threads=2)
-        np.testing.assert_array_equal(a.counts, b.counts)
+        for sig in (fast_fm_signal(seq), slow_fm_signal()):
+            a = run_sampling(sig, seq, model, sched, 99, num_threads=1)
+            b = run_sampling(sig, seq, model, sched, 99, num_threads=2)
+            np.testing.assert_array_equal(a.counts, b.counts)
 
 
 class TestTraceIO:

@@ -255,6 +255,8 @@ class TestFmNoise:
             materialize_fm_noise(sig, duration_s=0.1, dt_s=0.5)
         with pytest.raises(ValueError):
             materialize_fm_noise(single_tone(), duration_s=1.0, dt_s=0.25)
+        with pytest.raises(ValueError, match=r"correlation_time_s.*2e\+12 FM path nodes"):
+            materialize_fm_noise(sig, duration_s=1.0, dt_s=5e-13)  # refused before allocating
 
     @pytest.mark.parametrize("alpha", [math.exp(-0.25), math.exp(-0.125), math.exp(-0.001)])
     @pytest.mark.parametrize("n", [1, 15, 16, 17, 257, 92_481])
