@@ -21,6 +21,12 @@ lies within one grid bin of s, with linear interpolation ("hat") weight
 w = 1 - |s - a| (the floor/ceil weight pair of an off-grid image sums to
 1), at row n = k mod N_i, scaled by N_i / M.
 
+Grids, supports and sampling matrices stay two-sided. Phi_i maps the
+conjugate pair (m, M - m) onto the record bins (n, N_i - n), and a real
+signal's spectrum is mirror-symmetric, so :func:`reconstruct` solves on the
+one-sided grid: one column per conjugate pair and record rows
+1 .. floor(N_i/2). It mirrors the solution back onto both bins of a pair.
+
 Exact recovery of s tones from p incoherent records is expected for
 p > 2s - 1 (noiseless); the mutual coherence mu (largest normalized column
 inner product of the stacked matrix) measures design quality.
@@ -118,16 +124,12 @@ class WidebandGrid:
 def support_from_bands(
     grid: WidebandGrid,
     bands_hz: Sequence[tuple[float, float]],
-    *,
-    include_conjugates: bool = True,
 ) -> tuple[np.ndarray, bool]:
-    """Support bin indices for a union of frequency bands.
+    """Support bin indices for a union of frequency bands and their mirrors.
 
     Args:
         grid: The wideband grid.
         bands_hz: (f_lo, f_hi) pairs in Hz, each within [0, f_nyq/2].
-        include_conjugates: Also include the mirrored bins (required for
-            reconstruction from real-signal spectra).
 
     Returns:
         (sorted unique bin indices, overlap flag); the flag is True when the
@@ -152,10 +154,7 @@ def support_from_bands(
         total += bins.size
     forward = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
     overlapped = np.unique(forward).size < total
-    if include_conjugates:
-        conj = (m_total - forward) % m_total
-        forward = np.concatenate([forward, conj])
-    support = np.unique(forward)
+    support = np.unique(np.concatenate([forward, (m_total - forward) % m_total]))
     return support, bool(overlapped)
 
 
@@ -563,7 +562,17 @@ class WidebandSpectrum:
 
 @dataclass(frozen=True)
 class ReconstructionDiagnostics:
-    """Solver and conditioning record of one reconstruction."""
+    """Solver and conditioning record of one reconstruction.
+
+    Attributes:
+        residual_norm: ||Phi X - Y|| of the two-sided problem at the returned
+            X (sqrt(2) times the residual of the one-sided problem solved).
+        rows_used: Record rows in the one-sided problem solved (rows
+            1 .. floor(N_i/2) that the support folds to, over all records).
+        floor_estimates: Per-record floor subtracted (0 without subtraction).
+        num_dc_coupled_columns: Support columns that fold onto a record's DC
+            row in some record.
+    """
 
     iterations: int
     residual_norm: float
@@ -574,17 +583,31 @@ class ReconstructionDiagnostics:
     num_dc_coupled_columns: int
 
 
-def _two_sided(power: np.ndarray, num_samples: int) -> np.ndarray:
-    """Mirror a one-sided power spectrum back to full two-sided length."""
-    n = num_samples
-    full = np.empty(n)
-    half = power.size  # floor(n/2) + 1
-    full[:half] = power
-    if n % 2 == 0:
-        full[half:] = power[1:-1][::-1]
-    else:
-        full[half:] = power[1:][::-1]
-    return full
+def _conjugate_fold(support: np.ndarray, m_total: int) -> tuple[np.ndarray, int]:
+    """Map each support column to its conjugate pair's one-sided column.
+
+    The representative of a pair is the bin m <= (M - m) mod M; the folded
+    columns are the representatives in support order.
+
+    Returns:
+        (folded column of each support column, number of folded columns).
+
+    Raises:
+        ValueError: If a support bin's conjugate is not in the support.
+    """
+    conj = (m_total - support) % m_total
+    conj_index = np.minimum(np.searchsorted(support, conj), support.size - 1)
+    missing = support[conj_index] != conj
+    if np.any(missing):
+        bins = np.unique(conj[missing])
+        raise ValueError(
+            f"support is not closed under conjugation: {bins.size} conjugate "
+            f"bins missing, e.g. {bins[:8].tolist()}"
+        )
+    is_rep = support <= conj
+    folded_index = np.cumsum(is_rep) - 1
+    rep_index = np.minimum(np.arange(support.size), conj_index)
+    return folded_index[rep_index], int(np.count_nonzero(is_rep))
 
 
 def reconstruct(
@@ -596,27 +619,37 @@ def reconstruct(
 ) -> tuple[WidebandSpectrum, ReconstructionDiagnostics]:
     """Recover the sparse wideband spectrum from undersampled records.
 
-    Each record's one-sided power spectrum is mirrored to two-sided form,
-    optionally floor-subtracted (median estimate — an additive flat noise
-    floor would otherwise bias the non-negative solution), scaled by
-    D_i = 4 / (M N_i) so a tone of per-sample count amplitude a contributes
-    the same X = a^2 in every record, and stacked row-wise over the rows its
-    support actually folds to (the DC row is always excluded). The stacked
-    non-negative least-squares problem is solved by
-    :func:`nnls_active_set`.
+    Each record's one-sided power spectrum is optionally floor-subtracted
+    (median estimate — an additive flat noise floor would otherwise bias the
+    non-negative solution) and scaled by D_i = 4 / (M N_i), so a tone of
+    per-sample count amplitude a contributes the same X = a^2 in every
+    record. A real signal's spectrum is mirror-symmetric, X_m = X_(M-m), so
+    the problem is solved on the one-sided grid: one column per conjugate
+    pair (col_m + col_(M-m), a self-conjugate bin keeps its own column) and
+    record rows 1 .. floor(N_i/2) (rows n and N_i - n of the folded columns
+    carry the same equation; the DC row is excluded), stacked over the rows
+    the support actually folds to. The row N_i/2 of an even N_i stands for
+    itself alone and is weighted by sqrt(1/2), so the one-sided objective is
+    exactly half the two-sided one at every symmetric X (bin M/2 excepted:
+    its column holds only the images of +M/2, not their mirrors). The stacked
+    non-negative least-squares problem is solved by :func:`nnls_active_set`
+    and its solution mirrored back onto both bins of each pair.
 
     Args:
         spectra: One PowerSpectrum per record (one-sided).
-        matrices: Matching sampling matrices (same order, same grid/support).
+        matrices: Matching sampling matrices (same order, same grid/support;
+            the support must hold the conjugate of each of its bins).
         floor_subtraction: "median" (default) or None.
         tol: NNLS KKT tolerance (relative).
 
     Returns:
-        (spectrum, diagnostics).
+        (spectrum, diagnostics); spectrum has X_m = X_(M-m) exactly.
 
     Raises:
-        ValueError: On inconsistent grids, supports, record shapes or rates.
-        NnlsError: If the solver hits its iteration cap.
+        ValueError: On inconsistent grids, supports, record shapes or rates,
+            or a support that is not closed under conjugation.
+        NnlsError: If the solver hits its iteration cap (its residual_norm
+            is that of the one-sided problem).
     """
     if len(spectra) != len(matrices) or not spectra:
         raise ValueError("need equally many spectra and matrices (>= 1)")
@@ -624,7 +657,10 @@ def reconstruct(
         raise ValueError(f"unknown floor_subtraction {floor_subtraction!r}")
     grid = matrices[0].grid
     support = matrices[0].support
-    blocks: list[sp.spmatrix] = []
+    col_map, num_folded = _conjugate_fold(support, grid.num_bins)
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
     data: list[np.ndarray] = []
     floors = np.zeros(len(spectra))
     rows_used = 0
@@ -645,28 +681,34 @@ def reconstruct(
                 f"{mat.sample_rate_hz}"
             )
         n_i = mat.num_record_bins
-        y_full = _two_sided(np.asarray(spec.power, dtype=float), n_i)
+        y = np.asarray(spec.power, dtype=float)
         if floor_subtraction == "median":
             floors[i] = float(np.median(spec.power[1:]))
-            y_full = y_full - floors[i]
-        y_full *= 4.0 / (grid.num_bins * n_i)
+            y = y - floors[i]
+        y = y * (4.0 / (grid.num_bins * n_i))
+        row_weight = np.ones(y.size)
+        if n_i % 2 == 0:
+            row_weight[-1] = math.sqrt(0.5)
 
         coo = mat.matrix.tocoo()
-        touched = np.unique(coo.row)
-        if touched.size and touched[0] == 0:
-            dc_coupled.update(int(c) for c in np.unique(coo.col[coo.row == 0]))
-            touched = touched[1:]
-        blocks.append(mat.matrix.tocsr()[touched, :])
-        data.append(y_full[touched])
+        dc_coupled.update(int(c) for c in np.unique(coo.col[coo.row == 0]))
+        keep = (coo.row >= 1) & (coo.row <= n_i // 2)
+        touched, row = np.unique(coo.row[keep], return_inverse=True)
+        rows.append(row + rows_used)
+        cols.append(col_map[coo.col[keep]])
+        weights.append(coo.data[keep] * row_weight[coo.row[keep]])
+        data.append(y[touched] * row_weight[touched])
         rows_used += int(touched.size)
 
-    a_stacked = sp.vstack(blocks, format="csc")
-    b_stacked = np.concatenate(data)
-    x, info = nnls_active_set(a_stacked, b_stacked, tol=tol)
-    spectrum = WidebandSpectrum(grid=grid, support=support, components=x)
+    a_folded = sp.csc_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(rows_used, num_folded),
+    )
+    y_folded, info = nnls_active_set(a_folded, np.concatenate(data), tol=tol)
+    spectrum = WidebandSpectrum(grid=grid, support=support, components=y_folded[col_map])
     diagnostics = ReconstructionDiagnostics(
         iterations=info.iterations,
-        residual_norm=info.residual_norm,
+        residual_norm=math.sqrt(2.0) * info.residual_norm,
         kkt_max=info.kkt_max,
         converged=info.converged,
         rows_used=rows_used,

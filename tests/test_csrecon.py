@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -93,6 +94,15 @@ def capture_nnls_problems(monkeypatch):
     return problems
 
 
+def short_wideband_config(tmp_path):
+    """The shipped reconstruction config cut from 2 s to 0.2 s."""
+    cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
+    cfg["reconstruction"]["duration_s"] = 0.2
+    path = tmp_path / "wideband.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path
+
+
 class TestWidebandGrid:
     def test_bin_count_and_resolution(self):
         grid = WidebandGrid(duration_s=2.0, nyquist_rate_hz=2.5e6)
@@ -132,10 +142,9 @@ class TestSupportFromBands:
         support, overlapped = support_from_bands(grid, [(3.0, 6.0)])
         np.testing.assert_array_equal(support, [3, 4, 5, 6, 94, 95, 96, 97])
         assert not overlapped
-        forward_only, _ = support_from_bands(
-            grid, [(3.0, 6.0)], include_conjugates=False
+        np.testing.assert_array_equal(
+            support[support <= grid.num_bins // 2], [3, 4, 5, 6]
         )
-        np.testing.assert_array_equal(forward_only, [3, 4, 5, 6])
 
     def test_overlap_flag(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=100.0)
@@ -314,17 +323,13 @@ class TestNnlsMatchesReference:
     iterations, same support, components within rel 1e-12."""
 
     def test_wideband_recovery_problem(self, tmp_path, monkeypatch):
-        # The shipped reconstruction cut from 2 s to 0.2 s, so that the
-        # oracle takes about a second.
-        cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
-        cfg["reconstruction"]["duration_s"] = 0.2
-        path = tmp_path / "wideband.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        # The oracle takes about a second on the short config.
+        path = short_wideband_config(tmp_path)
         problems = capture_nnls_problems(monkeypatch)
         out = tmp_path / "out.json"
         assert main(["reconstruct", "--config", str(path), "--out", str(out)]) == EXIT_OK
         ((a_matrix, b, tol),) = problems
-        assert a_matrix.shape == (1036, 724)
+        assert a_matrix.shape == (520, 362)
         assert_matches_reference(a_matrix, b, tol=tol)
 
     def test_phase_diagram_instances(self, monkeypatch):
@@ -452,6 +457,72 @@ class TestReconstruct:
         other = build_sampling_matrix(64.0, 64, grid, support=[9])
         with pytest.raises(ValueError, match="support"):
             reconstruct([spec, spec], [mat, other])
+
+
+class TestConjugateFold:
+    """reconstruct solves one column per conjugate pair on record rows
+    1 .. floor(N_i/2) and mirrors the solution back."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_shipped_design_output_is_exactly_mirror_symmetric(self, tmp_path, seed):
+        out = tmp_path / "out.json"
+        argv = ["reconstruct", "--config", str(short_wideband_config(tmp_path))]
+        assert main(argv + ["--seed", str(seed), "--out", str(out)]) == EXIT_OK
+        result = json.loads(out.read_text())["result"]
+        m_total = result["grid_bins"]
+        components = dict(zip(result["nonzero_bins"], result["nonzero_components"]))
+        assert len(components) > 14
+        for m, value in components.items():
+            assert components.get((m_total - m) % m_total) == value, m
+
+    def test_support_missing_a_conjugate_names_the_bins(self):
+        grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
+        mat = build_sampling_matrix(16.0, 16, grid, support=[5, 9, 59])
+        spec = power_spectrum(cosine_record(5.0, 1.0, 16.0, 16, 0.0), sample_rate_hz=16.0)
+        with pytest.raises(ValueError, match=r"conjugation.*\[55\]"):
+            reconstruct([spec], [mat])
+
+    def test_folded_objective_is_half_the_two_sided_one(self, monkeypatch):
+        # An even record (its Nyquist row weighted by sqrt(1/2)) and two odd
+        # ones, with interpolated folds; the support holds the
+        # self-conjugate DC bin.
+        grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
+        m_total = grid.num_bins
+        support, _ = support_from_bands(grid, [(0.0, 31.0)])
+        rng = np.random.default_rng(17)
+        records = [(14.5, 14), (15.0, 15), (13.3, 13)]
+        mats = [build_sampling_matrix(rate, n, grid, support) for rate, n in records]
+        specs = [
+            power_spectrum(rng.normal(size=n), sample_rate_hz=rate) for rate, n in records
+        ]
+        assert mats[0].matrix[7, :].nnz > 0  # the even record's Nyquist row is used
+        problems = capture_nnls_problems(monkeypatch)
+        reconstruct(specs, mats)
+        ((a_folded, b_folded, _),) = problems
+
+        # Two-sided problem: the mirrored spectrum on every row but DC that
+        # the support folds to.
+        blocks, data = [], []
+        for spec, mat in zip(specs, mats):
+            n = mat.num_record_bins
+            power = spec.power - np.median(spec.power[1:])
+            mirrored = np.concatenate([power, power[1 : (n + 1) // 2][::-1]])
+            rows = np.setdiff1d(mat.matrix.tocoo().row, [0])
+            blocks.append(mat.matrix.tocsr()[rows, :])
+            data.append(mirrored[rows] * 4.0 / (m_total * n))
+        a_full = sp.vstack(blocks, format="csr")
+        b_full = np.concatenate(data)
+
+        # Folded columns are the pair representatives m <= M - m, in order.
+        representatives = support[support <= (m_total - support) % m_total]
+        assert a_folded.shape[1] == representatives.size
+        for _ in range(5):
+            values = dict(zip(representatives.tolist(), rng.uniform(0.0, 2.0, representatives.size)))
+            x = np.array([values[min(m, m_total - m)] for m in support.tolist()])
+            y = np.array([values[m] for m in representatives.tolist()])
+            folded = 2.0 * float(np.sum((a_folded @ y - b_folded) ** 2))
+            two_sided = float(np.sum((a_full @ x - b_full) ** 2))
+            assert folded == pytest.approx(two_sided, rel=1e-12)
 
 
 class TestRecoveryPhaseDiagram:
