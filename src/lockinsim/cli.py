@@ -391,7 +391,7 @@ def cmd_reconstruct(config: RunConfig, seed: int, out: str | None, threads: int,
     result = {
         "grid_bins": grid.num_bins,
         "resolution_hz": grid.resolution_hz,
-        "support_bins": int(support.size),
+        "support_bins": int(spectrum.support.size),
         "support_bands_overlap": overlapped,
         "nonzero_bins": spectrum.support[nonzero].tolist(),
         "nonzero_frequencies_hz": spectrum.frequencies_hz[nonzero].tolist(),

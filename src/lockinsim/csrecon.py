@@ -3,29 +3,23 @@
 Several records are acquired at slightly different sub-Nyquist rates
 f_s^(i) = 1/t_s^(i); each tone folds to a different pattern of record bins,
 and a sparse non-negative wideband spectrum X on a grid of resolution 1/T
-(two-sided: M = T * f_nyq bins covering [0, f_nyq), conjugate of bin m at
-M - m) can be recovered by non-negative least squares from the stacked
-linear systems
+(M = T * f_nyq bins covering [0, f_nyq), conjugate of bin m at M - m) can
+be recovered by non-negative least squares from the stacked linear systems
 
     Y_i ~= Phi_i X,
 
 where the sampling matrix Phi_i maps wideband bin m to the record bins its
-fold lands on. Bin m of the two-sided grid stands for the signed frequency
-s/T with s = m for m <= M/2 and s = m - M (negative) otherwise — this is
-what keeps a conjugate pair of wideband bins folded onto a conjugate pair
-of record bins for every record rate. Record i (N_i bins, duration
-T_i = N_i / f_s^(i)) images record bin n at signed wideband positions
-a = (n + l N_i) * (T / T_i) for all integers l; column m of Phi_i therefore
-collects every integer k = n + l N_i whose image position a = k T / T_i
-lies within one grid bin of s, with linear interpolation ("hat") weight
-w = 1 - |s - a| (the floor/ceil weight pair of an off-grid image sums to
-1), at row n = k mod N_i, scaled by N_i / M.
-
-Grids, supports and sampling matrices stay two-sided. Phi_i maps the
-conjugate pair (m, M - m) onto the record bins (n, N_i - n), and a real
-signal's spectrum is mirror-symmetric, so :func:`reconstruct` solves on the
-one-sided grid: one column per conjugate pair and record rows
-1 .. floor(N_i/2). It mirrors the solution back onto both bins of a pair.
+fold lands on. A real signal's spectrum is mirror-symmetric, so X is solved
+on the forward bins 0 <= m <= M/2 and Y_i on the one-sided record rows
+0 .. floor(N_i/2). Record i (N_i bins, duration T_i = N_i / f_s^(i)) images
+record bin n at signed wideband positions a = (n + l N_i) * (T / T_i) for
+all integers l; column m of Phi_i therefore collects every integer
+k = n + l N_i whose image position a = k T / T_i lies within one grid bin
+of the signed frequency +m or -m, with linear interpolation ("hat") weight
+w = 1 - |+-m - a| (the floor/ceil weight pair of an off-grid image sums to
+1), at row n = k mod N_i if n <= N_i/2, scaled by N_i / M. Bin 0 is its own
+conjugate and counts its images once; bin M/2 collects the images of both
++M/2 and -M/2.
 
 Exact recovery of s tones from p incoherent records is expected for
 p > 2s - 1 (noiseless); the mutual coherence mu (largest normalized column
@@ -63,6 +57,11 @@ __all__ = [
     "design_rates",
     "write_matrix_csv",
 ]
+
+
+COHERENCE_BLOCK_COLUMNS = 4096
+PHASE_DIAGRAM_RECORD_BINS = (48, 96)  # record lengths drawn from [48, 96)
+PHASE_DIAGRAM_AMPLITUDES = (0.5, 2.0)  # tone components drawn from [0.5, 2)
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ def support_from_bands(
     grid: WidebandGrid,
     bands_hz: Sequence[tuple[float, float]],
 ) -> tuple[np.ndarray, bool]:
-    """Support bin indices for a union of frequency bands and their mirrors.
+    """Forward support bins (0 <= m <= M/2) for a union of frequency bands.
 
     Args:
         grid: The wideband grid.
@@ -136,7 +135,6 @@ def support_from_bands(
         requested bands overlap each other (e.g. passbands of two harmonic
         orders), before deduplication.
     """
-    m_total = grid.num_bins
     chunks: list[np.ndarray] = []
     total = 0
     for f_lo, f_hi in bands_hz:
@@ -153,25 +151,26 @@ def support_from_bands(
         chunks.append(bins)
         total += bins.size
     forward = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    overlapped = np.unique(forward).size < total
-    support = np.unique(np.concatenate([forward, (m_total - forward) % m_total]))
-    return support, bool(overlapped)
+    support = np.unique(forward)
+    return support, bool(support.size < total)
 
 
 @dataclass(frozen=True)
 class SamplingMatrix:
     """The interpolated folding matrix of one undersampled record.
 
-    ``matrix`` has one row per (two-sided) record bin and one column per
-    support entry; column j corresponds to wideband bin ``support[j]``.
-    Entries are hat interpolation weights in [0, 1] scaled by N_i / M.
+    ``matrix`` has one row per one-sided record bin 0 .. floor(N_i/2) and
+    one column per support entry; column j corresponds to the conjugate pair
+    of forward wideband bin ``support[j]``. Entries are sums of hat
+    interpolation weights in [0, 1] scaled by N_i / M.
 
     Attributes:
         sample_rate_hz: Record rate f_s^(i).
         num_record_bins: N_i (record length; T_i = N_i / f_s^(i)).
         grid: Wideband grid shared by all records of a reconstruction.
-        support: Sorted wideband bin indices the columns correspond to.
-        matrix: CSC sparse matrix of shape (N_i, len(support)).
+        support: Sorted forward wideband bins (<= M/2) the columns
+            correspond to.
+        matrix: CSC sparse matrix of shape (floor(N_i/2) + 1, len(support)).
     """
 
     sample_rate_hz: float
@@ -197,20 +196,23 @@ def build_sampling_matrix(
     grid: WidebandGrid,
     support: np.ndarray | Sequence[int] | None = None,
 ) -> SamplingMatrix:
-    """Build the folding matrix Phi_i of one record.
+    """Build the one-sided folding matrix Phi_i of one record.
 
-    For every support column m (signed grid index s = m, or m - M above the
-    half grid), all image positions a = k * (T / T_i) (k any integer, row
-    n = k mod N_i) with |s - a| < 1 contribute weight (1 - |s - a|) * N_i / M
-    at row n. Integer folds (T_i = T and integer decimation) produce exactly
-    one weight-N_i/M entry per column.
+    For every support column m, all image positions a = k * (T / T_i)
+    (k any integer, row n = k mod N_i) with |m - a| < 1 contribute weight
+    (1 - |m - a|) * N_i / M at row n, and their mirrors -k (images of -m)
+    the same weight at row (-k) mod N_i; only rows n <= N_i/2 are kept, and
+    bin 0, its own mirror, counts its images once. Integer folds (T_i = T
+    and integer decimation) produce exactly one entry per column, of weight
+    N_i / M (twice that on the DC or Nyquist row).
 
     Args:
         sample_rate_hz: f_s^(i) > 0.
         num_record_bins: N_i >= 2.
         grid: Wideband grid (f_nyq must cover the record: f_nyq >= f_s).
-        support: Wideband bin indices to build columns for (default: the full
-            grid — sized M, so only sensible for small grids).
+        support: Forward wideband bins (0 <= m <= M/2) to build columns for
+            (default: all of them — sized M/2, so only sensible for small
+            grids).
 
     Returns:
         The sparse :class:`SamplingMatrix`.
@@ -226,48 +228,45 @@ def build_sampling_matrix(
             f"{grid.nyquist_rate_hz}"
         )
     if support is None:
-        support_arr = np.arange(m_total, dtype=np.int64)
+        support_arr = np.arange(m_total // 2 + 1, dtype=np.int64)
     else:
         support_arr = np.unique(np.asarray(support, dtype=np.int64))
-        if support_arr.size and (support_arr[0] < 0 or support_arr[-1] >= m_total):
-            raise ValueError("support bins out of [0, M)")
+        if support_arr.size and (support_arr[0] < 0 or 2 * support_arr[-1] > m_total):
+            raise ValueError("support bins out of [0, M/2]")
 
     n_i = int(num_record_bins)
     t_i = n_i / sample_rate_hz
     ratio = grid.duration_s / t_i  # wideband bins per unit k
-    signed = np.where(
-        support_arr <= m_total // 2, support_arr, support_arr - m_total
-    ).astype(float)
+    forward = support_arr.astype(float)
 
     # Candidate integers k with image position a = k * ratio within one bin
-    # of the signed index s: k in [(s-1)/ratio, (s+1)/ratio].
-    k_lo = np.ceil((signed - 1.0) / ratio).astype(np.int64)
+    # of m: k in [(m-1)/ratio, (m+1)/ratio].
+    k_lo = np.ceil((forward - 1.0) / ratio).astype(np.int64)
     n_candidates = int(math.floor(2.0 / ratio)) + 2
-    rows_list: list[np.ndarray] = []
+    ks: list[np.ndarray] = []
     cols_list: list[np.ndarray] = []
     weights_list: list[np.ndarray] = []
     col_index = np.arange(support_arr.size, dtype=np.int64)
     for offset in range(n_candidates):
         k = k_lo + offset
-        a = k * ratio
-        w = 1.0 - np.abs(signed - a)
+        w = 1.0 - np.abs(forward - k * ratio)
         valid = w > 1e-12
-        if not np.any(valid):
-            continue
-        rows_list.append((k[valid] % n_i).astype(np.int64))
+        ks.append(k[valid])
         cols_list.append(col_index[valid])
         weights_list.append(w[valid])
 
-    if rows_list:
-        rows = np.concatenate(rows_list)
-        cols = np.concatenate(cols_list)
-        weights = np.concatenate(weights_list) * (n_i / m_total)
-    else:
-        rows = np.empty(0, dtype=np.int64)
-        cols = np.empty(0, dtype=np.int64)
-        weights = np.empty(0)
+    k = np.concatenate(ks)
+    cols = np.concatenate(cols_list)
+    weights = np.concatenate(weights_list) * (n_i / m_total)
+    # Images of -m are the mirrors -k of those of +m, with the same weights.
+    mirrored = support_arr[cols] != 0
+    rows = np.concatenate([k % n_i, -k[mirrored] % n_i])
+    cols = np.concatenate([cols, cols[mirrored]])
+    weights = np.concatenate([weights, weights[mirrored]])
+    kept = rows <= n_i // 2
     matrix = sp.csc_matrix(
-        (weights, (rows, cols)), shape=(n_i, support_arr.size)
+        (weights[kept], (rows[kept], cols[kept])),
+        shape=(n_i // 2 + 1, support_arr.size),
     )
     matrix.sum_duplicates()
     return SamplingMatrix(
@@ -295,14 +294,13 @@ class CoherenceReport:
     num_columns: int
 
 
-def coherence(
-    matrices: Sequence[SamplingMatrix], *, block_columns: int = 4096
-) -> CoherenceReport:
+def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """Mutual coherence of the stacked design (memory-bounded, exact).
+
+    The Gram product is formed ``COHERENCE_BLOCK_COLUMNS`` columns at a time.
 
     Args:
         matrices: >= 2 matrices sharing the same grid and support.
-        block_columns: Gram-product block width.
 
     Raises:
         ValueError: On fewer than two matrices or mismatched grids/support.
@@ -328,8 +326,8 @@ def coherence(
     n_cols = normalized.shape[1]
     mu = 0.0
     gram_left = normalized.T.tocsr()
-    for lo in range(0, n_cols, block_columns):
-        hi = min(lo + block_columns, n_cols)
+    for lo in range(0, n_cols, COHERENCE_BLOCK_COLUMNS):
+        hi = min(lo + COHERENCE_BLOCK_COLUMNS, n_cols)
         block = gram_left @ normalized[:, lo:hi]
         block = block.tocoo()
         off_diag = block.row != (block.col + lo)
@@ -570,8 +568,9 @@ class ReconstructionDiagnostics:
         rows_used: Record rows in the one-sided problem solved (rows
             1 .. floor(N_i/2) that the support folds to, over all records).
         floor_estimates: Per-record floor subtracted (0 without subtraction).
-        num_dc_coupled_columns: Support columns that fold onto a record's DC
-            row in some record.
+        num_dc_coupled_columns: Two-sided wideband bins (a forward support
+            bin and its conjugate) that fold onto a record's DC row in some
+            record.
     """
 
     iterations: int
@@ -581,33 +580,6 @@ class ReconstructionDiagnostics:
     rows_used: int
     floor_estimates: np.ndarray
     num_dc_coupled_columns: int
-
-
-def _conjugate_fold(support: np.ndarray, m_total: int) -> tuple[np.ndarray, int]:
-    """Map each support column to its conjugate pair's one-sided column.
-
-    The representative of a pair is the bin m <= (M - m) mod M; the folded
-    columns are the representatives in support order.
-
-    Returns:
-        (folded column of each support column, number of folded columns).
-
-    Raises:
-        ValueError: If a support bin's conjugate is not in the support.
-    """
-    conj = (m_total - support) % m_total
-    conj_index = np.minimum(np.searchsorted(support, conj), support.size - 1)
-    missing = support[conj_index] != conj
-    if np.any(missing):
-        bins = np.unique(conj[missing])
-        raise ValueError(
-            f"support is not closed under conjugation: {bins.size} conjugate "
-            f"bins missing, e.g. {bins[:8].tolist()}"
-        )
-    is_rep = support <= conj
-    folded_index = np.cumsum(is_rep) - 1
-    rep_index = np.minimum(np.arange(support.size), conj_index)
-    return folded_index[rep_index], int(np.count_nonzero(is_rep))
 
 
 def reconstruct(
@@ -623,22 +595,17 @@ def reconstruct(
     (median estimate — an additive flat noise floor would otherwise bias the
     non-negative solution) and scaled by D_i = 4 / (M N_i), so a tone of
     per-sample count amplitude a contributes the same X = a^2 in every
-    record. A real signal's spectrum is mirror-symmetric, X_m = X_(M-m), so
-    the problem is solved on the one-sided grid: one column per conjugate
-    pair (col_m + col_(M-m), a self-conjugate bin keeps its own column) and
-    record rows 1 .. floor(N_i/2) (rows n and N_i - n of the folded columns
-    carry the same equation; the DC row is excluded), stacked over the rows
-    the support actually folds to. The row N_i/2 of an even N_i stands for
-    itself alone and is weighted by sqrt(1/2), so the one-sided objective is
-    exactly half the two-sided one at every symmetric X (bin M/2 excepted:
-    its column holds only the images of +M/2, not their mirrors). The stacked
+    record. The one-sided sampling matrices are used as they are, on record
+    rows 1 .. floor(N_i/2) that the support folds to (the DC row is
+    excluded). The row N_i/2 of an even N_i stands for itself alone in the
+    two-sided record, and is weighted by sqrt(1/2), so the objective is
+    exactly half the two-sided one at the mirrored X. The stacked
     non-negative least-squares problem is solved by :func:`nnls_active_set`
-    and its solution mirrored back onto both bins of each pair.
+    and its solution mirrored onto both bins of each conjugate pair.
 
     Args:
         spectra: One PowerSpectrum per record (one-sided).
-        matrices: Matching sampling matrices (same order, same grid/support;
-            the support must hold the conjugate of each of its bins).
+        matrices: Matching sampling matrices (same order, same grid/support).
         floor_subtraction: "median" (default) or None.
         tol: NNLS KKT tolerance (relative).
 
@@ -646,8 +613,7 @@ def reconstruct(
         (spectrum, diagnostics); spectrum has X_m = X_(M-m) exactly.
 
     Raises:
-        ValueError: On inconsistent grids, supports, record shapes or rates,
-            or a support that is not closed under conjugation.
+        ValueError: On inconsistent grids, supports, record shapes or rates.
         NnlsError: If the solver hits its iteration cap (its residual_norm
             is that of the one-sided problem).
     """
@@ -657,14 +623,13 @@ def reconstruct(
         raise ValueError(f"unknown floor_subtraction {floor_subtraction!r}")
     grid = matrices[0].grid
     support = matrices[0].support
-    col_map, num_folded = _conjugate_fold(support, grid.num_bins)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     data: list[np.ndarray] = []
     floors = np.zeros(len(spectra))
     rows_used = 0
-    dc_coupled: set[int] = set()
+    dc_coupled = np.zeros(support.size, dtype=bool)
     for i, (spec, mat) in enumerate(zip(spectra, matrices)):
         if mat.grid != grid:
             raise ValueError("matrices use inconsistent wideband grids")
@@ -691,21 +656,28 @@ def reconstruct(
             row_weight[-1] = math.sqrt(0.5)
 
         coo = mat.matrix.tocoo()
-        dc_coupled.update(int(c) for c in np.unique(coo.col[coo.row == 0]))
-        keep = (coo.row >= 1) & (coo.row <= n_i // 2)
+        dc_coupled[coo.col[coo.row == 0]] = True
+        keep = coo.row >= 1
         touched, row = np.unique(coo.row[keep], return_inverse=True)
         rows.append(row + rows_used)
-        cols.append(col_map[coo.col[keep]])
+        cols.append(coo.col[keep])
         weights.append(coo.data[keep] * row_weight[coo.row[keep]])
         data.append(y[touched] * row_weight[touched])
         rows_used += int(touched.size)
 
-    a_folded = sp.csc_matrix(
+    a_stacked = sp.csc_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(rows_used, num_folded),
+        shape=(rows_used, support.size),
     )
-    y_folded, info = nnls_active_set(a_folded, np.concatenate(data), tol=tol)
-    spectrum = WidebandSpectrum(grid=grid, support=support, components=y_folded[col_map])
+    x, info = nnls_active_set(a_stacked, np.concatenate(data), tol=tol)
+    # support is sorted and <= M/2, so the mirrors M - m of the paired bins
+    # follow it in ascending order.
+    paired = (support > 0) & (2 * support < grid.num_bins)
+    spectrum = WidebandSpectrum(
+        grid=grid,
+        support=np.concatenate([support, grid.num_bins - support[paired][::-1]]),
+        components=np.concatenate([x, x[paired][::-1]]),
+    )
     diagnostics = ReconstructionDiagnostics(
         iterations=info.iterations,
         residual_norm=math.sqrt(2.0) * info.residual_norm,
@@ -713,7 +685,7 @@ def reconstruct(
         converged=info.converged,
         rows_used=rows_used,
         floor_estimates=floors,
-        num_dc_coupled_columns=len(dc_coupled),
+        num_dc_coupled_columns=int(np.sum(np.where(paired, 2, 1)[dc_coupled])),
     )
     return spectrum, diagnostics
 
@@ -725,18 +697,17 @@ def recovery_phase_diagram(
     seed: int,
     *,
     grid_bins: int = 1024,
-    record_bins_range: tuple[int, int] = (48, 96),
-    amplitude_range: tuple[float, float] = (0.5, 2.0),
 ) -> np.ndarray:
     """Monte Carlo exact-recovery success rates over (sparsity, record count).
 
     Noiseless synthetic instances on a small grid (M = ``grid_bins`` <= 4096,
-    T = 1 s, integer folds): each trial draws p distinct record lengths,
-    s tone bins (redrawn if a tone folds onto a DC/Nyquist row of any record
-    — degenerate folds are not identifiable), symmetric conjugate amplitudes,
-    forms Y_i = Phi_i X exactly, and solves the stacked NNLS on the full
-    grid. Success = exact support recovery with component error
-    <= 1e-6 * max(X).
+    T = 1 s, integer folds): each trial draws p distinct record lengths from
+    ``PHASE_DIAGRAM_RECORD_BINS``, s forward tone bins (redrawn if a tone
+    folds onto a DC/Nyquist row of any record — degenerate folds are not
+    identifiable) with components from ``PHASE_DIAGRAM_AMPLITUDES``, forms
+    Y_i = Phi_i X exactly, and solves the stacked NNLS on every forward bin
+    of the grid, as :func:`reconstruct` does. Success = exact support
+    recovery with component error <= 1e-6 * max(X).
 
     Returns:
         success[s_index, p_index] in [0, 1].
@@ -748,9 +719,7 @@ def recovery_phase_diagram(
     grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=float(grid_bins))
     m_total = grid.num_bins
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    lo_n, hi_n = record_bins_range
-    if not (2 <= lo_n < hi_n):
-        raise ValueError(f"invalid record_bins_range {record_bins_range}")
+    lo_n, hi_n = PHASE_DIAGRAM_RECORD_BINS
 
     success = np.zeros((len(sparsity_values), len(record_counts)))
     for si, s in enumerate(sparsity_values):
@@ -772,11 +741,9 @@ def recovery_phase_diagram(
                     if any(f == 0 or 2 * f == n_i for f, n_i in zip(folds, n_is)):
                         continue
                     tones.append(m)
-                x_true = np.zeros(m_total)
+                x_true = np.zeros(m_total // 2 + 1)
                 for m in tones:
-                    amp = rng.uniform(*amplitude_range)
-                    x_true[m] = amp
-                    x_true[grid.conjugate_bin(m)] = amp
+                    x_true[m] = rng.uniform(*PHASE_DIAGRAM_AMPLITUDES)
                 a_stacked = sp.vstack([mt.matrix for mt in mats], format="csc")
                 b = a_stacked @ x_true
                 x_hat, _ = nnls_active_set(a_stacked, b)

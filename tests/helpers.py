@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from lockinsim.lockin import CpmgSequence
 from lockinsim.readout import ReadoutModel
@@ -54,3 +55,30 @@ def standard_model(qnd_repetitions: int = 260, contrast: float = 0.35, **kwargs)
 def omega_for_phi_max(phi_max: float, sensing_time_s: float, harmonic: int = 1) -> float:
     """Signal amplitude (rad/s) that yields ``phi_max`` on resonance."""
     return phi_max * harmonic * math.pi / (2.0 * sensing_time_s)
+
+
+def two_sided_sampling_matrix(sample_rate_hz: float, num_record_bins: int, grid, support) -> sp.csc_matrix:
+    """Two-sided folding matrix: every record row 0 .. N_i - 1, and one column
+    per bin of ``support`` (any bins of the wideband ``grid``, in [0, M)).
+    Bin m stands for the signed frequency s = m, or m - M above M/2; its
+    images k (|s - k T/T_i| < 1) carry hat weight (1 - |s - k T/T_i|) * N_i / M
+    at row k mod N_i. Test oracle only: the library builds the one-sided
+    matrix directly."""
+    support = np.asarray(support, dtype=np.int64)
+    m_total = grid.num_bins
+    n_i = int(num_record_bins)
+    ratio = grid.duration_s / (n_i / sample_rate_hz)
+    signed = np.where(support <= m_total // 2, support, support - m_total).astype(float)
+    k_lo = np.ceil((signed - 1.0) / ratio).astype(np.int64)
+    rows, cols, weights = [], [], []
+    for offset in range(int(math.floor(2.0 / ratio)) + 2):
+        k = k_lo + offset
+        w = 1.0 - np.abs(signed - k * ratio)
+        valid = w > 1e-12
+        rows.append(k[valid] % n_i)
+        cols.append(np.nonzero(valid)[0])
+        weights.append(w[valid])
+    return sp.csc_matrix(
+        (np.concatenate(weights) * (n_i / m_total), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_i, support.size),
+    )

@@ -486,6 +486,11 @@ class TestWidebandReconstruction:
         assert elapsed < 600.0
 
 
+def mirrored(one_sided: np.ndarray, n: int) -> np.ndarray:
+    """Two-sided length-n vector from rows 0 .. floor(n/2): v[n - k] = v[k]."""
+    return np.concatenate([one_sided, one_sided[1 : (n + 1) // 2][::-1]])
+
+
 class TestFoldingOracle:
     def test_matrix_columns_match_directly_sampled_tones(self):
         """For 100 random in-band tones per rate, the sampling-matrix column
@@ -501,7 +506,6 @@ class TestFoldingOracle:
         support, _ = support_from_bands(
             grid, [(400550.0, 401950.0), (1202050.0, 1202450.0)]
         )
-        positive = support[support <= grid.num_bins // 2]
         periods = [
             1.3286e-3,
             1.3320e-3,
@@ -517,10 +521,10 @@ class TestFoldingOracle:
         for t_s in periods:
             n_i = int(math.floor(2.0 / t_s + 1e-9))
             f_s = 1.0 / t_s
-            freqs = positive.astype(float) * grid.resolution_hz
+            freqs = support.astype(float) * grid.resolution_hz
             pos = (freqs / f_s) % 1.0 * n_i
             dist = np.minimum(np.minimum(pos, n_i - pos), np.abs(pos - n_i / 2.0))
-            eligible = positive[dist > guard]
+            eligible = support[dist > guard]
             mat = build_sampling_matrix(f_s, n_i, grid, support)
             cols = {int(s): j for j, s in enumerate(mat.support)}
             dense = mat.matrix.toarray()
@@ -531,22 +535,12 @@ class TestFoldingOracle:
                 k = np.arange(n_i)
                 trace = np.cos(2.0 * math.pi * f_tone * k / f_s + 0.9)
                 spec = power_spectrum(trace, sample_rate_hz=f_s)
-                two = np.empty(n_i)
-                h = spec.power.size
-                two[:h] = spec.power
-                if n_i % 2 == 0:
-                    two[h:] = spec.power[1:-1][::-1]
-                else:
-                    two[h:] = spec.power[1:][::-1]
-                two *= d_i
-                col = (
-                    dense[:, cols[m]]
-                    + dense[:, cols[int(grid.conjugate_bin(m))]]
-                )
-                row_peak = int(np.argmax(col))
-                assert min(row_peak, n_i - row_peak) == undersampled_bin(
-                    f_tone, f_s, n_i
-                )
+                one_sided = dense[:, cols[m]]
+                row_peak = int(np.argmax(one_sided))
+                assert row_peak == undersampled_bin(f_tone, f_s, n_i)
+                # Mirror both one-sided vectors onto the N_i two-sided rows.
+                two = mirrored(spec.power, n_i) * d_i
+                col = mirrored(one_sided, n_i)
                 rows = set()
                 for r0 in (row_peak, n_i - row_peak):
                     rows.update((r0 + d) % n_i for d in range(-foot, foot + 1))

@@ -402,7 +402,7 @@ class TestRateDesignCommand:
         assert len(rates) == 3
         assert rates == sorted(rates, reverse=True)
         assert 0.0 <= result["coherence_mu"] <= 1.0
-        assert result["num_columns"] == 22
+        assert result["num_columns"] == 11
 
     def test_writes_matrix_sidecars_in_csv_mode(self, tmp_path, capsys):
         cfg = reconstruction_config()

@@ -31,6 +31,8 @@ from lockinsim.csrecon import (
 from lockinsim.sampler import undersampled_bin
 from lockinsim.spectral import power_spectrum
 
+from .helpers import two_sided_sampling_matrix
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -139,12 +141,10 @@ class TestWidebandGrid:
 class TestSupportFromBands:
     def test_band_bins_and_conjugates(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=100.0)
+        # Forward bins only: the conjugates 94 .. 97 are not listed.
         support, overlapped = support_from_bands(grid, [(3.0, 6.0)])
-        np.testing.assert_array_equal(support, [3, 4, 5, 6, 94, 95, 96, 97])
+        np.testing.assert_array_equal(support, [3, 4, 5, 6])
         assert not overlapped
-        np.testing.assert_array_equal(
-            support[support <= grid.num_bins // 2], [3, 4, 5, 6]
-        )
 
     def test_overlap_flag(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=100.0)
@@ -162,11 +162,12 @@ class TestSupportFromBands:
 class TestBuildSamplingMatrix:
     def test_integer_decimation_gives_single_full_weight_entries(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
-        mat = build_sampling_matrix(16.0, 16, grid, support=[5, 21, 59])
+        mat = build_sampling_matrix(16.0, 16, grid, support=[5, 21])
         dense = mat.matrix.toarray()
+        assert dense.shape == (9, 2)
         assert mat.scale == pytest.approx(16 / 64)
-        # 5 -> row 5; 21 -> row 5; 59 (signed -5) -> row 11.
-        for col, row in enumerate([5, 5, 11]):
+        # 5 -> row 5; 21 -> row 5 (their mirrors -5, -21 land on row 11).
+        for col, row in enumerate([5, 5]):
             assert dense[row, col] == pytest.approx(mat.scale, rel=1e-12)
             assert np.count_nonzero(dense[:, col]) == 1
 
@@ -193,9 +194,28 @@ class TestBuildSamplingMatrix:
             mat = build_sampling_matrix(float(n_i), n_i, grid, support=[m])
             rows = mat.matrix.tocoo().row
             assert rows.size == 1
-            row = int(rows[0])
-            onesided = min(row, n_i - row)
-            assert onesided == undersampled_bin(float(m), float(n_i), n_i)
+            assert int(rows[0]) == undersampled_bin(float(m), float(n_i), n_i)
+
+    def test_equals_the_row_fold_of_the_two_sided_matrix(self):
+        # Bit for bit: rows n and N_i - n of the two-sided matrix summed into
+        # n, rows 0 .. floor(N_i/2). Bin 0 is its own mirror, so its column
+        # counts its images once. Records range from shorter than the grid
+        # to longer, so folds are fractional and some images hit row 0 or
+        # the Nyquist row.
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            duration = float(rng.choice([0.5, 1.0, 2.0]))
+            m_total = int(rng.integers(8, 300))
+            grid = WidebandGrid(duration_s=duration, nyquist_rate_hz=m_total / duration)
+            rate = float(rng.uniform(4.0 / duration, grid.nyquist_rate_hz))
+            n_i = int(rng.integers(2, 1.5 * rate * duration + 1))
+            support = np.unique(rng.integers(0, m_total // 2 + 1, size=rng.integers(1, 40)))
+            mat = build_sampling_matrix(rate, n_i, grid, support)
+            two_sided = two_sided_sampling_matrix(rate, n_i, grid, support).toarray()
+            rows = np.arange(n_i // 2 + 1)
+            folded = two_sided[rows] + two_sided[(n_i - rows) % n_i]
+            folded[:, support == 0] = two_sided[rows][:, support == 0]
+            np.testing.assert_array_equal(mat.matrix.toarray(), folded)
 
     def test_validates_rate_length_and_support(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
@@ -206,7 +226,7 @@ class TestBuildSamplingMatrix:
         with pytest.raises(ValueError, match="Nyquist"):
             build_sampling_matrix(128.0, 16, grid)
         with pytest.raises(ValueError, match="support"):
-            build_sampling_matrix(16.0, 16, grid, support=[70])
+            build_sampling_matrix(16.0, 16, grid, support=[33])
 
 
 class TestCoherence:
@@ -429,6 +449,31 @@ class TestReconstruct:
         dense[[7, 11, 49, 53]] = 0.0
         assert float(np.max(dense)) <= 1e-8
 
+    def test_half_grid_bin_folds_both_of_its_images(self):
+        # A band ending at f_nyq/2 holds the self-conjugate bin M/2 = 32. A
+        # tone there folds to record bins n and N_i - n; its column needs
+        # the images of both +32 and -32 Hz to explain its power.
+        grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
+        support, _ = support_from_bands(grid, [(26.0, 32.0)])
+        rates = (19, 20, 23)
+        mats = [build_sampling_matrix(float(n), n, grid, support) for n in rates]
+        specs = [
+            power_spectrum(
+                cosine_record(32.0, 1.0, n, n, 0.3)
+                + cosine_record(27.0, 0.5, n, n, 1.1)
+                - 24.0,
+                sample_rate_hz=float(n),
+            )
+            for n in rates
+        ]
+        recovered, diag = reconstruct(specs, mats, floor_subtraction=None, tol=1e-12)
+        nonzero = recovered.components > 0.0
+        assert recovered.support[nonzero].tolist() == [27, 32, 37]
+        np.testing.assert_allclose(
+            recovered.components[nonzero], [0.25, 1.0, 0.25], rtol=1e-9, atol=0.0
+        )
+        assert diag.residual_norm < 1e-12
+
     def test_median_floor_subtraction_reports_per_record_floors(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
         mat = build_sampling_matrix(64.0, 64, grid)
@@ -475,13 +520,6 @@ class TestConjugateFold:
         for m, value in components.items():
             assert components.get((m_total - m) % m_total) == value, m
 
-    def test_support_missing_a_conjugate_names_the_bins(self):
-        grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
-        mat = build_sampling_matrix(16.0, 16, grid, support=[5, 9, 59])
-        spec = power_spectrum(cosine_record(5.0, 1.0, 16.0, 16, 0.0), sample_rate_hz=16.0)
-        with pytest.raises(ValueError, match=r"conjugation.*\[55\]"):
-            reconstruct([spec], [mat])
-
     def test_folded_objective_is_half_the_two_sided_one(self, monkeypatch):
         # An even record (its Nyquist row weighted by sqrt(1/2)) and two odd
         # ones, with interpolated folds; the support holds the
@@ -500,26 +538,25 @@ class TestConjugateFold:
         reconstruct(specs, mats)
         ((a_folded, b_folded, _),) = problems
 
-        # Two-sided problem: the mirrored spectrum on every row but DC that
-        # the support folds to.
+        # Two-sided problem: the support and its mirrors, and the mirrored
+        # spectrum on every row but DC that they fold to.
+        both = np.unique(np.concatenate([support, (m_total - support) % m_total]))
         blocks, data = [], []
-        for spec, mat in zip(specs, mats):
-            n = mat.num_record_bins
+        for spec, (rate, n) in zip(specs, records):
+            full = two_sided_sampling_matrix(rate, n, grid, both).tocsr()
             power = spec.power - np.median(spec.power[1:])
             mirrored = np.concatenate([power, power[1 : (n + 1) // 2][::-1]])
-            rows = np.setdiff1d(mat.matrix.tocoo().row, [0])
-            blocks.append(mat.matrix.tocsr()[rows, :])
+            rows = np.setdiff1d(full.tocoo().row, [0])
+            blocks.append(full[rows, :])
             data.append(mirrored[rows] * 4.0 / (m_total * n))
         a_full = sp.vstack(blocks, format="csr")
         b_full = np.concatenate(data)
 
-        # Folded columns are the pair representatives m <= M - m, in order.
-        representatives = support[support <= (m_total - support) % m_total]
-        assert a_folded.shape[1] == representatives.size
+        assert a_folded.shape[1] == support.size
         for _ in range(5):
-            values = dict(zip(representatives.tolist(), rng.uniform(0.0, 2.0, representatives.size)))
-            x = np.array([values[min(m, m_total - m)] for m in support.tolist()])
-            y = np.array([values[m] for m in representatives.tolist()])
+            y = rng.uniform(0.0, 2.0, support.size)
+            values = dict(zip(support.tolist(), y))
+            x = np.array([values[min(m, m_total - m)] for m in both.tolist()])
             folded = 2.0 * float(np.sum((a_folded @ y - b_folded) ** 2))
             two_sided = float(np.sum((a_full @ x - b_full) ** 2))
             assert folded == pytest.approx(two_sided, rel=1e-12)
@@ -537,8 +574,6 @@ class TestRecoveryPhaseDiagram:
             recovery_phase_diagram([1], [2], trials=1, seed=0, grid_bins=8192)
         with pytest.raises(ValueError, match="trials"):
             recovery_phase_diagram([1], [2], trials=0, seed=0)
-        with pytest.raises(ValueError, match="record_bins_range"):
-            recovery_phase_diagram([1], [2], trials=1, seed=0, record_bins_range=(1, 1))
 
 
 class TestDesignRates:
