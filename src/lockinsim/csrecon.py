@@ -35,7 +35,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import linalg
 
 from ._io import csv_text
 from .spectral import PowerSpectrum
@@ -371,12 +370,15 @@ def nnls_active_set(
     Columns enter the passive set P by largest positive gradient
     w = A^T (b - A x) (the lowest index among ties). The unconstrained
     subproblem on P is solved from the normal equations G_PP z = c_P, with
-    G = A^T A and c = A^T b (Bro & De Jong 1997). A lower Cholesky factor L
-    of G_PP gains one row per entering column j, from the Gram column
-    A^T a_j formed as j enters (a sparse solution enters few columns, so G
-    is never formed whole); z = L^-T L^-1 c_P, and L is refactored only
-    when columns leave P. Terminates when max(w over active columns) <=
-    tol * ||A^T b||_inf (KKT).
+    G = A^T A and c = A^T b (Bro & De Jong 1997). The solver keeps
+    R = L^-1, the inverse of the lower Cholesky factor L of G_PP, so that
+    z = R^T (R c_P) takes two mat-vecs and no triangular solve. An entering
+    column j appends one row to R, [-(l^T R) / d, 1 / d] with l = R G_Pj
+    and d = sqrt(G_jj - l.l), from the Gram column A^T a_j formed as j
+    enters (a sparse solution enters few columns, so G is never formed
+    whole). When columns leave P, G_PP is refactored and R recomputed as
+    the inverse of its Cholesky factor. Terminates when max(w over active
+    columns) <= tol * ||A^T b||_inf (KKT).
 
     Raises:
         NnlsError: After ``max_iterations`` (default max(3 * column count,
@@ -405,21 +407,11 @@ def nnls_active_set(
     column = np.zeros(n_rows)  # scratch: one dense column of A
     passive: list[int] = []
     passive_mask = np.zeros(n_cols, dtype=bool)
-    # Lower Cholesky factor L of G_PP: the leading k x k block of a buffer
-    # that doubles when full.
-    chol = np.empty((64, 64))
-
-    def solve(rhs: np.ndarray, transpose: bool) -> np.ndarray:
-        """L^-1 rhs, or L^-T rhs when ``transpose``."""
-        k = len(passive)
-        if not k:
-            return rhs
-        # L^T is upper triangular in Fortran order. A nonzero info would flag
-        # a zero diagonal, which positive pivots rule out.
-        solution, _info = linalg.lapack.dtrtrs(
-            chol[:k, :k].T, rhs, lower=0, trans=int(not transpose)
-        )
-        return solution
+    # R = L^-1 for the lower Cholesky factor L of G_PP: the leading k x k
+    # block of a buffer that doubles when full. R is lower triangular and the
+    # mat-vecs read the whole block, so the buffer is kept zero above its
+    # diagonal.
+    inv_chol = np.zeros((64, 64))
 
     resid = b.copy()
     iterations = 0
@@ -439,29 +431,30 @@ def nnls_active_set(
         column[rows] = a_csc.data[a_csc.indptr[j] : a_csc.indptr[j + 1]]
         gram_column = at @ column
         column[rows] = 0.0
-        g_pj = gram_column[passive]
-        g_jj = gram_column[j]
-        l_row = solve(g_pj, transpose=False)
-        pivot_sq = g_jj - float(l_row @ l_row)
+        k = len(passive)
+        r_block = inv_chol[:k, :k]
+        l_row = r_block @ gram_column[passive]
+        pivot_sq = gram_column[j] - float(l_row @ l_row)
         if not pivot_sq > 0.0:
             raise NnlsError(
                 f"entering column {j} is numerically dependent on the "
-                f"{len(passive)} passive columns",
+                f"{k} passive columns",
                 iterations,
                 float(np.linalg.norm(resid)),
             )
-        k = len(passive)
-        if k == chol.shape[0]:
-            grown = np.empty((2 * k, 2 * k))
-            grown[:k, :k] = chol
-            chol = grown
-        chol[k, :k] = l_row
-        chol[k, k] = math.sqrt(pivot_sq)
+        pivot = math.sqrt(pivot_sq)
+        if k == inv_chol.shape[0]:
+            grown = np.zeros((2 * k, 2 * k))
+            grown[:k, :k] = inv_chol
+            inv_chol = grown
+        inv_chol[k, :k] = (l_row @ r_block) / -pivot
+        inv_chol[k, k] = 1.0 / pivot
         passive.append(j)
         passive_mask[j] = True
 
         while True:
-            z = solve(solve(c[passive], transpose=False), transpose=True)
+            r_block = inv_chol[: len(passive), : len(passive)]
+            z = r_block.T @ (r_block @ c[passive])
             if np.all(z > 0.0):
                 x[:] = 0.0
                 x[passive] = z
@@ -481,9 +474,7 @@ def nnls_active_set(
                 break
             a_passive = a_csc[:, passive]
             try:
-                factor = linalg.cholesky(
-                    (a_passive.T @ a_passive).toarray(), lower=True
-                )
+                factor = np.linalg.cholesky((a_passive.T @ a_passive).toarray())
             except np.linalg.LinAlgError as exc:
                 raise NnlsError(
                     f"passive Gram block is not positive definite ({exc})",
@@ -491,7 +482,9 @@ def nnls_active_set(
                     float(np.linalg.norm(b - a_csc @ x)),
                 ) from exc
             k = len(passive)
-            chol[:k, :k] = factor
+            # The inverse of a triangular matrix is triangular, but the LU
+            # inversion leaves rounding above the diagonal.
+            inv_chol[:k, :k] = np.tril(np.linalg.inv(factor))
         resid = b - (a_csc @ x)
 
     raise NnlsError(

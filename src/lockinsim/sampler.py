@@ -418,14 +418,18 @@ def read_trace(path: str | Path) -> TimeTrace:
     """Read a trace written by :func:`write_trace`.
 
     Raises:
-        ValueError: If the file is empty or malformed, or the sidecar is
-            missing.
+        ValueError: If the file is empty or malformed, the sidecar is
+            missing, the sidecar's sha256 differs from the CSV header's
+            ``metadata_sha256``, or the CSV holds a different number of
+            samples than the sidecar's ``num_samples``.
     """
     path = Path(path)
     raw = path.read_text().strip()
     if not raw:
         raise ValueError(f"trace file {path} is empty")
-    lines = [ln for ln in raw.splitlines() if ln and not ln.startswith("#")]
+    all_lines = raw.splitlines()
+    header = dict(ln[1:].strip().partition("=")[::2] for ln in all_lines if ln.startswith("#"))
+    lines = [ln for ln in all_lines if ln and not ln.startswith("#")]
     if not lines or not lines[0].startswith("k,"):
         raise ValueError(f"trace file {path} has no 'k,t_k_s,counts' header")
     data_lines = lines[1:]
@@ -435,7 +439,18 @@ def read_trace(path: str | Path) -> TimeTrace:
     meta_path = path.with_suffix(".meta.json")
     if not meta_path.exists():
         raise ValueError(f"metadata sidecar {meta_path} not found")
-    meta_doc = json.loads(meta_path.read_text())
+    meta_text = meta_path.read_text()
+    if header.get("metadata_sha256") != sha256_hex(meta_text.removesuffix("\n")):
+        raise ValueError(
+            f"metadata sidecar {meta_path} does not match the metadata_sha256 "
+            f"of trace file {path}"
+        )
+    meta_doc = json.loads(meta_text)
+    if meta_doc.get("num_samples") != len(data_lines):
+        raise ValueError(
+            f"trace file {path} holds {len(data_lines)} samples, but its "
+            f"sidecar says {meta_doc.get('num_samples')}"
+        )
 
     counts = np.empty(len(data_lines), dtype=np.int64)
     times = np.empty(len(data_lines))

@@ -8,12 +8,16 @@ log-log points, and sequence/model builders only use public constructors.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import yaml
 
 from lockinsim.lockin import CpmgSequence
 from lockinsim.readout import ReadoutModel
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def brute_force_power(values: np.ndarray) -> np.ndarray:
@@ -82,3 +86,12 @@ def two_sided_sampling_matrix(sample_rate_hz: float, num_record_bins: int, grid,
         (np.concatenate(weights) * (n_i / m_total), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_i, support.size),
     )
+
+
+def short_wideband_config(tmp_path: Path) -> Path:
+    """The shipped reconstruction config cut from 2 s to 0.2 s."""
+    cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
+    cfg["reconstruction"]["duration_s"] = 0.2
+    path = tmp_path / "wideband.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return path

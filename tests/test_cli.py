@@ -21,6 +21,8 @@ from lockinsim.config import ConfigError, config_hash, load_config
 from lockinsim.sampler import read_trace, undersampled_bin
 from lockinsim.spectral import FitError
 
+from .helpers import short_wideband_config
+
 BASE_CONFIG = {
     "seed": 42,
     "signal": {
@@ -543,9 +545,32 @@ class TestCsvOutput:
         assert out.read_text().splitlines()[-1] == "0.5,3"
 
 
+def run_python(argv, **env):
+    """Run ``python argv`` on this checkout's package with extra ``env``."""
+    src = str(Path(lockinsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestImportGraph:
+    # Importing scipy.signal and scipy.special once dominated CLI start-up;
+    # scipy.linalg cost every command about 0.1 s and 8.5 MB.
+    HEAVY = {
+        "scipy.linalg",
+        "scipy.signal",
+        "scipy.special",
+        "scipy.stats",
+        "scipy.optimize",
+        "scipy.interpolate",
+    }
+
     def test_cli_start_up_leaves_the_heavy_scipy_subpackages_unloaded(self):
-        # Importing scipy.signal and scipy.special once dominated CLI start-up.
         config = TestShippedConfigs.CONFIG_DIR / "gain_sweep.yaml"
         code = (
             "import sys\n"
@@ -553,20 +578,36 @@ class TestImportGraph:
             f"lockinsim.config.load_config({str(config)!r})\n"
             "print(' '.join(sys.modules))\n"
         )
-        src = str(Path(lockinsim.__file__).resolve().parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = set(proc.stdout.split())
+        loaded = set(run_python(["-c", code]).split())
         assert "lockinsim.cli" in loaded
-        heavy = {
-            "scipy.signal", "scipy.special", "scipy.stats", "scipy.optimize", "scipy.interpolate"
-        }
-        assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
+        assert loaded.isdisjoint(self.HEAVY), sorted(loaded & self.HEAVY)
+
+    def test_reconstruct_and_rate_design_leave_scipy_linalg_unloaded(self, tmp_path):
+        config = str(short_wideband_config(tmp_path))
+        code = (
+            "import sys\n"
+            "from lockinsim.cli import main\n"
+            "for command in ('reconstruct', 'rate-design'):\n"
+            f"    out = {str(tmp_path)!r} + '/' + command + '.json'\n"
+            f"    assert main([command, '--config', {config!r}, '--out', out]) == 0\n"
+            "print(' '.join(sys.modules))\n"
+        )
+        loaded = set(run_python(["-c", code]).split())
+        assert "lockinsim.csrecon" in loaded
+        assert "scipy.linalg" not in loaded
+
+
+class TestBlasThreadCount:
+    def test_reconstruct_writes_the_same_bytes_with_one_and_two_threads(self, tmp_path):
+        # The NNLS mat-vecs run through numpy's BLAS.
+        config = str(short_wideband_config(tmp_path))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"recon_{threads}.json"
+            argv = ["-m", "lockinsim.cli", "reconstruct", "--config", config, "--out", str(out)]
+            run_python(argv, OPENBLAS_NUM_THREADS=threads)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestShippedConfigs:

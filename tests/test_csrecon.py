@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import yaml
 from scipy.optimize import nnls as scipy_nnls
 
 from lockinsim import csrecon
@@ -31,9 +29,7 @@ from lockinsim.csrecon import (
 from lockinsim.sampler import undersampled_bin
 from lockinsim.spectral import power_spectrum
 
-from .helpers import two_sided_sampling_matrix
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from .helpers import short_wideband_config, two_sided_sampling_matrix
 
 
 def reference_nnls(a_matrix, b, tol=1e-10):
@@ -75,12 +71,30 @@ def reference_nnls(a_matrix, b, tol=1e-10):
 
 
 def assert_matches_reference(a_matrix, b, tol=1e-10):
-    """Same iteration count, identical support, components within 1e-12."""
+    """Same iteration count, identical support, components within 1e-12.
+
+    Returns:
+        The solution of ``nnls_active_set``.
+    """
     x, info = nnls_active_set(a_matrix, b, tol=tol)
     x_ref, iterations_ref = reference_nnls(a_matrix, b, tol=tol)
     assert info.iterations == iterations_ref
     np.testing.assert_array_equal(np.nonzero(x)[0], np.nonzero(x_ref)[0])
     np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0.0)
+    return x
+
+
+def count_refactors(monkeypatch):
+    """Record the size of every Cholesky refactor of the passive Gram block."""
+    refactors = []
+    cholesky = np.linalg.cholesky
+
+    def counting(*args, **kwargs):
+        refactors.append(args[0].shape[0])
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(csrecon.np.linalg, "cholesky", counting)
+    return refactors
 
 
 def capture_nnls_problems(monkeypatch):
@@ -96,13 +110,6 @@ def capture_nnls_problems(monkeypatch):
     return problems
 
 
-def short_wideband_config(tmp_path):
-    """The shipped reconstruction config cut from 2 s to 0.2 s."""
-    cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
-    cfg["reconstruction"]["duration_s"] = 0.2
-    path = tmp_path / "wideband.yaml"
-    path.write_text(yaml.safe_dump(cfg))
-    return path
 
 
 class TestWidebandGrid:
@@ -360,20 +367,28 @@ class TestNnlsMatchesReference:
             assert_matches_reference(a_matrix, b, tol=tol)
 
     def test_random_problems_through_the_drop_path(self, monkeypatch):
-        refactors = []
-        cholesky = csrecon.linalg.cholesky
-
-        def counting(*args, **kwargs):
-            refactors.append(args[0].shape[0])
-            return cholesky(*args, **kwargs)
-
-        monkeypatch.setattr(csrecon.linalg, "cholesky", counting)
+        refactors = count_refactors(monkeypatch)
         rng = np.random.default_rng(7)
         for _ in range(25):
             a_matrix = rng.normal(size=(20, 12))
             b = rng.normal(size=20)
             assert_matches_reference(a_matrix, b)
         assert refactors  # columns left the passive set
+
+    def test_columns_enter_after_others_leave(self, monkeypatch):
+        # A common positive offset correlates the columns, so the passive set
+        # sheds columns and then takes on new ones: rows appended to L^-1
+        # after a refactor.
+        refactors = count_refactors(monkeypatch)
+        rng = np.random.default_rng(13)
+        regrown = 0
+        for _ in range(20):
+            a_matrix = rng.normal(size=(30, 20)) + 1.0
+            b = rng.normal(size=30) + 2.0
+            refactors.clear()
+            x = assert_matches_reference(a_matrix, b)
+            regrown += bool(refactors) and np.count_nonzero(x) > refactors[-1]
+        assert regrown >= 5
 
 
 class TestWidebandSpectrum:

@@ -354,6 +354,24 @@ class TestTraceIO:
         with pytest.raises(ValueError, match="sidecar"):
             read_trace(str(path))
 
+    def test_read_rejects_a_truncated_trace(self, tmp_path):
+        seq, model, sched = make_parts(num_samples=200)
+        path = tmp_path / "trace.csv"
+        write_trace(run_sampling(tone_signal(), seq, model, sched, 8), str(path))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-100]) + "\n")
+        with pytest.raises(ValueError, match="trace.csv holds 100 samples.*says 200"):
+            read_trace(str(path))
+
+    def test_read_rejects_an_edited_sidecar(self, tmp_path):
+        seq, model, sched = make_parts(num_samples=200)
+        path = tmp_path / "trace.csv"
+        write_trace(run_sampling(tone_signal(), seq, model, sched, 8), str(path))
+        meta_path = tmp_path / "trace.meta.json"
+        meta_path.write_text(meta_path.read_text().replace('"num_samples":200', '"num_samples":100'))
+        with pytest.raises(ValueError, match="trace.meta.json does not match"):
+            read_trace(str(path))
+
     def test_read_rejects_malformed_sample_line(self, tmp_path):
         seq, model, sched = make_parts(num_samples=8)
         trace = run_sampling(tone_signal(), seq, model, sched, 8)
