@@ -417,6 +417,11 @@ def cmd_rate_design(config: RunConfig, seed: int, out: str | None, threads: int,
     """Propose incoherent sampling rates and report their coherence."""
     config.require("rate_design")
     dcfg = config.rate_design
+    if fmt == "csv" and out is None and config.reconstruction is not None:
+        raise ConfigError(
+            "rate-design --format csv with a reconstruction section requires --out "
+            "(one matrix CSV per rate)"
+        )
     rates = design_rates(
         dcfg.num_rates,
         dcfg.base_period_s,
@@ -448,7 +453,7 @@ def cmd_rate_design(config: RunConfig, seed: int, out: str | None, threads: int,
                 "num_columns": report.num_columns,
             }
         )
-        if out is not None and fmt == "csv":
+        if fmt == "csv":
             base = Path(out)
             for k, mat in enumerate(matrices):
                 write_matrix_csv(mat, base.with_suffix(f".matrix{k}.csv"))

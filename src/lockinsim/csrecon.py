@@ -24,22 +24,28 @@ conjugate and counts its images once; bin M/2 collects the images of both
 Exact recovery of s tones from p incoherent records is expected for
 p > 2s - 1 (noiseless); the mutual coherence mu (largest normalized column
 inner product of the stacked matrix) measures design quality.
+
+The module needs numpy alone. Matrices are :class:`CooMatrix` triplets in
+column-major order. Both the NNLS and the coherence work from Gram rows
+A^T a_j, gathered from the rows of A that column j touches, so the NNLS
+loop holds no A or A^T mat-vec.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._io import csv_text
 from .spectral import PowerSpectrum
 
 __all__ = [
+    "CooMatrix",
     "WidebandGrid",
     "SamplingMatrix",
     "WidebandSpectrum",
@@ -58,9 +64,140 @@ __all__ = [
 ]
 
 
-COHERENCE_BLOCK_COLUMNS = 4096
+COHERENCE_BLOCK_ENTRIES = 1 << 20  # Gram block size: block columns x all columns
 PHASE_DIAGRAM_RECORD_BINS = (48, 96)  # record lengths drawn from [48, 96)
 PHASE_DIAGRAM_AMPLITUDES = (0.5, 2.0)  # tone components drawn from [0.5, 2)
+
+
+# np.unique(values) and np.median import numpy.ma on first use (15 ms), and
+# reconstruct needs nothing else from it; these two give the same results.
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D array."""
+    values = np.sort(values)
+    distinct = np.ones(values.size, dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    return values[distinct]
+
+
+def _median(values: np.ndarray) -> float:
+    """Median of a non-empty 1-D array of finite values."""
+    lo, hi = (values.size - 1) // 2, values.size // 2
+    part = np.partition(values, [lo, hi])
+    return float((part[lo] + part[hi]) / 2.0)
+
+
+@dataclass(frozen=True, eq=False)
+class CooMatrix:
+    """A sparse matrix as coordinate triplets in column-major order (sorted
+    by column, then row), with no duplicate coordinates.
+
+    Products are sums taken in ascending row order, one term at a time, as
+    a compressed-sparse-column mat-vec sums them.
+
+    Attributes:
+        rows: Row index of each stored entry.
+        cols: Column index of each stored entry.
+        data: Value of each stored entry.
+        shape: (rows, columns).
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def from_entries(
+        cls, rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape: tuple[int, int]
+    ) -> CooMatrix:
+        """Sort entries into column-major order and sum duplicates (in the
+        order given)."""
+        n_rows = int(shape[0])
+        keys, inverse = np.unique(
+            np.asarray(cols, dtype=np.int64) * n_rows + np.asarray(rows, dtype=np.int64),
+            return_inverse=True,
+        )
+        summed = np.bincount(inverse, weights=np.asarray(data, dtype=float), minlength=keys.size)
+        return cls(keys % n_rows, keys // n_rows, summed, (n_rows, int(shape[1])))
+
+    @classmethod
+    def from_dense(cls, array: np.ndarray) -> CooMatrix:
+        """The nonzero entries of a 2-D array."""
+        array = np.asarray(array, dtype=float)
+        if array.ndim != 2:
+            raise ValueError(f"expected a 2-D array, got shape {array.shape}")
+        cols, rows = np.nonzero(array.T)
+        return cls(rows, cols, array[rows, cols], array.shape)
+
+    @classmethod
+    def vstack(cls, blocks: Sequence[CooMatrix]) -> CooMatrix:
+        """Stack matrices with equal column counts on top of each other."""
+        offsets = np.cumsum([0] + [blk.shape[0] for blk in blocks])
+        return cls.from_entries(
+            np.concatenate([blk.rows + off for blk, off in zip(blocks, offsets)]),
+            np.concatenate([blk.cols for blk in blocks]),
+            np.concatenate([blk.data for blk in blocks]),
+            (int(offsets[-1]), blocks[0].shape[1]),
+        )
+
+    @property
+    def nnz(self) -> int:
+        """Number of stored entries."""
+        return int(self.data.size)
+
+    def toarray(self) -> np.ndarray:
+        """Dense copy."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.data
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return np.bincount(self.rows, weights=self.data * x[self.cols], minlength=self.shape[0])
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A^T y."""
+        return np.bincount(self.cols, weights=self.data * y[self.rows], minlength=self.shape[1])
+
+    @cached_property
+    def column_pointers(self) -> np.ndarray:
+        """Column j holds entries column_pointers[j] .. column_pointers[j+1]."""
+        return np.concatenate([[0], np.cumsum(np.bincount(self.cols, minlength=self.shape[1]))])
+
+    @cached_property
+    def _padded_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns and values of each row, ascending by column, padded to
+        the longest row with column n_cols and value 0."""
+        counts = np.bincount(self.rows, minlength=self.shape[0])
+        order = np.argsort(self.rows, kind="stable")
+        rows = self.rows[order]
+        slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+        width = int(counts.max(initial=0))
+        cols = np.full((self.shape[0], width), self.shape[1])
+        data = np.zeros((self.shape[0], width))
+        cols[rows, slot] = self.cols[order]
+        data[rows, slot] = self.data[order]
+        return cols, data
+
+    def gram_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo .. hi-1 of A^T A, as a (hi - lo, n_cols) array.
+
+        Row j - lo is A^T a_j: the rows of A that column j touches, scaled
+        by its entries and gathered, for all hi - lo columns at once, into
+        one bincount. Every entry is summed over ascending rows of A; the
+        row padding lands in an extra column that is dropped.
+        """
+        n_cols = self.shape[1]
+        first, last = self.column_pointers[lo], self.column_pointers[hi]
+        row_cols, row_data = self._padded_rows
+        rows = self.rows[first:last]
+        keys = ((self.cols[first:last] - lo) * (n_cols + 1))[:, None] + row_cols[rows]
+        gram = np.bincount(
+            keys.ravel(),
+            weights=(self.data[first:last, None] * row_data[rows]).ravel(),
+            minlength=(hi - lo) * (n_cols + 1),
+        )
+        return gram.reshape(hi - lo, n_cols + 1)[:, :n_cols]
 
 
 @dataclass(frozen=True)
@@ -150,7 +287,7 @@ def support_from_bands(
         chunks.append(bins)
         total += bins.size
     forward = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    support = np.unique(forward)
+    support = _unique(forward)
     return support, bool(support.size < total)
 
 
@@ -169,14 +306,15 @@ class SamplingMatrix:
         grid: Wideband grid shared by all records of a reconstruction.
         support: Sorted forward wideband bins (<= M/2) the columns
             correspond to.
-        matrix: CSC sparse matrix of shape (floor(N_i/2) + 1, len(support)).
+        matrix: Sparse :class:`CooMatrix` of shape
+            (floor(N_i/2) + 1, len(support)).
     """
 
     sample_rate_hz: float
     num_record_bins: int
     grid: WidebandGrid
     support: np.ndarray
-    matrix: sp.csc_matrix
+    matrix: CooMatrix
 
     @property
     def record_duration_s(self) -> float:
@@ -229,7 +367,7 @@ def build_sampling_matrix(
     if support is None:
         support_arr = np.arange(m_total // 2 + 1, dtype=np.int64)
     else:
-        support_arr = np.unique(np.asarray(support, dtype=np.int64))
+        support_arr = _unique(np.asarray(support, dtype=np.int64))
         if support_arr.size and (support_arr[0] < 0 or 2 * support_arr[-1] > m_total):
             raise ValueError("support bins out of [0, M/2]")
 
@@ -263,17 +401,14 @@ def build_sampling_matrix(
     cols = np.concatenate([cols, cols[mirrored]])
     weights = np.concatenate([weights, weights[mirrored]])
     kept = rows <= n_i // 2
-    matrix = sp.csc_matrix(
-        (weights[kept], (rows[kept], cols[kept])),
-        shape=(n_i // 2 + 1, support_arr.size),
-    )
-    matrix.sum_duplicates()
     return SamplingMatrix(
         sample_rate_hz=float(sample_rate_hz),
         num_record_bins=n_i,
         grid=grid,
         support=support_arr,
-        matrix=matrix,
+        matrix=CooMatrix.from_entries(
+            rows[kept], cols[kept], weights[kept], (n_i // 2 + 1, support_arr.size)
+        ),
     )
 
 
@@ -296,7 +431,9 @@ class CoherenceReport:
 def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """Mutual coherence of the stacked design (memory-bounded, exact).
 
-    The Gram product is formed ``COHERENCE_BLOCK_COLUMNS`` columns at a time.
+    Columns are scaled to unit norm and the Gram matrix is formed by
+    :meth:`CooMatrix.gram_rows`, for as many columns at a time as keep a
+    block within ``COHERENCE_BLOCK_ENTRIES`` entries.
 
     Args:
         matrices: >= 2 matrices sharing the same grid and support.
@@ -314,24 +451,33 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
         if m.support.shape != support.shape or np.any(m.support != support):
             raise ValueError("all matrices must share the same support")
 
-    stacked = sp.vstack([m.matrix for m in matrices], format="csc")
-    norms_sq = np.asarray(stacked.multiply(stacked).sum(axis=0)).ravel()
+    stacked = CooMatrix.vstack([m.matrix for m in matrices])
+    # Column sums by reduceat, as scipy.sparse forms them (pairwise).
+    pointers = stacked.column_pointers
+    filled = np.flatnonzero(np.diff(pointers))
+    norms_sq = np.zeros(support.size)
+    if filled.size:
+        norms_sq[filled] = np.add.reduceat(stacked.data * stacked.data, pointers[filled])
     nonzero = norms_sq > 0.0
     num_zero = int(np.count_nonzero(~nonzero))
-    kept = stacked[:, nonzero]
-    inv_norm = 1.0 / np.sqrt(norms_sq[nonzero])
-    normalized = (kept @ sp.diags(inv_norm)).tocsc()
-
+    inv_norm = np.zeros(support.size)
+    inv_norm[nonzero] = 1.0 / np.sqrt(norms_sq[nonzero])
+    kept = nonzero[stacked.cols]
+    cols = stacked.cols[kept]
+    normalized = CooMatrix(
+        stacked.rows[kept],
+        (np.cumsum(nonzero) - 1)[cols],
+        stacked.data[kept] * inv_norm[cols],
+        (stacked.shape[0], support.size - num_zero),
+    )
     n_cols = normalized.shape[1]
+
     mu = 0.0
-    gram_left = normalized.T.tocsr()
-    for lo in range(0, n_cols, COHERENCE_BLOCK_COLUMNS):
-        hi = min(lo + COHERENCE_BLOCK_COLUMNS, n_cols)
-        block = gram_left @ normalized[:, lo:hi]
-        block = block.tocoo()
-        off_diag = block.row != (block.col + lo)
-        if np.any(off_diag):
-            mu = max(mu, float(np.abs(block.data[off_diag]).max()))
+    step = max(1, COHERENCE_BLOCK_ENTRIES // max(n_cols, 1))
+    for lo in range(0, n_cols, step):
+        block = normalized.gram_rows(lo, min(lo + step, n_cols))
+        block[np.arange(block.shape[0]), np.arange(lo, lo + block.shape[0])] = 0.0
+        mu = max(mu, float(np.abs(block, out=block).max()))
     return CoherenceReport(mu=mu, num_zero_columns=num_zero, num_columns=int(support.size))
 
 
@@ -359,7 +505,7 @@ class NnlsError(RuntimeError):
 
 
 def nnls_active_set(
-    a_matrix: sp.spmatrix | np.ndarray,
+    a_matrix: CooMatrix | np.ndarray,
     b: np.ndarray,
     *,
     tol: float = 1e-10,
@@ -368,17 +514,24 @@ def nnls_active_set(
     """Solve min ||A x - b||_2 subject to x >= 0 (Lawson-Hanson active set).
 
     Columns enter the passive set P by largest positive gradient
-    w = A^T (b - A x) (the lowest index among ties). The unconstrained
-    subproblem on P is solved from the normal equations G_PP z = c_P, with
-    G = A^T A and c = A^T b (Bro & De Jong 1997). The solver keeps
-    R = L^-1, the inverse of the lower Cholesky factor L of G_PP, so that
-    z = R^T (R c_P) takes two mat-vecs and no triangular solve. An entering
-    column j appends one row to R, [-(l^T R) / d, 1 / d] with l = R G_Pj
-    and d = sqrt(G_jj - l.l), from the Gram column A^T a_j formed as j
-    enters (a sparse solution enters few columns, so G is never formed
-    whole). When columns leave P, G_PP is refactored and R recomputed as
-    the inverse of its Cholesky factor. Terminates when max(w over active
+    w = A^T (b - A x) (the lowest index among ties). The solver works in the
+    Gram form of Bro & De Jong (1997) and never multiplies by A or A^T
+    inside the loop. With c = A^T b and G = A^T A, the gradient is
+    w = c - x_P G_P, where G_P holds the Gram rows A^T a_j of the passive
+    columns, each formed once, as j enters, by :meth:`CooMatrix.gram_rows`
+    (a sparse solution enters few columns, so G is never formed whole). They
+    live row by row in a buffer that doubles when full. The unconstrained
+    subproblem on P is G_PP z = c_P. The solver keeps R = L^-1, the inverse
+    of the lower Cholesky factor L of G_PP, so that z = R^T (R c_P) takes two
+    mat-vecs and no triangular solve. An entering column j appends one row
+    to R, [-(l^T R) / d, 1 / d] with l = R G_Pj and d = sqrt(G_jj - l.l).
+    When columns leave P, G_PP is read from the buffer and refactored, and
+    R recomputed as the inverse of its Cholesky factor. The residual
+    b - A x is formed once, on exit. Terminates when max(w over active
     columns) <= tol * ||A^T b||_inf (KKT).
+
+    Args:
+        a_matrix: A, as a :class:`CooMatrix` or a dense 2-D array.
 
     Raises:
         NnlsError: After ``max_iterations`` (default max(3 * column count,
@@ -389,71 +542,70 @@ def nnls_active_set(
     Returns:
         (x, info) with x >= 0 elementwise.
     """
-    a_csc = sp.csc_matrix(a_matrix, dtype=float)
+    a = a_matrix if isinstance(a_matrix, CooMatrix) else CooMatrix.from_dense(a_matrix)
     b = np.asarray(b, dtype=float)
-    n_rows, n_cols = a_csc.shape
+    n_rows, n_cols = a.shape
     if b.shape != (n_rows,):
         raise ValueError(f"b must have shape ({n_rows},), got {b.shape}")
     if max_iterations is None:
         max_iterations = max(3 * n_cols, 30)
 
-    at = a_csc.T.tocsr()
-    c = at @ b
+    def residual_norm() -> float:
+        return float(np.linalg.norm(b - a.matvec(x)))
+
+    c = a.rmatvec(b)
     x = np.zeros(n_cols)
     w_scale = float(np.max(np.abs(c))) if n_cols else 0.0
     if w_scale == 0.0:
         return x, NnlsInfo(0, float(np.linalg.norm(b)), 0.0, True)
     threshold = tol * w_scale
-    column = np.zeros(n_rows)  # scratch: one dense column of A
-    passive: list[int] = []
+    passive = np.empty(0, dtype=np.int64)
     passive_mask = np.zeros(n_cols, dtype=bool)
-    # R = L^-1 for the lower Cholesky factor L of G_PP: the leading k x k
-    # block of a buffer that doubles when full. R is lower triangular and the
-    # mat-vecs read the whole block, so the buffer is kept zero above its
-    # diagonal.
+    # Row p of ``gram`` is A^T a_j for j = passive[p], and R = L^-1 for the
+    # lower Cholesky factor L of G_PP is the leading k x k block of
+    # ``inv_chol``. Both buffers double when full. R is lower triangular and
+    # the mat-vecs read the whole block, so ``inv_chol`` is kept zero above
+    # its diagonal.
+    gram = np.zeros((64, n_cols))
     inv_chol = np.zeros((64, 64))
 
-    resid = b.copy()
     iterations = 0
     kkt_max = math.inf
     while iterations < max_iterations:
         iterations += 1
-        w = at @ resid
-        w_active = np.where(passive_mask, -np.inf, w)
-        j = int(np.argmax(w_active))
-        kkt_max = float(w_active[j])
+        k = passive.size
+        w = c - x[passive] @ gram[:k]
+        w[passive_mask] = -np.inf
+        j = int(np.argmax(w))
+        kkt_max = float(w[j])
         if kkt_max <= threshold:
-            return x, NnlsInfo(
-                iterations, float(np.linalg.norm(resid)), kkt_max, True
-            )
+            return x, NnlsInfo(iterations, residual_norm(), kkt_max, True)
 
-        rows = a_csc.indices[a_csc.indptr[j] : a_csc.indptr[j + 1]]
-        column[rows] = a_csc.data[a_csc.indptr[j] : a_csc.indptr[j + 1]]
-        gram_column = at @ column
-        column[rows] = 0.0
-        k = len(passive)
+        gram_row = a.gram_rows(j, j + 1)[0]
         r_block = inv_chol[:k, :k]
-        l_row = r_block @ gram_column[passive]
-        pivot_sq = gram_column[j] - float(l_row @ l_row)
+        l_row = r_block @ gram_row[passive]
+        pivot_sq = gram_row[j] - float(l_row @ l_row)
         if not pivot_sq > 0.0:
             raise NnlsError(
                 f"entering column {j} is numerically dependent on the "
                 f"{k} passive columns",
                 iterations,
-                float(np.linalg.norm(resid)),
+                residual_norm(),
             )
         pivot = math.sqrt(pivot_sq)
         if k == inv_chol.shape[0]:
             grown = np.zeros((2 * k, 2 * k))
             grown[:k, :k] = inv_chol
             inv_chol = grown
+            gram = np.concatenate([gram, np.zeros_like(gram)])
         inv_chol[k, :k] = (l_row @ r_block) / -pivot
         inv_chol[k, k] = 1.0 / pivot
-        passive.append(j)
+        gram[k] = gram_row
+        passive = np.append(passive, j)
         passive_mask[j] = True
 
         while True:
-            r_block = inv_chol[: len(passive), : len(passive)]
+            r_block = inv_chol[: passive.size, : passive.size]
             z = r_block.T @ (r_block @ c[passive])
             if np.all(z > 0.0):
                 x[:] = 0.0
@@ -466,31 +618,29 @@ def nnls_active_set(
             xp = xp + alpha * (z - xp)
             x[:] = 0.0
             x[passive] = np.maximum(xp, 0.0)
-            drop = [idx for idx, val in zip(passive, x[passive]) if val <= 0.0]
-            for idx in drop:
-                passive_mask[idx] = False
-            passive = [idx for idx in passive if passive_mask[idx]]
-            if not passive:
+            kept = x[passive] > 0.0
+            passive_mask[passive[~kept]] = False
+            gram[: np.count_nonzero(kept)] = gram[: passive.size][kept]
+            passive = passive[kept]
+            if not passive.size:
                 break
-            a_passive = a_csc[:, passive]
+            k = passive.size
             try:
-                factor = np.linalg.cholesky((a_passive.T @ a_passive).toarray())
+                factor = np.linalg.cholesky(gram[:k, passive])
             except np.linalg.LinAlgError as exc:
                 raise NnlsError(
                     f"passive Gram block is not positive definite ({exc})",
                     iterations,
-                    float(np.linalg.norm(b - a_csc @ x)),
+                    residual_norm(),
                 ) from exc
-            k = len(passive)
             # The inverse of a triangular matrix is triangular, but the LU
             # inversion leaves rounding above the diagonal.
             inv_chol[:k, :k] = np.tril(np.linalg.inv(factor))
-        resid = b - (a_csc @ x)
 
     raise NnlsError(
         "NNLS iteration cap reached before KKT tolerance",
         iterations,
-        float(np.linalg.norm(b - a_csc @ x)),
+        residual_norm(),
     )
 
 
@@ -641,26 +791,28 @@ def reconstruct(
         n_i = mat.num_record_bins
         y = np.asarray(spec.power, dtype=float)
         if floor_subtraction == "median":
-            floors[i] = float(np.median(spec.power[1:]))
+            floors[i] = _median(spec.power[1:])
             y = y - floors[i]
         y = y * (4.0 / (grid.num_bins * n_i))
         row_weight = np.ones(y.size)
         if n_i % 2 == 0:
             row_weight[-1] = math.sqrt(0.5)
 
-        coo = mat.matrix.tocoo()
-        dc_coupled[coo.col[coo.row == 0]] = True
-        keep = coo.row >= 1
-        touched, row = np.unique(coo.row[keep], return_inverse=True)
+        coo = mat.matrix
+        dc_coupled[coo.cols[coo.rows == 0]] = True
+        keep = coo.rows >= 1
+        touched, row = np.unique(coo.rows[keep], return_inverse=True)
         rows.append(row + rows_used)
-        cols.append(coo.col[keep])
-        weights.append(coo.data[keep] * row_weight[coo.row[keep]])
+        cols.append(coo.cols[keep])
+        weights.append(coo.data[keep] * row_weight[coo.rows[keep]])
         data.append(y[touched] * row_weight[touched])
         rows_used += int(touched.size)
 
-    a_stacked = sp.csc_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(rows_used, support.size),
+    a_stacked = CooMatrix.from_entries(
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(weights),
+        (rows_used, support.size),
     )
     x, info = nnls_active_set(a_stacked, np.concatenate(data), tol=tol)
     # support is sorted and <= M/2, so the mirrors M - m of the paired bins
@@ -737,8 +889,8 @@ def recovery_phase_diagram(
                 x_true = np.zeros(m_total // 2 + 1)
                 for m in tones:
                     x_true[m] = rng.uniform(*PHASE_DIAGRAM_AMPLITUDES)
-                a_stacked = sp.vstack([mt.matrix for mt in mats], format="csc")
-                b = a_stacked @ x_true
+                a_stacked = CooMatrix.vstack([mt.matrix for mt in mats])
+                b = a_stacked.matvec(x_true)
                 x_hat, _ = nnls_active_set(a_stacked, b)
                 err = np.max(np.abs(x_hat - x_true))
                 recovered = set(np.nonzero(x_hat > 1e-6 * x_true.max())[0])
@@ -759,9 +911,9 @@ def design_rates(
 ) -> np.ndarray:
     """Draw ``num_rates`` distinct sampling periods for a CS acquisition.
 
-    Periods are base_period_s + delta with delta uniform on a
-    ``time_grid_s``-spaced grid in [0, max_extra_s] (hardware delays are
-    quantized), redrawn until distinct.
+    Periods are base_period_s + delta, with the deltas drawn without
+    replacement from the ``time_grid_s``-spaced grid in [0, max_extra_s]
+    (hardware delays are quantized).
 
     Returns:
         Sample rates 1/t_s in Hz, sorted descending (shortest period first).
@@ -770,7 +922,7 @@ def design_rates(
         raise ValueError("num_rates must be >= 2")
     if not (base_period_s > 0.0 and max_extra_s > 0.0):
         raise ValueError("base_period_s and max_extra_s must be > 0")
-    levels = int(math.floor(max_extra_s / time_grid_s)) + 1
+    levels = int(math.floor(max_extra_s / time_grid_s + 1e-9)) + 1
     if levels < num_rates:
         raise ValueError("time grid too coarse for the requested number of rates")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -782,8 +934,8 @@ def design_rates(
 def write_matrix_csv(matrix: SamplingMatrix, path: str | Path) -> Path:
     """Export a sampling matrix as coordinate-list CSV (row, wideband_bin, weight)."""
     path = Path(path)
-    coo = matrix.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
+    coo = matrix.matrix
+    order = np.lexsort((coo.cols, coo.rows))
     header = (
         f"# sample_rate_hz={matrix.sample_rate_hz!r}",
         f"# num_record_bins={matrix.num_record_bins}",
@@ -791,6 +943,6 @@ def write_matrix_csv(matrix: SamplingMatrix, path: str | Path) -> Path:
         f"# grid_resolution_hz={matrix.grid.resolution_hz!r}",
         "row,wideband_bin,weight",
     )
-    columns = (coo.row[order], matrix.support[coo.col[order]], coo.data[order])
+    columns = (coo.rows[order], matrix.support[coo.cols[order]], coo.data[order])
     path.write_text(csv_text(header, columns))
     return path

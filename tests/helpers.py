@@ -88,6 +88,90 @@ def two_sided_sampling_matrix(sample_rate_hz: float, num_record_bins: int, grid,
     )
 
 
+def as_csc(a_matrix) -> sp.csc_matrix:
+    """A library :class:`~lockinsim.csrecon.CooMatrix` or a dense array as a
+    scipy CSC matrix."""
+    if isinstance(a_matrix, np.ndarray):
+        return sp.csc_matrix(a_matrix, dtype=float)
+    return sp.csc_matrix((a_matrix.data, (a_matrix.rows, a_matrix.cols)), shape=a_matrix.shape)
+
+
+def scipy_coherence(matrices) -> float:
+    """Mutual coherence mu of stacked sampling matrices through scipy.sparse:
+    columns scaled to unit norm, then the largest off-diagonal entry of the
+    Gram product, formed 4096 columns at a time. Test oracle only."""
+    stacked = sp.vstack([as_csc(m.matrix) for m in matrices], format="csc")
+    norms_sq = np.asarray(stacked.multiply(stacked).sum(axis=0)).ravel()
+    nonzero = norms_sq > 0.0
+    normalized = (stacked[:, nonzero] @ sp.diags(1.0 / np.sqrt(norms_sq[nonzero]))).tocsc()
+    gram_left = normalized.T.tocsr()
+    mu = 0.0
+    for lo in range(0, normalized.shape[1], 4096):
+        block = (gram_left @ normalized[:, lo : lo + 4096]).tocoo()
+        off_diag = block.row != (block.col + lo)
+        if np.any(off_diag):
+            mu = max(mu, float(np.abs(block.data[off_diag]).max()))
+    return mu
+
+
+def scipy_gram_nnls(a_matrix, b, tol: float = 1e-10) -> tuple[np.ndarray, int, float]:
+    """Lawson-Hanson NNLS with scipy.sparse mat-vecs: the gradient is
+    A^T (b - A x) from the residual of every iteration, the Gram column of
+    an entering column is A^T a_j, and the passive Gram block is rebuilt as
+    A_P^T A_P when columns leave. The passive subproblem keeps R = L^-1 of
+    the Cholesky factor L of G_PP, as the library does. Test oracle only.
+
+    Returns:
+        (x, iterations, residual norm).
+    """
+    a_csc = as_csc(a_matrix)
+    at = a_csc.T.tocsr()
+    n_rows, n_cols = a_csc.shape
+    c = at @ b
+    x = np.zeros(n_cols)
+    threshold = tol * float(np.max(np.abs(c)))
+    passive: list[int] = []
+    inv_chol = np.zeros((n_cols, n_cols))
+    resid = np.array(b, dtype=float)
+    for iterations in range(1, max(3 * n_cols, 30) + 1):
+        w = at @ resid
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= threshold:
+            return x, iterations, float(np.linalg.norm(resid))
+        column = np.zeros(n_rows)
+        entries = slice(a_csc.indptr[j], a_csc.indptr[j + 1])
+        column[a_csc.indices[entries]] = a_csc.data[entries]
+        gram_column = at @ column
+        k = len(passive)
+        r_block = inv_chol[:k, :k]
+        l_row = r_block @ gram_column[passive]
+        pivot = math.sqrt(gram_column[j] - float(l_row @ l_row))
+        inv_chol[k, :k] = (l_row @ r_block) / -pivot
+        inv_chol[k, k] = 1.0 / pivot
+        passive.append(j)
+        while passive:
+            r_block = inv_chol[: len(passive), : len(passive)]
+            z = r_block.T @ (r_block @ c[passive])
+            if np.all(z > 0.0):
+                x[:] = 0.0
+                x[passive] = z
+                break
+            xp = x[passive]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alpha = float(np.min(np.where(z <= 0.0, xp / (xp - z), np.inf)))
+            xp = np.maximum(xp + alpha * (z - xp), 0.0)
+            x[:] = 0.0
+            x[passive] = xp
+            passive = [idx for idx, val in zip(passive, xp) if val > 0.0]
+            if passive:
+                a_passive = a_csc[:, passive]
+                factor = np.linalg.cholesky((a_passive.T @ a_passive).toarray())
+                inv_chol[: len(passive), : len(passive)] = np.tril(np.linalg.inv(factor))
+        resid = b - a_csc @ x
+    raise AssertionError("scipy Gram NNLS did not converge")
+
+
 def short_wideband_config(tmp_path: Path) -> Path:
     """The shipped reconstruction config cut from 2 s to 0.2 s."""
     cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())

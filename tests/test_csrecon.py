@@ -13,6 +13,7 @@ from scipy.optimize import nnls as scipy_nnls
 from lockinsim import csrecon
 from lockinsim.cli import EXIT_OK, main
 from lockinsim.csrecon import (
+    CooMatrix,
     NnlsError,
     SamplingMatrix,
     WidebandGrid,
@@ -29,7 +30,14 @@ from lockinsim.csrecon import (
 from lockinsim.sampler import undersampled_bin
 from lockinsim.spectral import power_spectrum
 
-from .helpers import short_wideband_config, two_sided_sampling_matrix
+from .helpers import (
+    REPO_ROOT,
+    as_csc,
+    scipy_coherence,
+    scipy_gram_nnls,
+    short_wideband_config,
+    two_sided_sampling_matrix,
+)
 
 
 def reference_nnls(a_matrix, b, tol=1e-10):
@@ -40,7 +48,7 @@ def reference_nnls(a_matrix, b, tol=1e-10):
     Returns:
         (x, iterations).
     """
-    a_csc = sp.csc_matrix(a_matrix, dtype=float)
+    a_csc = as_csc(a_matrix)
     at = a_csc.T.tocsr()
     x = np.zeros(a_csc.shape[1])
     passive: list[int] = []
@@ -199,7 +207,7 @@ class TestBuildSamplingMatrix:
             n_i = int(rng.integers(16, 200))
             m = int(rng.integers(1, grid.num_bins // 2))
             mat = build_sampling_matrix(float(n_i), n_i, grid, support=[m])
-            rows = mat.matrix.tocoo().row
+            rows = mat.matrix.rows
             assert rows.size == 1
             assert int(rows[0]) == undersampled_bin(float(m), float(n_i), n_i)
 
@@ -224,6 +232,41 @@ class TestBuildSamplingMatrix:
             folded[:, support == 0] = two_sided[rows][:, support == 0]
             np.testing.assert_array_equal(mat.matrix.toarray(), folded)
 
+    def test_triplets_equal_scipy_csc_of_the_same_entries(self, monkeypatch):
+        # The entries build_sampling_matrix emits, summed by scipy.sparse:
+        # same coordinates, same order, bit-identical sums. Supports hold
+        # bins 0 and M/2, whose images meet on the DC and Nyquist rows.
+        entries = []
+        from_entries = CooMatrix.from_entries.__func__
+
+        def recording(cls, rows, cols, data, shape):
+            entries.append((rows, cols, data, shape))
+            return from_entries(cls, rows, cols, data, shape)
+
+        monkeypatch.setattr(CooMatrix, "from_entries", classmethod(recording))
+        rng = np.random.default_rng(41)
+        duplicates = 0
+        for _ in range(200):
+            duration = float(rng.choice([0.5, 1.0, 2.0]))
+            m_total = 2 * int(rng.integers(4, 150))
+            grid = WidebandGrid(duration_s=duration, nyquist_rate_hz=m_total / duration)
+            rate = float(rng.uniform(4.0 / duration, grid.nyquist_rate_hz))
+            n_i = int(rng.integers(2, 1.5 * rate * duration + 1))
+            drawn = rng.integers(0, m_total // 2 + 1, size=rng.integers(1, 40))
+            support = np.concatenate([[0, m_total // 2], drawn])
+            entries.clear()
+            mat = build_sampling_matrix(rate, n_i, grid, support).matrix
+            ((rows, cols, data, shape),) = entries
+            ref = sp.csc_matrix((data, (rows, cols)), shape=shape)
+            ref.sum_duplicates()
+            duplicates += rows.size - ref.nnz
+            assert mat.shape == ref.shape
+            np.testing.assert_array_equal(mat.rows, ref.indices)
+            ref_cols = np.repeat(np.arange(shape[1]), np.diff(ref.indptr))
+            np.testing.assert_array_equal(mat.cols, ref_cols)
+            np.testing.assert_array_equal(mat.data, ref.data)
+        assert duplicates > 0
+
     def test_validates_rate_length_and_support(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
         with pytest.raises(ValueError, match="sample_rate_hz"):
@@ -234,6 +277,59 @@ class TestBuildSamplingMatrix:
             build_sampling_matrix(128.0, 16, grid)
         with pytest.raises(ValueError, match="support"):
             build_sampling_matrix(16.0, 16, grid, support=[33])
+
+
+class TestCooMatrix:
+    """The numpy sparse type against scipy.sparse, bit for bit."""
+
+    @staticmethod
+    def random_matrix(rng, shape, nnz):
+        rows = rng.integers(0, shape[0], size=nnz)
+        cols = rng.integers(0, shape[1], size=nnz)
+        return rows, cols, rng.uniform(-1.0, 1.0, size=nnz)
+
+    def test_from_entries_sums_duplicates_as_scipy_does(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            shape = (int(rng.integers(1, 30)), int(rng.integers(1, 30)))
+            rows, cols, data = self.random_matrix(rng, shape, int(rng.integers(0, 60)))
+            # At most two entries per coordinate: their sum is order-free.
+            _, first = np.unique(cols * shape[0] + rows, return_index=True)
+            rows, cols, data = rows[first], cols[first], data[first]
+            twice = rng.random(rows.size) < 0.3
+            rows = np.concatenate([rows, rows[twice]])
+            cols = np.concatenate([cols, cols[twice]])
+            data = np.concatenate([data, rng.uniform(-1.0, 1.0, int(twice.sum()))])
+            mat = CooMatrix.from_entries(rows, cols, data, shape)
+            ref = sp.csc_matrix((data, (rows, cols)), shape=shape)
+            ref.sum_duplicates()
+            np.testing.assert_array_equal(mat.rows, ref.indices)
+            np.testing.assert_array_equal(mat.data, ref.data)
+            assert mat.nnz == ref.nnz
+            np.testing.assert_array_equal(mat.toarray(), ref.toarray())
+            dense = mat.toarray()
+            np.testing.assert_array_equal(CooMatrix.from_dense(dense).toarray(), dense)
+
+    def test_products_and_stacking_match_scipy(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n_cols = int(rng.integers(1, 40))
+            blocks = []
+            for _ in range(int(rng.integers(1, 4))):
+                shape = (int(rng.integers(1, 40)), n_cols)
+                blocks.append(CooMatrix.from_entries(*self.random_matrix(rng, shape, 80), shape))
+            mat = CooMatrix.vstack(blocks)
+            ref = sp.vstack([as_csc(blk) for blk in blocks], format="csc")
+            np.testing.assert_array_equal(mat.toarray(), ref.toarray())
+            x = rng.normal(size=n_cols)
+            y = rng.normal(size=mat.shape[0])
+            np.testing.assert_array_equal(mat.matvec(x), ref @ x)
+            np.testing.assert_array_equal(mat.rmatvec(y), ref.T.tocsr() @ y)
+            lo = int(rng.integers(0, n_cols))
+            hi = int(rng.integers(lo + 1, n_cols + 1))
+            np.testing.assert_array_equal(
+                mat.gram_rows(lo, hi), (ref.T.tocsr() @ ref[:, lo:hi]).toarray().T
+            )
 
 
 class TestCoherence:
@@ -261,10 +357,42 @@ class TestCoherence:
         # signed bin never lands within the interpolation width.
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
         mat = build_sampling_matrix(32.0, 16, grid, support=[9, 10])
-        assert mat.matrix.getnnz(axis=0).tolist() == [0, 1]
+        assert np.bincount(mat.matrix.cols, minlength=2).tolist() == [0, 1]
         report = coherence([mat, mat])
         assert report.num_zero_columns == 1
         assert report.mu == 0.0
+
+    def test_matches_the_scipy_oracle_to_two_ulp(self, monkeypatch):
+        # Random interpolated designs, in blocks of fewer columns than the
+        # design has. scipy's diagonal scaling leaves each column's entries
+        # in descending row order, so its Gram sums run over rows in the
+        # reverse order: where two columns share three or more rows, mu can
+        # differ in the last bit (1 ulp on 22 of 300 such designs).
+        monkeypatch.setattr(csrecon, "COHERENCE_BLOCK_ENTRIES", 3000)
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            m_total = 2 * int(rng.integers(16, 200))
+            grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=float(m_total))
+            support = np.unique(rng.integers(0, m_total // 2 + 1, size=rng.integers(2, 120)))
+            rates = rng.uniform(8.0, m_total, size=int(rng.integers(2, 6)))
+            mats = [
+                build_sampling_matrix(rate, int(rng.integers(4, rate + 1)), grid, support)
+                for rate in rates
+            ]
+            np.testing.assert_array_max_ulp(coherence(mats).mu, scipy_coherence(mats), maxulp=2)
+
+    def test_shipped_design_equals_the_scipy_oracle(self, tmp_path, monkeypatch):
+        # Bit for bit: the shipped rate-design output did not change.
+        matrices = []
+        monkeypatch.setattr(
+            "lockinsim.cli.coherence", lambda mats: matrices.append(mats) or coherence(mats)
+        )
+        out = tmp_path / "design.json"
+        path = str(REPO_ROOT / "configs" / "wideband_recovery.yaml")
+        assert main(["rate-design", "--config", path, "--out", str(out)]) == EXIT_OK
+        ((mats,),) = [matrices]
+        mu = json.loads(out.read_text())["result"]["coherence_mu"]
+        assert mu == scipy_coherence(mats)
 
     def test_requires_two_matrices_on_a_common_design(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
@@ -309,7 +437,7 @@ class TestNnls:
         a_matrix[np.abs(a_matrix) < 0.8] = 0.0
         b = rng.normal(size=25)
         x_dense, _ = nnls_active_set(a_matrix, b)
-        x_sparse, _ = nnls_active_set(sp.csc_matrix(a_matrix), b)
+        x_sparse, _ = nnls_active_set(CooMatrix.from_dense(a_matrix), b)
         np.testing.assert_allclose(x_sparse, x_dense, rtol=1e-12, atol=1e-14)
 
     def test_zero_gradient_returns_the_zero_solution(self):
@@ -389,6 +517,34 @@ class TestNnlsMatchesReference:
             x = assert_matches_reference(a_matrix, b)
             regrown += bool(refactors) and np.count_nonzero(x) > refactors[-1]
         assert regrown >= 5
+
+
+class TestNnlsMatchesScipyGramSolver:
+    """The Gram-column solver retraces the scipy.sparse solver it replaced:
+    same iterations, bit-identical x and residual."""
+
+    @staticmethod
+    def assert_identical(a_matrix, b, tol):
+        x, info = nnls_active_set(a_matrix, b, tol=tol)
+        x_ref, iterations, residual = scipy_gram_nnls(a_matrix, b, tol=tol)
+        assert info.iterations == iterations
+        np.testing.assert_array_equal(x, x_ref)
+        assert info.residual_norm == residual
+
+    def test_phase_diagram_instances(self, monkeypatch):
+        problems = capture_nnls_problems(monkeypatch)
+        recovery_phase_diagram([1, 3, 5], [2, 4, 6], trials=3, seed=311, grid_bins=1024)
+        assert len(problems) == 27
+        for a_matrix, b, tol in problems:
+            self.assert_identical(a_matrix, b, tol)
+
+    def test_wideband_recovery_problem(self, tmp_path, monkeypatch):
+        problems = capture_nnls_problems(monkeypatch)
+        out = tmp_path / "out.json"
+        path = str(short_wideband_config(tmp_path))
+        assert main(["reconstruct", "--config", path, "--out", str(out)]) == EXIT_OK
+        ((a_matrix, b, tol),) = problems
+        self.assert_identical(a_matrix, b, tol)
 
 
 class TestWidebandSpectrum:
@@ -548,7 +704,7 @@ class TestConjugateFold:
         specs = [
             power_spectrum(rng.normal(size=n), sample_rate_hz=rate) for rate, n in records
         ]
-        assert mats[0].matrix[7, :].nnz > 0  # the even record's Nyquist row is used
+        assert np.any(mats[0].matrix.rows == 7)  # the even record's Nyquist row is used
         problems = capture_nnls_problems(monkeypatch)
         reconstruct(specs, mats)
         ((a_folded, b_folded, _),) = problems
@@ -572,7 +728,7 @@ class TestConjugateFold:
             y = rng.uniform(0.0, 2.0, support.size)
             values = dict(zip(support.tolist(), y))
             x = np.array([values[min(m, m_total - m)] for m in both.tolist()])
-            folded = 2.0 * float(np.sum((a_folded @ y - b_folded) ** 2))
+            folded = 2.0 * float(np.sum((a_folded.toarray() @ y - b_folded) ** 2))
             two_sided = float(np.sum((a_full @ x - b_full) ** 2))
             assert folded == pytest.approx(two_sided, rel=1e-12)
 
@@ -602,6 +758,11 @@ class TestDesignRates:
         deltas = (periods - 1.31524e-3) / 1e-7
         np.testing.assert_allclose(deltas, np.round(deltas), atol=1e-6)
         assert float(periods.max()) <= 1.31524e-3 + 2e-5 + 1e-12
+
+    def test_top_delay_level_survives_rounding_of_the_level_count(self):
+        # 0.3 / 0.1 rounds to 2.9999999999999996: four levels, 0 .. 0.3 s.
+        rates = design_rates(4, 1.0, 0.3, 1, time_grid_s=0.1)
+        np.testing.assert_allclose(1.0 / rates, [1.0, 1.1, 1.2, 1.3], rtol=1e-15)
 
     def test_validates_counts_and_grid(self):
         with pytest.raises(ValueError):
