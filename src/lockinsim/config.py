@@ -1,19 +1,26 @@
-"""YAML run configuration: schema validation and domain-object construction.
+"""YAML run configuration: frozen dataclass sections filled by one loader.
 
-All stochastic entry points take their seed from the mandatory top-level
+Every stochastic entry point takes its seed from the mandatory top-level
 ``seed`` (overridable on the command line); every physical quantity carries
-its unit in the key name. Exactly one of ``schedule.dead_time_s`` /
-``schedule.sampling_period_s`` must be given, and tone amplitudes are set
-either directly (rad/s) or via an equivalent magnetic field amplitude.
+its unit in the key name. ``readout``, ``am`` and ``fm`` are their domain
+types, whose checks hold their bounds; ``cpmg`` and each tone build their
+domain objects at load. The loader takes an int, or YAML 1.1 exponent text such
+as ``1.2e6`` (a string to YAML), for a float; rejects booleans and non-finite
+values given for numbers; and names an unknown or missing key by its dotted path.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import math
+import types
+import typing
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
+from typing import Any, Literal
 
 import yaml
-from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from ._io import canonical_json, sha256_hex
 from .lockin import CpmgSequence
@@ -47,245 +54,198 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to CLI exit code 2)."""
 
 
-class _Model(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+def _at_least(section: object, low: float, *names: str, strict: bool = False) -> None:
+    """Raise ValueError unless each named field that is set (each entry of a
+    list field) is >= ``low``, or > ``low`` when ``strict``."""
+    for name in names:
+        value = getattr(section, name)
+        for v in value if isinstance(value, list) else [value]:
+            if v is not None and (v <= low if strict else v < low):
+                raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {v}")
 
 
-class ToneConfig(_Model):
-    frequency_hz: float = Field(gt=0.0)
-    amplitude_rad_per_s: float | None = Field(default=None, gt=0.0)
-    field_amplitude_tesla: float | None = Field(default=None, gt=0.0)
+@dataclass(frozen=True)
+class ToneConfig:
+    """One tone; its amplitude is given in rad/s or as a field amplitude (T)."""
+
+    frequency_hz: float
+    amplitude_rad_per_s: float | None = None
+    field_amplitude_tesla: float | None = None
     phase_rad: float = 0.0
 
-    @model_validator(mode="after")
-    def _one_amplitude(self) -> "ToneConfig":
+    def __post_init__(self) -> None:
         if (self.amplitude_rad_per_s is None) == (self.field_amplitude_tesla is None):
             raise ValueError(
                 "exactly one of amplitude_rad_per_s / field_amplitude_tesla is required"
             )
-        return self
+        self.build()
 
     def build(self) -> Tone:
-        amp = (
-            self.amplitude_rad_per_s
-            if self.amplitude_rad_per_s is not None
-            else amplitude_from_field_tesla(self.field_amplitude_tesla)
-        )
-        return Tone(
-            frequency_hz=self.frequency_hz,
-            amplitude_rad_per_s=amp,
-            phase_rad=self.phase_rad,
-        )
+        amp = self.amplitude_rad_per_s
+        if amp is None:
+            amp = amplitude_from_field_tesla(self.field_amplitude_tesla)
+        return Tone(self.frequency_hz, amp, self.phase_rad)
 
 
-class AmConfig(_Model):
-    mod_frequency_hz: float = Field(gt=0.0)
-    mod_depth: float = Field(ge=0.0, le=1.0)
-    mod_phase_rad: float = 0.0
-
-    def build(self) -> AmModulation:
-        return AmModulation(
-            mod_frequency_hz=self.mod_frequency_hz,
-            mod_depth=self.mod_depth,
-            mod_phase_rad=self.mod_phase_rad,
-        )
-
-
-class FmConfig(_Model):
-    linewidth_hz: float = Field(ge=0.0)
-    rng_seed: int
-    correlation_time_s: float = Field(default=2.0, gt=0.0)
-
-    def build(self) -> FmNoise:
-        return FmNoise(
-            linewidth_hz=self.linewidth_hz,
-            rng_seed=self.rng_seed,
-            correlation_time_s=self.correlation_time_s,
-        )
-
-
-class SignalGroupConfig(_Model):
-    tones: list[ToneConfig] = Field(min_length=1)
-    am: AmConfig | None = None
-    fm: FmConfig | None = None
+@dataclass(frozen=True)
+class SignalGroupConfig:
+    tones: list[ToneConfig]
+    am: AmModulation | None = None
+    fm: FmNoise | None = None
 
     def build(self) -> AcSignal:
-        return AcSignal(
-            tones=tuple(t.build() for t in self.tones),
-            am=self.am.build() if self.am else None,
-            fm=self.fm.build() if self.fm else None,
-        )
+        return AcSignal(tuple(t.build() for t in self.tones), self.am, self.fm)
 
 
-class SignalConfig(_Model):
-    """Either a single tone group or several independent groups."""
+@dataclass(frozen=True)
+class SignalConfig(SignalGroupConfig):
+    """Either a single tone group (the inherited fields) or several independent groups."""
 
     tones: list[ToneConfig] | None = None
-    am: AmConfig | None = None
-    fm: FmConfig | None = None
     groups: list[SignalGroupConfig] | None = None
 
-    @model_validator(mode="after")
-    def _exactly_one_form(self) -> "SignalConfig":
+    def __post_init__(self) -> None:
         if (self.groups is None) == (self.tones is None):
             raise ValueError("provide either 'tones' (one group) or 'groups', not both")
         if self.groups is not None and (self.am is not None or self.fm is not None):
             raise ValueError("'am'/'fm' belong inside each group when 'groups' is used")
-        if self.groups is not None and len(self.groups) < 1:
-            raise ValueError("'groups' must not be empty")
-        return self
+        self.build()
 
     def build(self) -> AcSignal | CompositeSignal:
-        if self.groups is not None:
-            if len(self.groups) == 1:
-                return self.groups[0].build()
-            return CompositeSignal(groups=tuple(g.build() for g in self.groups))
-        single = SignalGroupConfig(tones=self.tones, am=self.am, fm=self.fm)
-        return single.build()
+        if self.groups is None:
+            return super().build()
+        if len(self.groups) == 1:
+            return self.groups[0].build()
+        return CompositeSignal(tuple(g.build() for g in self.groups))
 
 
-class CpmgConfig(_Model):
-    pulse_count: int = Field(ge=2)
-    tau_s: float | None = Field(default=None, gt=0.0)
-    lockin_frequency_hz: float | None = Field(default=None, gt=0.0)
-    harmonic: int = Field(default=1, ge=1)
+@dataclass(frozen=True)
+class CpmgConfig:
+    """The CPMG sequence, timed by ``tau_s`` or by ``lockin_frequency_hz``."""
 
-    @model_validator(mode="after")
-    def _check(self) -> "CpmgConfig":
-        if self.pulse_count % 2 != 0:
-            raise ValueError("pulse_count must be even")
-        if self.harmonic % 2 != 1:
-            raise ValueError("harmonic must be odd")
+    pulse_count: int
+    tau_s: float | None = None
+    lockin_frequency_hz: float | None = None
+    harmonic: int = 1
+
+    def __post_init__(self) -> None:
         if (self.tau_s is None) == (self.lockin_frequency_hz is None):
             raise ValueError("exactly one of tau_s / lockin_frequency_hz is required")
-        return self
+        self.build()
 
     def build(self) -> CpmgSequence:
         if self.tau_s is not None:
-            return CpmgSequence(
-                pulse_count=self.pulse_count, tau_s=self.tau_s, harmonic=self.harmonic
-            )
-        return CpmgSequence.for_frequency(
-            self.lockin_frequency_hz, self.pulse_count, harmonic=self.harmonic
-        )
+            return CpmgSequence(self.pulse_count, self.tau_s, self.harmonic)
+        f_hz = self.lockin_frequency_hz
+        return CpmgSequence.for_frequency(f_hz, self.pulse_count, self.harmonic)
 
 
-class ReadoutConfig(_Model):
-    qnd_repetitions: int = Field(ge=1)
-    contrast: float = Field(gt=0.0, lt=1.0)
-    gain_slope_photons: float = Field(default=0.105, gt=0.0)
-    depolarization_per_readout: float = Field(default=0.0, ge=0.0)
-    readout_unit_time_s: float = Field(default=2.32e-6, gt=0.0)
+@dataclass(frozen=True)
+class ScheduleConfig:
+    """Sample count and timing, checked by :class:`SamplingSchedule` when built."""
 
-    def build(self) -> ReadoutModel:
-        return ReadoutModel(
-            qnd_repetitions=self.qnd_repetitions,
-            contrast=self.contrast,
-            gain_slope_photons=self.gain_slope_photons,
-            depolarization_per_readout=self.depolarization_per_readout,
-            readout_unit_time_s=self.readout_unit_time_s,
-        )
+    num_samples: int
+    dead_time_s: float | None = None
+    sampling_period_s: float | None = None
+    start_time_s: float = 0.0
+    clock_jitter_std_s: float = 0.0
 
-
-class ScheduleConfig(_Model):
-    num_samples: int = Field(ge=1)
-    dead_time_s: float | None = Field(default=None, ge=0.0)
-    sampling_period_s: float | None = Field(default=None, gt=0.0)
-    start_time_s: float = Field(default=0.0, ge=0.0)
-    clock_jitter_std_s: float = Field(default=0.0, ge=0.0)
-
-    @model_validator(mode="after")
-    def _one_period_spec(self) -> "ScheduleConfig":
+    def __post_init__(self) -> None:
         if (self.dead_time_s is None) == (self.sampling_period_s is None):
-            raise ValueError(
-                "exactly one of dead_time_s / sampling_period_s is required"
-            )
-        return self
+            raise ValueError("exactly one of dead_time_s / sampling_period_s is required")
 
     def build(self, seq: CpmgSequence, model: ReadoutModel) -> SamplingSchedule:
         if self.dead_time_s is not None:
-            return SamplingSchedule.from_components(
-                seq,
-                model,
-                self.dead_time_s,
-                self.num_samples,
-                start_time_s=self.start_time_s,
-                clock_jitter_std_s=self.clock_jitter_std_s,
-            )
-        return SamplingSchedule.from_period(
-            seq,
-            model,
-            self.sampling_period_s,
-            self.num_samples,
-            start_time_s=self.start_time_s,
-            clock_jitter_std_s=self.clock_jitter_std_s,
+            make, spacing = SamplingSchedule.from_components, self.dead_time_s
+        else:
+            make, spacing = SamplingSchedule.from_period, self.sampling_period_s
+        return make(
+            seq, model, spacing, self.num_samples,
+            start_time_s=self.start_time_s, clock_jitter_std_s=self.clock_jitter_std_s,
         )
 
 
-class AnalysisConfig(_Model):
-    window_half_bins: int = Field(default=12, ge=2)
-    window_linewidth_factor: float = Field(default=8.0, gt=0.0)
-    noise_guard_linewidths: float = Field(default=10.0, gt=0.0)
+@dataclass(frozen=True)
+class AnalysisConfig:
+    window_half_bins: int = 12
+    window_linewidth_factor: float = 8.0
+    noise_guard_linewidths: float = 10.0
     exact_snr: bool = False
-    target_frequency_hz: float | None = Field(default=None, gt=0.0)
+    target_frequency_hz: float | None = None
+
+    def __post_init__(self) -> None:
+        _at_least(self, 2, "window_half_bins")
+        names = ("window_linewidth_factor", "noise_guard_linewidths", "target_frequency_hz")
+        _at_least(self, 0, *names, strict=True)
 
 
-class SweepConfig(_Model):
-    qnd_repetitions: list[int] = Field(min_length=2)
+@dataclass(frozen=True)
+class SweepConfig:
+    qnd_repetitions: list[int]
 
-    @model_validator(mode="after")
-    def _positive(self) -> "SweepConfig":
-        if any(n < 1 for n in self.qnd_repetitions):
-            raise ValueError("qnd_repetitions entries must be >= 1")
-        return self
-
-
-class ScalingConfig(_Model):
-    num_samples_list: list[int] = Field(min_length=2)
-    seeds_per_point: int = Field(default=3, ge=1)
-
-    @model_validator(mode="after")
-    def _positive(self) -> "ScalingConfig":
-        if any(n < 8 for n in self.num_samples_list):
-            raise ValueError("num_samples_list entries must be >= 8")
-        return self
+    def __post_init__(self) -> None:
+        if len(self.qnd_repetitions) < 2:
+            raise ValueError("qnd_repetitions needs at least 2 entries")
+        _at_least(self, 1, "qnd_repetitions")
 
 
-class ReconstructionConfig(_Model):
-    nyquist_rate_hz: float = Field(gt=0.0)
-    duration_s: float = Field(gt=0.0)
-    sampling_periods_s: list[float] = Field(min_length=2)
-    records_per_rate: int = Field(default=1, ge=1)
-    support_bands_hz: list[tuple[float, float]] = Field(min_length=1)
+@dataclass(frozen=True)
+class ScalingConfig:
+    num_samples_list: list[int]
+    seeds_per_point: int = 3
+
+    def __post_init__(self) -> None:
+        if len(self.num_samples_list) < 2:
+            raise ValueError("num_samples_list needs at least 2 entries")
+        _at_least(self, 8, "num_samples_list")
+        _at_least(self, 1, "seeds_per_point")
+
+
+@dataclass(frozen=True)
+class ReconstructionConfig:
+    nyquist_rate_hz: float
+    duration_s: float
+    sampling_periods_s: list[float]
+    support_bands_hz: list[tuple[float, float]]
+    records_per_rate: int = 1
     floor_subtraction: Literal["median", "none"] = "median"
-    nnls_tol: float = Field(default=1e-10, gt=0.0)
+    nnls_tol: float = 1e-10
 
-    @model_validator(mode="after")
-    def _check(self) -> "ReconstructionConfig":
-        if any(p <= 0.0 for p in self.sampling_periods_s):
-            raise ValueError("sampling_periods_s entries must be > 0")
+    def __post_init__(self) -> None:
+        names = ("nyquist_rate_hz", "duration_s", "sampling_periods_s", "nnls_tol")
+        _at_least(self, 0, *names, strict=True)
+        _at_least(self, 1, "records_per_rate")
+        if len(self.sampling_periods_s) < 2:
+            raise ValueError("sampling_periods_s needs at least 2 entries")
         if len(set(self.sampling_periods_s)) != len(self.sampling_periods_s):
             raise ValueError("sampling_periods_s entries must be distinct")
+        if not self.support_bands_hz:
+            raise ValueError("support_bands_hz needs at least 1 entry")
         m = self.duration_s * self.nyquist_rate_hz
         if abs(m - round(m)) > 1e-6:
             raise ValueError("duration_s * nyquist_rate_hz must be an integer (grid size)")
-        return self
 
 
-class RateDesignConfig(_Model):
-    num_rates: int = Field(ge=2)
-    base_period_s: float = Field(gt=0.0)
-    max_extra_s: float = Field(gt=0.0)
-    time_grid_s: float = Field(default=1e-7, gt=0.0)
+@dataclass(frozen=True)
+class RateDesignConfig:
+    num_rates: int
+    base_period_s: float
+    max_extra_s: float
+    time_grid_s: float = 1e-7
+
+    def __post_init__(self) -> None:
+        _at_least(self, 2, "num_rates")
+        _at_least(self, 0, "base_period_s", "max_extra_s", "time_grid_s", strict=True)
 
 
-class RunConfig(_Model):
+@dataclass(frozen=True)
+class RunConfig:
     """Top-level run configuration (one YAML document)."""
 
     seed: int
     signal: SignalConfig | None = None
     cpmg: CpmgConfig | None = None
-    readout: ReadoutConfig | None = None
+    readout: ReadoutModel | None = None
     schedule: ScheduleConfig | None = None
     analysis: AnalysisConfig = AnalysisConfig()
     sweep: SweepConfig | None = None
@@ -296,25 +256,67 @@ class RunConfig(_Model):
     def require(self, *sections: str) -> None:
         missing = [s for s in sections if getattr(self, s) is None]
         if missing:
-            raise ConfigError(
-                "config is missing required section(s): " + ", ".join(missing)
-            )
+            raise ConfigError("config is missing required section(s): " + ", ".join(missing))
 
 
-def _format_validation_error(exc: ValidationError) -> str:
-    lines = []
-    for err in exc.errors():
-        path = ".".join(str(p) for p in err["loc"]) or "<root>"
-        lines.append(f"  {path}: {err['msg']}")
-    return "invalid configuration:\n" + "\n".join(lines)
+#: Field annotations of a section class, resolved once per process.
+_hints = functools.cache(typing.get_type_hints)
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _value(hint: Any, value: Any, path: str) -> Any:
+    """``value`` from the YAML document converted to the annotation ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # every optional field is written ``X | None``
+        return None if value is None else _value(args[0], value, path)
+    if dataclasses.is_dataclass(hint):
+        return _load(hint, value, path)
+    if origin is Literal:
+        if value in args:
+            return value
+    elif origin in (list, tuple):  # a list, or a fixed-length tuple such as a pair
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            pairs = enumerate(zip(args * len(value) if origin is list else args, value))
+            return origin(_value(a, v, f"{path}[{i}]") for i, (a, v) in pairs)
+    elif hint is float and not isinstance(value, bool):
+        try:
+            number = float(value)  # YAML 1.1 reads 1.2e6 as a string
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number):
+            return number
+    elif type(value) is hint:  # so a YAML bool is not an int
+        return value
+    raise ConfigError(f"{path}: expected {_EXPECTED.get(hint, hint)}, got {value!r}")
+
+
+def _load(cls: type, raw: Any, path: str) -> Any:
+    """Section ``cls`` filled from the YAML mapping ``raw`` found at ``path``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(raw).__name__}")
+    hints, dot = _hints(cls), f"{path}." if path else ""
+    for key in raw:
+        if key not in hints:
+            raise ConfigError(f"{dot}{key}: unknown key")
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        if field.name in raw:
+            kwargs[field.name] = _value(hints[field.name], raw[field.name], dot + field.name)
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"{dot}{field.name}: required key is missing")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a YAML run configuration.
 
     Raises:
-        ConfigError: On unreadable files, YAML syntax errors, or schema
-            violations (message lists each offending dotted path).
+        ConfigError: On unreadable files, YAML syntax errors, or the first
+            schema violation met, named by its dotted path.
     """
     path = Path(path)
     try:
@@ -325,17 +327,12 @@ def load_config(path: str | Path) -> RunConfig:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must contain a mapping at top level")
-    try:
-        return RunConfig.model_validate(raw)
-    except ValidationError as exc:
-        raise ConfigError(_format_validation_error(exc)) from exc
+    return _load(RunConfig, raw, "")
 
 
 def config_hash(config: RunConfig) -> str:
     """sha256 over the canonical JSON serialization of the resolved config."""
-    return sha256_hex(canonical_json(config.model_dump(mode="json")))
+    return sha256_hex(canonical_json(dataclasses.asdict(config)))
 
 
 def build_signal(config: RunConfig) -> AcSignal | CompositeSignal:
@@ -350,7 +347,7 @@ def build_sequence(config: RunConfig) -> CpmgSequence:
 
 def build_readout(config: RunConfig) -> ReadoutModel:
     config.require("readout")
-    return config.readout.build()
+    return config.readout
 
 
 def build_schedule(

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ._io import csv_text
-from .spectral import PowerSpectrum
+from .spectral import PowerSpectrum, _median
 
 __all__ = [
     "CooMatrix",
@@ -69,21 +69,14 @@ PHASE_DIAGRAM_RECORD_BINS = (48, 96)  # record lengths drawn from [48, 96)
 PHASE_DIAGRAM_AMPLITUDES = (0.5, 2.0)  # tone components drawn from [0.5, 2)
 
 
-# np.unique(values) and np.median import numpy.ma on first use (15 ms), and
-# reconstruct needs nothing else from it; these two give the same results.
+# np.unique(values) imports numpy.ma on first use (15 ms), and reconstruct
+# needs nothing else from it; this gives the same result.
 def _unique(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-D array."""
     values = np.sort(values)
     distinct = np.ones(values.size, dtype=bool)
     distinct[1:] = values[1:] != values[:-1]
     return values[distinct]
-
-
-def _median(values: np.ndarray) -> float:
-    """Median of a non-empty 1-D array of finite values."""
-    lo, hi = (values.size - 1) // 2, values.size // 2
-    part = np.partition(values, [lo, hi])
-    return float((part[lo] + part[hi]) / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -127,6 +127,53 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="not both"):
             load_config(write_config(tmp_path, cfg_both))
 
+    @pytest.mark.parametrize("text", ["1200000.0", "1.2e6", "1200000"])
+    def test_exponent_text_and_ints_read_as_floats(self, tmp_path, text):
+        # YAML 1.1 reads 1.2e6 (no sign in the exponent) as a string.
+        dumped = yaml.safe_dump(BASE_CONFIG)
+        assert "frequency_hz: 1200000.0" in dumped
+        path = tmp_path / "run.yaml"
+        path.write_text(dumped.replace("frequency_hz: 1200000.0", f"frequency_hz: {text}"))
+        config = load_config(path)
+        assert type(config.signal.tones[0].frequency_hz) is float
+        assert config_hash(config) == config_hash(load_config(write_config(tmp_path)))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seed": True}, r"^seed: expected an integer, got True"),
+            (
+                {"schedule": {"num_samples": True, "dead_time_s": 5.0e-4}},
+                r"^schedule\.num_samples: expected an integer",
+            ),
+            (
+                {"readout": {"qnd_repetitions": 260, "contrast": 0.35,
+                             "readout_unit_time_s": float("inf")}},
+                r"^readout\.readout_unit_time_s: expected a finite number, got inf",
+            ),
+            (
+                {"cpmg": {"pulse_count": 16, "tau_s": float("nan")}},
+                r"^cpmg\.tau_s: expected a finite number",
+            ),
+            ({"analysis": {"exact_snr": "yes"}}, r"^analysis\.exact_snr: expected true or false"),
+            ({"readout": [260, 0.35]}, r"^readout: expected a mapping, got list"),
+            (
+                {"readout": {"qnd_repetitions": 260, "contrast": 1.5}},
+                r"^readout: contrast must be in \(0, 1\), got 1\.5",
+            ),
+            (
+                {"signal": dict(BASE_CONFIG["signal"],
+                                am={"mod_frequency_hz": 1.0, "mod_depth": 2})},
+                r"^signal\.am: am\.mod_depth must be in \[0, 1\], got 2\.0",
+            ),
+        ],
+        ids=["bool-seed", "bool-int", "inf", "nan", "quoted-yes", "list-section",
+             "readout-bound", "am-bound"],
+    )
+    def test_rejects_values_naming_their_dotted_path(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, overrides))
+
     def test_field_amplitude_tones_build(self, tmp_path):
         tone = {"frequency_hz": 601254.7, "field_amplitude_tesla": 1.7e-7}
         config = load_config(write_config(tmp_path, {"signal": {"tones": [tone]}}))
@@ -582,7 +629,9 @@ class TestImportGraph:
     def scipy_modules(loaded):
         return sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
 
-    def test_cli_start_up_loads_no_scipy_module(self):
+    @staticmethod
+    def start_up_modules():
+        """Modules loaded by importing the CLI and loading a config."""
         config = TestShippedConfigs.CONFIG_DIR / "gain_sweep.yaml"
         code = (
             "import sys\n"
@@ -590,9 +639,30 @@ class TestImportGraph:
             f"lockinsim.config.load_config({str(config)!r})\n"
             "print(' '.join(sys.modules))\n"
         )
-        loaded = set(run_python(["-c", code]).split())
+        return set(run_python(["-c", code]).split())
+
+    def test_cli_start_up_loads_no_scipy_module(self):
+        loaded = self.start_up_modules()
         assert "lockinsim.cli" in loaded
         assert self.scipy_modules(loaded) == []
+
+    def test_cli_start_up_loads_no_pydantic_module(self):
+        # The config loader needs no validation library.
+        roots = {"pydantic", "pydantic_core", "annotated_types"}
+        assert [m for m in self.start_up_modules() if m.split(".")[0] in roots] == []
+
+    def test_fit_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median imports numpy.ma (15 ms) on first use; fit needs nothing from it.
+        argv = ["fit", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "f.json")]
+        code = (
+            "import sys\n"
+            "from lockinsim.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(' '.join(sys.modules))\n"
+        )
+        loaded = set(run_python(["-c", code]).split())
+        assert "lockinsim.spectral" in loaded
+        assert "numpy.ma" not in loaded
 
     def test_reconstruct_and_rate_design_load_no_scipy_module(self, tmp_path):
         config = str(short_wideband_config(tmp_path))
@@ -624,25 +694,32 @@ class TestBlasThreadCount:
         assert outputs[0] == outputs[1]
 
 
+#: config_sha256 of every shipped and benchmark config, as each payload
+#: records it: these pin the loader's canonical form of a config.
+CONFIG_HASHES = {
+    "am_sidebands_hour.yaml": "dfbea245ca75b862549674d656eacd8c9c583be0a528e74c4eb66f9087a5650a",
+    "broadened_pair.yaml": "781b439c637cf11861ef490b1b6ad799f936af303a48c0097b2ba67debf4a82b",
+    "gain_sweep.yaml": "eab440926da4bfb39c6e368c3f258028e1794ed968678f8d9c234777b58ab70e",
+    "wideband_recovery.yaml": "f8a4079caa8cc3eb41aaf96f9cc6ac3064c08e316a50cff992e3cf65e62931da",
+    "fast_fm.yaml": "0fc64f74ff72ce3737b9693497fe12665a36b98d058584f39fd2e1e37769dde7",
+    "wideband_recon.yaml": "72c196a4070b14d00105a38155bb33da72034ac4f8f26a5cc85b2d5e4538c8f1",
+}
+
+
 class TestShippedConfigs:
-    """Every example configuration in configs/ loads and hashes stably."""
+    """Every shipped and benchmark configuration loads to its pinned hash."""
 
     CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+    BENCH_CONFIG_DIR = CONFIG_DIR.parent / "bench" / "configs"
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "am_sidebands_hour.yaml",
-            "broadened_pair.yaml",
-            "gain_sweep.yaml",
-            "wideband_recovery.yaml",
-        ],
-    )
+    @pytest.mark.parametrize("name", list(CONFIG_HASHES))
     def test_loads_and_hashes_stably(self, name):
         path = self.CONFIG_DIR / name
+        if not path.exists():
+            path = self.BENCH_CONFIG_DIR / name
         config = load_config(path)
         assert config.seed is not None
-        assert config_hash(config) == config_hash(load_config(path))
+        assert config_hash(config) == CONFIG_HASHES[name]
 
     def test_the_directory_ships_exactly_the_documented_set(self):
         found = sorted(p.name for p in self.CONFIG_DIR.glob("*.yaml"))

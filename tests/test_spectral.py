@@ -16,6 +16,7 @@ from lockinsim.spectral import (
     FitError,
     PowerSpectrum,
     _lorentzian_jacobian,
+    _median,
     _reseed_fm,
     average_spectra,
     default_noise_band,
@@ -305,6 +306,23 @@ class TestTargetPeak:
         assert (low.peak_bin, low.window) == (2, (1, 15))
         high = locate_target_peak(spiked_spectrum({200: 5.0}), 199.0, 0.0, **self.WINDOW)
         assert (high.peak_bin, high.window) == (200, (188, 201))
+
+
+class TestMedian:
+    def test_equals_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for size in [*range(1, 12), 100, 101, 1000, 1001]:
+            values = rng.standard_normal(size) * 10.0 ** rng.uniform(-8, 8, size)
+            assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
+            ties = rng.integers(0, 3, size).astype(float)
+            assert _median(ties) == np.median(ties)
+
+    def test_any_nan_gives_nan_as_numpy_does(self):
+        for size in (1, 2, 7, 8):
+            for where in range(size):
+                values = np.arange(size, dtype=float)
+                values[where] = np.nan
+                assert math.isnan(_median(values)) and np.isnan(np.median(values))
 
 
 class TestLorentzianFit:
