@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["canonical_json", "csv_text", "sha256_hex"]
+__all__ = ["CSV_BLOCK_ROWS", "canonical_json", "csv_blocks", "sha256_hex"]
 
 
 def _jsonable(obj: Any) -> Any:
@@ -37,13 +37,24 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def csv_text(header: Sequence[str], columns: Sequence[Any]) -> str:
-    """CSV text: the ``header`` lines, then row k joins value k of every column.
+# Rows per block of :func:`csv_blocks`: a block's row strings and text stay a
+# few MB, however long the columns are.
+CSV_BLOCK_ROWS = 1 << 15
 
-    Each column (array or sequence) is formatted whole as ``str`` of its
-    Python scalars (``tolist``). For a Python float ``str`` is the shortest
+
+def csv_blocks(header: Sequence[str], columns: Sequence[Any]) -> Iterator[str]:
+    """CSV text in blocks: the ``header`` lines, then row k joins value k of
+    every column, ``CSV_BLOCK_ROWS`` rows per block; every line ends in a newline.
+
+    Each column (array or sequence) is formatted as ``str`` of its Python
+    scalars (``tolist``). For a Python float ``str`` is the shortest
     round-trip repr, so identical columns give identical bytes, and numpy
-    scalars print as plain numbers.
+    scalars print as plain numbers. Write the blocks in turn (``writelines``);
+    joined, they are the whole file.
     """
-    cells = [map(str, np.asarray(column).tolist()) for column in columns]
-    return "\n".join([*header, *map(",".join, zip(*cells))]) + "\n"
+    yield "".join(f"{line}\n" for line in header)
+    columns = [np.asarray(column) for column in columns]
+    rows = min((column.shape[0] for column in columns), default=0)
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        cells = [map(str, c[start : start + CSV_BLOCK_ROWS].tolist()) for c in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"

@@ -22,12 +22,12 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
-from ._io import canonical_json, csv_text
+from ._io import canonical_json, csv_blocks
 from .config import (
     ConfigError,
     RunConfig,
@@ -145,7 +145,7 @@ def _emit(
     csv_columns: Sequence[Any] | None = None,
 ) -> None:
     if fmt == "json":
-        text = canonical_json(payload) + "\n"
+        blocks: Iterable[str] = (canonical_json(payload) + "\n",)
     else:
         if csv_header is None or csv_columns is None:
             raise ConfigError("this subcommand does not support --format csv")
@@ -155,11 +155,12 @@ def _emit(
             f"# command={payload['command']}",
             ",".join(csv_header),
         )
-        text = csv_text(header, csv_columns)
+        blocks = csv_blocks(header, csv_columns)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(blocks)
 
 
 def _simulate_trace(config: RunConfig, seed: int, threads: int):

@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import csv_text
+from ._io import csv_blocks
 from .spectral import PowerSpectrum, _median
 
 __all__ = [
@@ -937,5 +937,6 @@ def write_matrix_csv(matrix: SamplingMatrix, path: str | Path) -> Path:
         "row,wideband_bin,weight",
     )
     columns = (coo.rows[order], matrix.support[coo.cols[order]], coo.data[order])
-    path.write_text(csv_text(header, columns))
+    with path.open("w") as fh:
+        fh.writelines(csv_blocks(header, columns))
     return path

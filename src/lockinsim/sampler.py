@@ -33,7 +33,7 @@ from .signal import (
     PhaseNoisePath,
     materialize_fm_noise,
 )
-from ._io import canonical_json, csv_text, sha256_hex
+from ._io import canonical_json, csv_blocks, sha256_hex
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -410,7 +410,8 @@ def write_trace(trace: TimeTrace, path: str | Path) -> Path:
         "k,t_k_s,counts",
     )
     columns = (np.arange(trace.num_samples), trace.times_s, trace.counts)
-    path.write_text(csv_text(header, columns))
+    with path.open("w") as fh:
+        fh.writelines(csv_blocks(header, columns))
     return path
 
 

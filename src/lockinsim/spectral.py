@@ -86,13 +86,52 @@ class PowerSpectrum:
         return np.arange(self.power.size) * self.bin_width_hz
 
 
+# Largest prime factor p of N up to which ``np.fft.rfft`` runs whole. Above it
+# pocketfft's radix-p pass over all N points costs more than the split in
+# ``_rfft``. At N near 4e5 on 2 cores, rfft against the split took 76-78
+# against 78-85 ns per point at p = 401, and 92-94 against 73-75 at p = 503.
+_SPLIT_PRIME = 500
+
+
+def _largest_prime_factor(n: int) -> int:
+    p, d = 1, 2
+    while d * d <= n:
+        while n % d == 0:
+            p, n = d, n // d
+        d += 1
+    return max(p, n)
+
+
+def _rfft(x: np.ndarray) -> np.ndarray:
+    """``np.fft.rfft(x)``, split at a large prime factor p of N = p q.
+
+    Cooley-Tukey in four steps: q length-p transforms down the columns of x
+    viewed as (p, q), the twiddles exp(-2 pi i k1 j2 / N) with k1 j2 < N exact
+    in int64, p length-q transforms along the rows, then X[k1 + p k2] =
+    B[k1, k2] for k <= N/2. For p <= ``_SPLIT_PRIME`` or prime N it is
+    ``np.fft.rfft`` itself.
+    """
+    n = x.size
+    p = _largest_prime_factor(n)
+    if p <= _SPLIT_PRIME or p == n:
+        return np.fft.rfft(x)
+    q = n // p
+    a = np.fft.fft(x.reshape(p, q), axis=0)
+    a *= np.exp((-2j * np.pi / n) * np.outer(np.arange(p), np.arange(q)))
+    b = np.fft.fft(a, axis=1)[:, : q // 2 + 1]
+    return b.T.ravel()[: n // 2 + 1]
+
+
 def power_spectrum(
     trace: TimeTrace | np.ndarray | Sequence[float],
     sample_rate_hz: float | None = None,
 ) -> PowerSpectrum:
     """Compute the unnormalized one-sided power spectrum of a trace.
 
-    Works for arbitrary N (mixed-radix/chirp FFT), no window, no zero padding.
+    Works for arbitrary N, no window, no zero padding. When the largest prime
+    factor p of N exceeds ``_SPLIT_PRIME`` (and N is not prime), the transform
+    is split into length-p and length-N/p transforms (see ``_rfft``);
+    otherwise it is ``np.fft.rfft`` over the whole trace.
 
     Args:
         trace: A :class:`TimeTrace` or a raw sample array (then
@@ -110,7 +149,7 @@ def power_spectrum(
     if samples.ndim != 1 or samples.size < 2:
         raise ValueError("power_spectrum requires a 1-D trace with N >= 2")
     n = samples.size
-    spectrum = np.fft.rfft(samples)
+    spectrum = _rfft(samples)
     power = spectrum.real**2 + spectrum.imag**2
     return PowerSpectrum(
         power=power, bin_width_hz=f_s / n, sample_rate_hz=f_s, num_samples=n

@@ -16,6 +16,7 @@ import yaml
 
 import lockinsim
 from lockinsim import __version__
+from lockinsim._io import CSV_BLOCK_ROWS, csv_blocks
 from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, _emit, main
 from lockinsim.config import ConfigError, config_hash, load_config
 from lockinsim.sampler import read_trace, undersampled_bin
@@ -607,6 +608,26 @@ class TestCsvOutput:
             csv_columns=([np.float64(0.5)], [np.int64(3)]),
         )
         assert out.read_text().splitlines()[-1] == "0.5,3"
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_blocks_join_to_the_whole_text(self, rows):
+        header = ("# a=1", "k,x")
+        columns = (np.arange(rows), np.random.default_rng(rows).normal(size=rows))
+        cells = [map(str, np.asarray(c).tolist()) for c in columns]
+        whole = "\n".join([*header, *map(",".join, zip(*cells))]) + "\n"
+        blocks = list(csv_blocks(header, columns))
+        assert "".join(blocks) == whole
+        assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
+
+    def test_spectrum_csv_to_stdout_and_out_file_is_the_same_bytes(self, tmp_path, capsysbinary):
+        path = write_config(tmp_path, {"schedule": {"num_samples": 70000, "dead_time_s": 5e-4}})
+        out = tmp_path / "spec.csv"
+        args = ["spectrum", "--config", str(path), "--format", "csv"]
+        assert main([*args, "--out", str(out)]) == EXIT_OK
+        assert main(args) == EXIT_OK
+        text = out.read_bytes()
+        assert capsysbinary.readouterr().out == text
+        assert text.count(b"\n") == 4 + 70000 // 2 + 1
 
 
 def run_python(argv, **env):

@@ -15,9 +15,12 @@ from lockinsim.signal import AcSignal, FmNoise, Tone
 from lockinsim.spectral import (
     FitError,
     PowerSpectrum,
+    _SPLIT_PRIME,
+    _largest_prime_factor,
     _lorentzian_jacobian,
     _median,
     _reseed_fm,
+    _rfft,
     average_spectra,
     default_noise_band,
     find_peak_bin,
@@ -128,6 +131,65 @@ class TestPowerSpectrum:
         spec = power_spectrum(trace)
         assert spec.num_samples == 64
         assert spec.sample_rate_hz == pytest.approx(1.0 / trace.sampling_period_s)
+
+
+def direct_rfft(values: np.ndarray) -> np.ndarray:
+    """X_k for k <= N/2 by the O(N^2) DFT sum, twiddle angles reduced mod N in int64."""
+    n = values.size
+    j = np.arange(n)
+    return np.concatenate(
+        [
+            np.exp((-2j * math.pi / n) * (np.outer(k, j) % n)) @ values
+            for k in np.array_split(np.arange(n // 2 + 1), 8)
+        ]
+    )
+
+
+class TestSplitRfft:
+    """``_rfft`` splits N = p q at a large prime factor p; elsewhere it is rfft."""
+
+    def test_split_and_rfft_match_the_direct_dft(self):
+        n = 3 * 1009
+        assert _largest_prime_factor(n) > _SPLIT_PRIME
+        x = np.random.default_rng(7).poisson(3.0, n).astype(float)
+        oracle = direct_rfft(x)
+        scale = np.abs(oracle).max()
+        for got in (_rfft(x), np.fft.rfft(x)):
+            assert np.abs(got - oracle).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [385_263, 854_798, 757_759, 1009**2])
+    def test_split_power_matches_rfft_on_poisson_traces(self, n):
+        assert _SPLIT_PRIME < _largest_prime_factor(n) < n
+        x = np.random.default_rng(n).poisson(3.0, n).astype(float)
+        got, ref = np.abs(_rfft(x)) ** 2, np.abs(np.fft.rfft(x)) ** 2
+        # Noise bins within 1e-10 of their median power; the DC bin holds the
+        # squared sum of all counts, so it is compared to its own size.
+        assert np.abs(got[1:] - ref[1:]).max() <= 1e-10 * np.median(ref[1:])
+        assert got[0] == pytest.approx(ref[0], rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 2**16, 456_190, 100_003, 331_553])
+    def test_unsplit_lengths_are_rfft_bit_for_bit(self, n):
+        p = _largest_prime_factor(n)
+        assert p <= _SPLIT_PRIME or p == n
+        x = np.random.default_rng(n).poisson(3.0, n).astype(float)
+        assert np.array_equal(_rfft(x), np.fft.rfft(x))
+
+    @pytest.mark.parametrize("n", [3 * 1009, 385_263, 854_798])
+    def test_no_transform_runs_over_the_whole_length(self, n, monkeypatch):
+        lengths = []
+        for name in ("fft", "rfft"):
+            real = getattr(np.fft, name)
+
+            def spy(a, *args, _real=real, axis=-1, **kwargs):
+                lengths.append(np.shape(a)[axis])
+                return _real(a, *args, axis=axis, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, spy)
+        p = _largest_prime_factor(n)
+        spec = power_spectrum(np.ones(n), sample_rate_hz=1.0)
+        assert spec.power[0] == pytest.approx(float(n) ** 2, rel=1e-13)
+        assert lengths and n not in lengths
+        assert max(lengths) <= max(p, n // p)
 
 
 class TestAverageSpectra:
