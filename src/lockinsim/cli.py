@@ -11,8 +11,12 @@ coherence). All randomness derives from the config's mandatory ``seed``
 sha256 of the resolved configuration, floats are serialized via ``repr``
 (shortest round trip), so identical runs produce byte-identical files.
 
+Each command but ``simulate`` returns its JSON result, CSV header and CSV
+columns (which may be None outside ``--format csv``); :func:`main` checks every
+number of the result for finiteness, then writes it.
+
 Exit codes: 0 success; 2 configuration/input errors; 3 numerical failures
-(non-convergent fits, NNLS cap, non-finite results).
+(non-convergent fits, NNLS cap, a non-finite value in any result field).
 """
 
 from __future__ import annotations
@@ -74,10 +78,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _require_finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise FitError(f"{what} is non-finite ({value})")
-    return value
+CommandResult = tuple[dict[str, Any], Sequence[str], Sequence[Any] | None]
+
+
+def _require_finite(value: Any, key: str = "result") -> None:
+    """Raise FitError naming the dotted ``key`` of any non-finite number."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FitError(f"{key} is non-finite ({value})")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _require_finite(v, f"{key}.{k}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        for i, v in enumerate(value):
+            _require_finite(v, f"{key}.{i}")
+
+
+def _models(config: RunConfig) -> tuple[AnySignal, CpmgSequence, ReadoutModel]:
+    """The config's signal, CPMG sequence and readout model."""
+    return build_signal(config), build_sequence(config), build_readout(config)
 
 
 def _target_peak(
@@ -99,7 +117,6 @@ def _target_snr(
     signal: AnySignal,
     seq: CpmgSequence,
     model: ReadoutModel,
-    what: str,
 ) -> tuple[TargetPeak, SnrReport]:
     """Locate the target peak and measure its SNR against the noise band.
 
@@ -124,17 +141,7 @@ def _target_snr(
         spec, peak.peak_bin, band, model=model,
         phi_max=abs(phase_amplitude(target_tone, seq)), exact=config.analysis.exact_snr,
     )
-    _require_finite(report.measured_snr, what)
     return peak, report
-
-
-def _payload(config: RunConfig, command: str, result: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "tool_version": __version__,
-        "config_sha256": config_hash(config),
-        "command": command,
-        "result": result,
-    }
 
 
 def _emit(
@@ -164,14 +171,19 @@ def _emit(
 
 
 def _simulate_trace(config: RunConfig, seed: int, threads: int):
-    signal = build_signal(config)
-    seq = build_sequence(config)
-    model = build_readout(config)
+    signal, seq, model = _models(config)
     sched = build_schedule(config, seq, model)
     trace = run_sampling(
         signal, seq, model, sched, np.random.SeedSequence(seed), num_threads=threads
     )
     return signal, seq, model, trace
+
+
+def _wideband(config: RunConfig) -> tuple[WidebandGrid, np.ndarray, bool]:
+    """The reconstruction grid, its support and whether the bands overlapped."""
+    rcfg = config.reconstruction
+    grid = WidebandGrid(duration_s=rcfg.duration_s, nyquist_rate_hz=rcfg.nyquist_rate_hz)
+    return (grid, *support_from_bands(grid, rcfg.support_bands_hz))
 
 
 def cmd_simulate(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
@@ -184,83 +196,55 @@ def cmd_simulate(config: RunConfig, seed: int, out: str | None, threads: int, fm
     write_trace(trace, out)
 
 
-def cmd_spectrum(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
+def cmd_spectrum(
+    config: RunConfig, seed: int, out: str | None, threads: int, fmt: str
+) -> CommandResult:
     """Simulate a trace and report its power spectrum and SNR."""
     signal, seq, model, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
     peak, report = _target_snr(
-        config, spec, target_frequency_hz(config, signal), signal, seq, model, "measured SNR"
+        config, spec, target_frequency_hz(config, signal), signal, seq, model
     )
-    result = {
-        "num_samples": spec.num_samples,
-        "bin_width_hz": spec.bin_width_hz,
-        "sample_rate_hz": spec.sample_rate_hz,
-        "expected_bin": peak.expected_bin,
-        "peak_bin": report.peak_bin,
-        "peak_power": report.peak_power,
-        "noise_mean": report.noise_mean,
-        "noise_std": report.noise_std,
-        "noise_band_bins": int(report.noise_band.size),
-        "measured_snr": report.measured_snr,
-        "predicted_snr_ideal": report.predicted_snr_ideal,
-        "predicted_snr_depolarized": report.predicted_snr_depolarized,
-        "exact": report.exact,
-    }
+    result = dict(vars(report))  # asdict would copy the noise band, N/2 bins
+    result["noise_band_bins"] = int(result.pop("noise_band").size)
+    result.update(
+        num_samples=spec.num_samples,
+        bin_width_hz=spec.bin_width_hz,
+        sample_rate_hz=spec.sample_rate_hz,
+        expected_bin=peak.expected_bin,
+    )
     columns = None
     if fmt == "csv":
         bins = np.arange(spec.num_bins)
         columns = (bins, bins * spec.bin_width_hz, spec.power)
-    _emit(
-        _payload(config, "spectrum", result),
-        fmt,
-        out,
-        csv_header=("bin", "frequency_hz", "power"),
-        csv_columns=columns,
-    )
+    return result, ("bin", "frequency_hz", "power"), columns
 
 
-def cmd_fit(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
+def cmd_fit(
+    config: RunConfig, seed: int, out: str | None, threads: int, fmt: str
+) -> CommandResult:
     """Fit a Lorentzian to the spectral peak near the target frequency."""
     signal, *_, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
     f_target = target_frequency_hz(config, signal)
     peak = _target_peak(config, spec, f_target, signal)
-    fit = fit_lorentzian(spec, peak.window)
-    _require_finite(fit.center_hz, "fitted center")
-    _require_finite(fit.sigma_center_hz, "fitted center uncertainty")
-    result = {
-        "window": list(fit.window),
-        "center_hz": fit.center_hz,
-        "width_hz": fit.width_hz,
-        "amplitude": fit.amplitude,
-        "offset": fit.offset,
-        "sigma_center_hz": fit.sigma_center_hz,
-        "sigma_res": fit.sigma_res,
-        "n_iterations": fit.n_iterations,
-        "converged": fit.converged,
-        "target_frequency_hz": f_target,
-        "expected_bin": peak.expected_bin,
-    }
+    result = dataclasses.asdict(fit_lorentzian(spec, peak.window))
+    del result["covariance"]
+    result.update(target_frequency_hz=f_target, expected_bin=peak.expected_bin)
     header = ("center_hz", "width_hz", "amplitude", "offset", "sigma_center_hz")
-    _emit(
-        _payload(config, "fit", result),
-        fmt,
-        out,
-        csv_header=header,
-        csv_columns=[[result[k]] for k in header],
-    )
+    return result, header, [[result[k]] for k in header]
 
 
-def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
+def cmd_snr_sweep(
+    config: RunConfig, seed: int, out: str | None, threads: int, fmt: str
+) -> CommandResult:
     """Measure SNR against the analytic law over a readout-depth sweep."""
     config.require("sweep")
-    signal = build_signal(config)
-    seq = build_sequence(config)
-    base_model = build_readout(config)
+    signal, seq, base_model = _models(config)
     base_sched = build_schedule(config, seq, base_model)
     f_target = target_frequency_hz(config, signal)
-
-    rows = []
+    reported = ("peak_bin", "measured_snr", "predicted_snr_ideal", "predicted_snr_depolarized")
+    result: dict[str, list] = {k: [] for k in ("qnd_repetitions", "sampling_period_s", *reported)}
     for idx, n in enumerate(config.sweep.qnd_repetitions):
         model = dataclasses.replace(base_model, qnd_repetitions=n)
         # The dead time stays fixed; the readout train sets the period.
@@ -270,108 +254,54 @@ def cmd_snr_sweep(config: RunConfig, seed: int, out: str | None, threads: int, f
             np.random.SeedSequence((seed, idx)), num_threads=threads,
         )
         spec = power_spectrum(trace)
-        _, report = _target_snr(
-            config, spec, f_target, signal, seq, model, f"measured SNR at n={n}"
-        )
-        rows.append(
-            (
-                n,
-                sched.sampling_period_s,
-                report.peak_bin,
-                report.measured_snr,
-                report.predicted_snr_ideal,
-                report.predicted_snr_depolarized,
-            )
-        )
-    result = {
-        "qnd_repetitions": [r[0] for r in rows],
-        "sampling_period_s": [r[1] for r in rows],
-        "peak_bin": [r[2] for r in rows],
-        "measured_snr": [r[3] for r in rows],
-        "predicted_snr_ideal": [r[4] for r in rows],
-        "predicted_snr_depolarized": [r[5] for r in rows],
-    }
-    _emit(
-        _payload(config, "snr-sweep", result),
-        fmt,
-        out,
-        csv_header=tuple(result),
-        csv_columns=tuple(result.values()),
-    )
+        _, report = _target_snr(config, spec, f_target, signal, seq, model)
+        result["qnd_repetitions"].append(n)
+        result["sampling_period_s"].append(sched.sampling_period_s)
+        for key in reported:
+            result[key].append(getattr(report, key))
+    return result, tuple(result), tuple(result.values())
 
 
-def cmd_scaling(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
+def cmd_scaling(
+    config: RunConfig, seed: int, out: str | None, threads: int, fmt: str
+) -> CommandResult:
     """Run the duration-scaling study of linewidth and center uncertainty."""
     config.require("scaling")
-    signal = build_signal(config)
-    seq = build_sequence(config)
-    model = build_readout(config)
-    result_obj = scaling_study(
-        signal,
-        seq,
-        model,
-        build_schedule(config, seq, model).dead_time_s,
-        config.scaling.num_samples_list,
-        seed,
-        seeds_per_point=config.scaling.seeds_per_point,
-        window_bins=config.analysis.window_half_bins,
-        window_linewidth_factor=config.analysis.window_linewidth_factor,
-        target_frequency_hz=config.analysis.target_frequency_hz,
-        num_threads=threads,
+    signal, seq, model = _models(config)
+    result = dataclasses.asdict(
+        scaling_study(
+            signal,
+            seq,
+            model,
+            build_schedule(config, seq, model).dead_time_s,
+            config.scaling.num_samples_list,
+            seed,
+            seeds_per_point=config.scaling.seeds_per_point,
+            window_bins=config.analysis.window_half_bins,
+            window_linewidth_factor=config.analysis.window_linewidth_factor,
+            target_frequency_hz=config.analysis.target_frequency_hz,
+            num_threads=threads,
+        )
     )
-    for w, s in zip(result_obj.width_hz, result_obj.sigma_center_hz):
-        _require_finite(float(w), "fitted linewidth")
-        _require_finite(float(s), "center uncertainty")
-    result = {
-        "durations_s": result_obj.durations_s.tolist(),
-        "num_samples": result_obj.num_samples.tolist(),
-        "bin_width_hz": result_obj.bin_width_hz.tolist(),
-        "width_hz": result_obj.width_hz.tolist(),
-        "sigma_center_hz": result_obj.sigma_center_hz.tolist(),
-        "intrinsic_width_hz": result_obj.intrinsic_width_hz,
-        "resolved": result_obj.resolved_mask.tolist(),
-        "width_slope_unresolved": result_obj.width_slope_unresolved,
-        "width_plateau_hz": result_obj.width_plateau_hz,
-        "sigma_center_slope_unresolved": result_obj.sigma_center_slope_unresolved,
-        "sigma_center_slope_resolved": result_obj.sigma_center_slope_resolved,
-    }
-    _emit(
-        _payload(config, "scaling", result),
-        fmt,
-        out,
-        csv_header=(
-            "num_samples",
-            "duration_s",
-            "bin_width_hz",
-            "width_hz",
-            "sigma_center_hz",
-            "resolved",
-        ),
-        csv_columns=(
-            result_obj.num_samples,
-            result_obj.durations_s,
-            result_obj.bin_width_hz,
-            result_obj.width_hz,
-            result_obj.sigma_center_hz,
-            result_obj.resolved_mask,
-        ),
-    )
+    result["resolved"] = result.pop("resolved_mask")
+    keys = ("num_samples", "durations_s", "bin_width_hz", "width_hz", "sigma_center_hz", "resolved")
+    header = ("num_samples", "duration_s", *keys[2:])
+    return result, header, [result[k] for k in keys]
 
 
-def cmd_reconstruct(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
+def cmd_reconstruct(
+    config: RunConfig, seed: int, out: str | None, threads: int, fmt: str
+) -> CommandResult:
     """Reconstruct the sparse wideband spectrum from multi-rate records."""
     config.require("reconstruction")
     rcfg = config.reconstruction
-    signal = build_signal(config)
-    seq = build_sequence(config)
-    model = build_readout(config)
-    grid = WidebandGrid(duration_s=rcfg.duration_s, nyquist_rate_hz=rcfg.nyquist_rate_hz)
-    support, overlapped = support_from_bands(grid, rcfg.support_bands_hz)
+    signal, seq, model = _models(config)
+    grid, support, overlapped = _wideband(config)
 
     spectra = []
     matrices = []
     for i, t_s in enumerate(rcfg.sampling_periods_s):
-        n_i = int(math.floor(rcfg.duration_s / t_s + 1e-9))
+        n_i = grid.record_bins(1.0 / t_s)
         sched = SamplingSchedule.from_period(seq, model, t_s, n_i)
         records = []
         for r in range(rcfg.records_per_rate):
@@ -381,9 +311,7 @@ def cmd_reconstruct(config: RunConfig, seed: int, out: str | None, threads: int,
             )
             records.append(power_spectrum(trace))
         spectra.append(average_spectra(records))
-        matrices.append(
-            build_sampling_matrix(sched.sample_rate_hz, n_i, grid, support)
-        )
+        matrices.append(build_sampling_matrix(sched.sample_rate_hz, n_i, grid, support))
     floor = None if rcfg.floor_subtraction == "none" else rcfg.floor_subtraction
     spectrum, diag = reconstruct(
         spectra, matrices, floor_subtraction=floor, tol=rcfg.nnls_tol
@@ -403,18 +331,14 @@ def cmd_reconstruct(config: RunConfig, seed: int, out: str | None, threads: int,
         "floor_estimates": diag.floor_estimates.tolist(),
         "num_dc_coupled_columns": diag.num_dc_coupled_columns,
     }
-    _emit(
-        _payload(config, "reconstruct", result),
-        fmt,
-        out,
-        csv_header=("wideband_bin", "frequency_hz", "component"),
-        csv_columns=[
-            result[k] for k in ("nonzero_bins", "nonzero_frequencies_hz", "nonzero_components")
-        ],
-    )
+    header = ("wideband_bin", "frequency_hz", "component")
+    columns = [result[k] for k in ("nonzero_bins", "nonzero_frequencies_hz", "nonzero_components")]
+    return result, header, columns
 
 
-def cmd_rate_design(config: RunConfig, seed: int, out: str | None, threads: int, fmt: str) -> None:
+def cmd_rate_design(
+    config: RunConfig, seed: int, out: str | None, threads: int, fmt: str
+) -> CommandResult:
     """Propose incoherent sampling rates and report their coherence."""
     config.require("rate_design")
     dcfg = config.rate_design
@@ -435,36 +359,22 @@ def cmd_rate_design(config: RunConfig, seed: int, out: str | None, threads: int,
         "sampling_periods_s": (1.0 / rates).tolist(),
     }
     if config.reconstruction is not None:
-        rcfg = config.reconstruction
-        grid = WidebandGrid(
-            duration_s=rcfg.duration_s, nyquist_rate_hz=rcfg.nyquist_rate_hz
-        )
-        support, _ = support_from_bands(grid, rcfg.support_bands_hz)
+        grid, support, _ = _wideband(config)
         matrices = [
-            build_sampling_matrix(
-                f_s, int(math.floor(rcfg.duration_s * f_s + 1e-9)), grid, support
-            )
-            for f_s in rates
+            build_sampling_matrix(f_s, grid.record_bins(f_s), grid, support) for f_s in rates
         ]
         report = coherence(matrices)
         result.update(
-            {
-                "coherence_mu": report.mu,
-                "num_zero_columns": report.num_zero_columns,
-                "num_columns": report.num_columns,
-            }
+            coherence_mu=report.mu,
+            num_zero_columns=report.num_zero_columns,
+            num_columns=report.num_columns,
         )
         if fmt == "csv":
             base = Path(out)
             for k, mat in enumerate(matrices):
                 write_matrix_csv(mat, base.with_suffix(f".matrix{k}.csv"))
-    _emit(
-        _payload(config, "rate-design", result),
-        fmt,
-        out,
-        csv_header=("sample_rate_hz", "sampling_period_s"),
-        csv_columns=[result["sample_rates_hz"], result["sampling_periods_s"]],
-    )
+    header = ("sample_rate_hz", "sampling_period_s")
+    return result, header, [result["sample_rates_hz"], result["sampling_periods_s"]]
 
 
 _COMMANDS = {
@@ -509,7 +419,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed = args.seed if args.seed is not None else config.seed
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        _COMMANDS[args.command](config, seed, args.out, args.threads, args.fmt)
+        returned = _COMMANDS[args.command](config, seed, args.out, args.threads, args.fmt)
+        if returned is not None:
+            result, csv_header, csv_columns = returned
+            _require_finite(result)
+            payload = {
+                "tool_version": __version__,
+                "config_sha256": config_hash(config),
+                "command": args.command,
+                "result": result,
+            }
+            _emit(payload, args.fmt, args.out, csv_header, csv_columns)
     except ConfigError as exc:
         print(f"lockinsim: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

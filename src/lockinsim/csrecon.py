@@ -228,6 +228,11 @@ class WidebandGrid:
         """Grid spacing 1/T."""
         return 1.0 / self.duration_s
 
+    def record_bins(self, sample_rate_hz: float) -> int:
+        """Length N = floor(T f_s) of a record at rate f_s spanning T, with
+        T f_s a hair below an integer rounded up to it."""
+        return int(math.floor(self.duration_s * sample_rate_hz + 1e-9))
+
     def frequency_hz(self, bins: int | np.ndarray) -> np.ndarray:
         """Absolute frequency of grid bin(s)."""
         return np.asarray(bins) * self.resolution_hz
@@ -421,6 +426,22 @@ class CoherenceReport:
     num_columns: int
 
 
+def _shared_design(matrices: Sequence[SamplingMatrix]) -> tuple[WidebandGrid, np.ndarray]:
+    """The grid and support of ``matrices[0]``, which every matrix must share.
+
+    Raises:
+        ValueError: If a matrix has another grid or another support.
+    """
+    grid = matrices[0].grid
+    support = matrices[0].support
+    for m in matrices[1:]:
+        if m.grid != grid:
+            raise ValueError("all matrices must share the same wideband grid")
+        if m.support.shape != support.shape or np.any(m.support != support):
+            raise ValueError("all matrices must share the same support")
+    return grid, support
+
+
 def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """Mutual coherence of the stacked design (memory-bounded, exact).
 
@@ -436,13 +457,7 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """
     if len(matrices) < 2:
         raise ValueError("coherence requires at least two matrices")
-    grid = matrices[0].grid
-    support = matrices[0].support
-    for m in matrices[1:]:
-        if m.grid != grid:
-            raise ValueError("all matrices must share the same wideband grid")
-        if m.support.shape != support.shape or np.any(m.support != support):
-            raise ValueError("all matrices must share the same support")
+    _, support = _shared_design(matrices)
 
     stacked = CooMatrix.vstack([m.matrix for m in matrices])
     # Column sums by reduceat, as scipy.sparse forms them (pairwise).
@@ -757,8 +772,7 @@ def reconstruct(
         raise ValueError("need equally many spectra and matrices (>= 1)")
     if floor_subtraction not in (None, "median"):
         raise ValueError(f"unknown floor_subtraction {floor_subtraction!r}")
-    grid = matrices[0].grid
-    support = matrices[0].support
+    grid, support = _shared_design(matrices)
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     weights: list[np.ndarray] = []
@@ -767,10 +781,6 @@ def reconstruct(
     rows_used = 0
     dc_coupled = np.zeros(support.size, dtype=bool)
     for i, (spec, mat) in enumerate(zip(spectra, matrices)):
-        if mat.grid != grid:
-            raise ValueError("matrices use inconsistent wideband grids")
-        if mat.support.shape != support.shape or np.any(mat.support != support):
-            raise ValueError("matrices use inconsistent supports")
         if spec.num_samples != mat.num_record_bins:
             raise ValueError(
                 f"record {i}: spectrum has N={spec.num_samples} but the matrix "

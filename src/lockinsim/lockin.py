@@ -154,13 +154,22 @@ def _bandpass_kernel(u: np.ndarray, pulse_count: int) -> np.ndarray:
     return sign * np.cos(v) * kernel
 
 
+def _passband_gain(
+    amplitude_rad_per_s: float, omega: float | np.ndarray, seq: CpmgSequence
+) -> float | np.ndarray:
+    """Signed peak phase (2 Omega / omega) tan(omega tau / 2) sin(K omega tau / 2)
+    of a carrier at angular frequency ``omega``."""
+    return (2.0 * amplitude_rad_per_s / omega) * _bandpass_kernel(
+        omega * seq.tau_s / 2.0, seq.pulse_count
+    )
+
+
 def _tone_phase(tone: Tone, seq: CpmgSequence, t: np.ndarray) -> np.ndarray:
     omega = TWO_PI * tone.frequency_hz
     u = omega * seq.tau_s / 2.0
-    prefactor = (2.0 * tone.amplitude_rad_per_s / omega) * _bandpass_kernel(
-        u, seq.pulse_count
+    return _passband_gain(tone.amplitude_rad_per_s, omega, seq) * np.sin(
+        omega * t + tone.phase_rad + seq.pulse_count * u
     )
-    return prefactor * np.sin(omega * t + tone.phase_rad + seq.pulse_count * u)
 
 
 def _fm_phase(
@@ -208,10 +217,7 @@ def _fm_phase(
         phi = np.zeros(mid.size)
         for tone in tones:
             omega = TWO_PI * tone.frequency_hz
-            shifted = omega + slope[runs]
-            gain = (2.0 * tone.amplitude_rad_per_s / shifted) * _bandpass_kernel(
-                shifted * tau / 2.0, seq.pulse_count
-            )
+            gain = _passband_gain(tone.amplitude_rad_per_s, omega + slope[runs], seq)
             phi += np.repeat(gain, run_lengths) * np.sin(omega * mid + tone.phase_rad + psi)
         out[inside] = phi
     crossing = np.flatnonzero(~inside)
@@ -311,12 +317,7 @@ def phase_amplitude(tone: Tone, seq: CpmgSequence) -> float:
 
     On resonance (tau = m / (2 f_ac)) this equals 2 t_a Omega / (m pi).
     """
-    omega = TWO_PI * tone.frequency_hz
-    u = omega * seq.tau_s / 2.0
-    return float(
-        abs(2.0 * tone.amplitude_rad_per_s / omega)
-        * abs(_bandpass_kernel(np.asarray(u), seq.pulse_count))
-    )
+    return float(abs(_passband_gain(tone.amplitude_rad_per_s, TWO_PI * tone.frequency_hz, seq)))
 
 
 def phase_by_integration(

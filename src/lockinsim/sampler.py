@@ -146,11 +146,11 @@ class SamplingSchedule:
                 f"sampling_period_s = {sampling_period_s} is shorter than "
                 f"t_a + t_r = {seq.sensing_time_s + model.readout_time_s}"
             )
-        return SamplingSchedule(
-            sensing_time_s=seq.sensing_time_s,
-            readout_time_s=model.readout_time_s,
-            dead_time_s=max(0.0, dead),
-            num_samples=num_samples,
+        return SamplingSchedule.from_components(
+            seq,
+            model,
+            max(0.0, dead),
+            num_samples,
             start_time_s=start_time_s,
             clock_jitter_std_s=clock_jitter_std_s,
         )

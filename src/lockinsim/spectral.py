@@ -107,8 +107,9 @@ def _rfft(x: np.ndarray) -> np.ndarray:
 
     Cooley-Tukey in four steps: q length-p transforms down the columns of x
     viewed as (p, q), the twiddles exp(-2 pi i k1 j2 / N) with k1 j2 < N exact
-    in int64, p length-q transforms along the rows, then X[k1 + p k2] =
-    B[k1, k2] for k <= N/2. For p <= ``_SPLIT_PRIME`` or prime N it is
+    in int64 (formed as cos + i sin of the real angle, about twice as fast as
+    ``np.exp`` of the complex one), p length-q transforms along the rows, then
+    X[k1 + p k2] = B[k1, k2] for k <= N/2. For p <= ``_SPLIT_PRIME`` or prime N it is
     ``np.fft.rfft`` itself.
     """
     n = x.size
@@ -117,7 +118,12 @@ def _rfft(x: np.ndarray) -> np.ndarray:
         return np.fft.rfft(x)
     q = n // p
     a = np.fft.fft(x.reshape(p, q), axis=0)
-    a *= np.exp((-2j * np.pi / n) * np.outer(np.arange(p), np.arange(q)))
+    angle = (-2.0 * np.pi / n) * np.outer(np.arange(p), np.arange(q))
+    twiddle = np.empty((p, q), dtype=complex)
+    np.cos(angle, out=twiddle.real)
+    np.sin(angle, out=twiddle.imag)
+    a *= twiddle
+    del angle, twiddle  # freed before the row transforms, which double a's memory
     b = np.fft.fft(a, axis=1)[:, : q // 2 + 1]
     return b.T.ravel()[: n // 2 + 1]
 

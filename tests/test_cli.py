@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 import yaml
 
 import lockinsim
-from lockinsim import __version__
+from lockinsim import __version__, csrecon, spectral
 from lockinsim._io import CSV_BLOCK_ROWS, csv_blocks
 from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, _emit, main
 from lockinsim.config import ConfigError, config_hash, load_config
@@ -578,6 +579,31 @@ class TestExitCodes:
         path = write_config(tmp_path)
         assert main(["fit", "--config", str(path)]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_reconstruction_exits_3_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def nan_residual(*args, **kwargs):
+            spectrum, diag = csrecon.reconstruct(*args, **kwargs)
+            return spectrum, dataclasses.replace(diag, residual_norm=np.nan)
+
+        monkeypatch.setattr("lockinsim.cli.reconstruct", nan_residual)
+        out = tmp_path / "recon.json"
+        argv = ["reconstruct", "--config", str(short_wideband_config(tmp_path))]
+        assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "residual_norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_fitted_width_exits_3(self, tmp_path, capsys, monkeypatch):
+        def nan_width(*args, **kwargs):
+            return dataclasses.replace(spectral.fit_lorentzian(*args, **kwargs), width_hz=np.nan)
+
+        monkeypatch.setattr("lockinsim.cli.fit_lorentzian", nan_width)
+        out = tmp_path / "fit.json"
+        argv = ["fit", "--config", str(write_config(tmp_path)), "--out", str(out)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "width_hz" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -128,6 +128,10 @@ class TestWidebandGrid:
         np.testing.assert_allclose(
             grid.frequency_hz(np.array([0, 3, 10])), [0.0, 1.5, 5.0], rtol=1e-15
         )
+        # T f_s one ulp below 79 still counts 79 samples; 79.5 counts 79.
+        assert 2.0 * np.nextafter(39.5, 0.0) == np.nextafter(79.0, 0.0)
+        assert grid.record_bins(np.nextafter(39.5, 0.0)) == 79
+        assert grid.record_bins(39.5) == grid.record_bins(39.75) == 79
 
     def test_rejects_non_integer_or_degenerate_grids(self):
         with pytest.raises(ValueError):
