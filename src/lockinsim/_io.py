@@ -1,14 +1,65 @@
-"""Deterministic serialization helpers shared by the library and the CLI."""
+"""Helpers shared by every layer of the library and the CLI: deterministic
+serialization, and :func:`check_range`, the one range check of numeric inputs.
+
+This module imports nothing else of the package, so any module can use it.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CSV_BLOCK_ROWS", "canonical_json", "csv_blocks", "sha256_hex"]
+__all__ = ["CSV_BLOCK_ROWS", "canonical_json", "check_range", "csv_blocks", "sha256_hex"]
+
+
+def check_range(
+    low: float | None,
+    /,
+    *,
+    high: float | None = None,
+    strict: bool = False,
+    integer: bool = False,
+    prefix: str = "",
+    **values: Any,
+) -> None:
+    """Raise ValueError unless every keyword value is finite and in range.
+
+    The range is ``>= low`` (``> low`` when ``strict``); with ``high`` it is
+    [low, high] ((low, high) when ``strict``); ``low`` None asks for
+    finiteness alone. ``integer`` also asks for a Python or numpy integer.
+    A None value is skipped and each entry of a list value is checked, as
+    for the optional and list fields of a config section. The message names
+    the keyword after ``prefix``: ``<name> must be <bound>, got <value>``,
+    and ``<name> must be finite, got <value>`` for NaN or +-inf.
+    """
+    if low is None:
+        bound = "finite"
+    elif high is None:
+        bound = f"{'>' if strict else '>='} {low}"
+    else:
+        bound = f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+    if integer:
+        bound = f"an integer {bound}"
+    for name, value in values.items():
+        for v in value if isinstance(value, list) else [value]:
+            if v is None:
+                continue
+            if integer and not isinstance(v, (int, np.integer)):
+                fault = bound
+            elif not integer and not math.isfinite(v):
+                fault = "finite"
+            elif low is not None and (
+                (v <= low if strict else v < low)
+                or (high is not None and (v >= high if strict else v > high))
+            ):
+                fault = bound
+            else:
+                continue
+            raise ValueError(f"{prefix}{name} must be {fault}, got {v}")
 
 
 def _jsonable(obj: Any) -> Any:

@@ -148,14 +148,12 @@ def _emit(
     payload: dict[str, Any],
     fmt: str,
     out: str | None,
-    csv_header: Sequence[str] | None = None,
-    csv_columns: Sequence[Any] | None = None,
+    csv_header: Sequence[str],
+    csv_columns: Sequence[Any] | None,
 ) -> None:
     if fmt == "json":
         blocks: Iterable[str] = (canonical_json(payload) + "\n",)
     else:
-        if csv_header is None or csv_columns is None:
-            raise ConfigError("this subcommand does not support --format csv")
         header = (
             f"# tool_version={payload['tool_version']}",
             f"# config_sha256={payload['config_sha256']}",
@@ -370,6 +368,7 @@ def cmd_rate_design(
             num_columns=report.num_columns,
         )
         if fmt == "csv":
+            _require_finite(result)  # write no sidecar for a result main refuses
             base = Path(out)
             for k, mat in enumerate(matrices):
                 write_matrix_csv(mat, base.with_suffix(f".matrix{k}.csv"))

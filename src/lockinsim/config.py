@@ -3,10 +3,12 @@
 Every stochastic entry point takes its seed from the mandatory top-level
 ``seed`` (overridable on the command line); every physical quantity carries
 its unit in the key name. ``readout``, ``am`` and ``fm`` are their domain
-types, whose checks hold their bounds; ``cpmg`` and each tone build their
-domain objects at load. The loader takes an int, or YAML 1.1 exponent text such
-as ``1.2e6`` (a string to YAML), for a float; rejects booleans and non-finite
-values given for numbers; and names an unknown or missing key by its dotted path.
+types, whose checks hold their bounds; ``cpmg``, each tone and the
+reconstruction grid build their domain objects at load; the other sections
+check their bounds with :func:`lockinsim._io.check_range`. The loader takes
+an int, or YAML 1.1 exponent text such as ``1.2e6`` (a string to YAML), for a
+float; rejects booleans and non-finite values given for numbers; and names an
+unknown or missing key by its dotted path.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from typing import Any, Literal
 
 import yaml
 
-from ._io import canonical_json, sha256_hex
+from ._io import canonical_json, check_range, sha256_hex
+from .csrecon import WidebandGrid
 from .lockin import CpmgSequence
 from .readout import ReadoutModel
 from .sampler import SamplingSchedule
@@ -52,16 +55,6 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid run configuration (maps to CLI exit code 2)."""
-
-
-def _at_least(section: object, low: float, *names: str, strict: bool = False) -> None:
-    """Raise ValueError unless each named field that is set (each entry of a
-    list field) is >= ``low``, or > ``low`` when ``strict``."""
-    for name in names:
-        value = getattr(section, name)
-        for v in value if isinstance(value, list) else [value]:
-            if v is not None and (v <= low if strict else v < low):
-                raise ValueError(f"{name} must be {'>' if strict else '>='} {low}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -174,9 +167,10 @@ class AnalysisConfig:
     target_frequency_hz: float | None = None
 
     def __post_init__(self) -> None:
-        _at_least(self, 2, "window_half_bins")
-        names = ("window_linewidth_factor", "noise_guard_linewidths", "target_frequency_hz")
-        _at_least(self, 0, *names, strict=True)
+        check_range(2, window_half_bins=self.window_half_bins)
+        check_range(0, strict=True, window_linewidth_factor=self.window_linewidth_factor)
+        check_range(0, strict=True, noise_guard_linewidths=self.noise_guard_linewidths)
+        check_range(0, strict=True, target_frequency_hz=self.target_frequency_hz)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if len(self.qnd_repetitions) < 2:
             raise ValueError("qnd_repetitions needs at least 2 entries")
-        _at_least(self, 1, "qnd_repetitions")
+        check_range(1, qnd_repetitions=self.qnd_repetitions)
 
 
 @dataclass(frozen=True)
@@ -197,8 +191,8 @@ class ScalingConfig:
     def __post_init__(self) -> None:
         if len(self.num_samples_list) < 2:
             raise ValueError("num_samples_list needs at least 2 entries")
-        _at_least(self, 8, "num_samples_list")
-        _at_least(self, 1, "seeds_per_point")
+        check_range(8, num_samples_list=self.num_samples_list)
+        check_range(1, seeds_per_point=self.seeds_per_point)
 
 
 @dataclass(frozen=True)
@@ -212,18 +206,16 @@ class ReconstructionConfig:
     nnls_tol: float = 1e-10
 
     def __post_init__(self) -> None:
-        names = ("nyquist_rate_hz", "duration_s", "sampling_periods_s", "nnls_tol")
-        _at_least(self, 0, *names, strict=True)
-        _at_least(self, 1, "records_per_rate")
+        WidebandGrid(self.duration_s, self.nyquist_rate_hz)
+        check_range(0, strict=True, sampling_periods_s=self.sampling_periods_s)
+        check_range(0, strict=True, nnls_tol=self.nnls_tol)
+        check_range(1, records_per_rate=self.records_per_rate)
         if len(self.sampling_periods_s) < 2:
             raise ValueError("sampling_periods_s needs at least 2 entries")
         if len(set(self.sampling_periods_s)) != len(self.sampling_periods_s):
             raise ValueError("sampling_periods_s entries must be distinct")
         if not self.support_bands_hz:
             raise ValueError("support_bands_hz needs at least 1 entry")
-        m = self.duration_s * self.nyquist_rate_hz
-        if abs(m - round(m)) > 1e-6:
-            raise ValueError("duration_s * nyquist_rate_hz must be an integer (grid size)")
 
 
 @dataclass(frozen=True)
@@ -234,8 +226,10 @@ class RateDesignConfig:
     time_grid_s: float = 1e-7
 
     def __post_init__(self) -> None:
-        _at_least(self, 2, "num_rates")
-        _at_least(self, 0, "base_period_s", "max_extra_s", "time_grid_s", strict=True)
+        check_range(2, num_rates=self.num_rates)
+        check_range(0, strict=True, base_period_s=self.base_period_s)
+        check_range(0, strict=True, max_extra_s=self.max_extra_s)
+        check_range(0, strict=True, time_grid_s=self.time_grid_s)
 
 
 @dataclass(frozen=True)

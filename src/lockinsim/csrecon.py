@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import csv_blocks
+from ._io import check_range, csv_blocks
 from .spectral import PowerSpectrum, _median
 
 __all__ = [
@@ -208,15 +208,12 @@ class WidebandGrid:
     nyquist_rate_hz: float
 
     def __post_init__(self) -> None:
-        if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        if not (self.nyquist_rate_hz > 0.0 and math.isfinite(self.nyquist_rate_hz)):
-            raise ValueError(f"nyquist_rate_hz must be > 0, got {self.nyquist_rate_hz}")
+        check_range(0, strict=True, duration_s=self.duration_s)
+        check_range(0, strict=True, nyquist_rate_hz=self.nyquist_rate_hz)
         m = self.duration_s * self.nyquist_rate_hz
-        if abs(m - round(m)) > 1e-6 or round(m) < 2:
-            raise ValueError(
-                f"duration_s * nyquist_rate_hz must be an integer >= 2, got {m}"
-            )
+        if abs(m - round(m)) > 1e-6:
+            raise ValueError(f"duration_s * nyquist_rate_hz must be a whole number, got {m}")
+        check_range(2, num_bins=self.num_bins)
 
     @property
     def num_bins(self) -> int:
@@ -352,10 +349,8 @@ def build_sampling_matrix(
     Returns:
         The sparse :class:`SamplingMatrix`.
     """
-    if not sample_rate_hz > 0.0:
-        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
-    if not (isinstance(num_record_bins, (int, np.integer)) and num_record_bins >= 2):
-        raise ValueError(f"num_record_bins must be an integer >= 2, got {num_record_bins}")
+    check_range(0, strict=True, sample_rate_hz=sample_rate_hz)
+    check_range(2, integer=True, num_record_bins=num_record_bins)
     m_total = grid.num_bins
     if sample_rate_hz > grid.nyquist_rate_hz:
         raise ValueError(
@@ -684,14 +679,6 @@ class WidebandSpectrum:
         object.__setattr__(self, "components", comps)
 
     @property
-    def nyquist_rate_hz(self) -> float:
-        return self.grid.nyquist_rate_hz
-
-    @property
-    def resolution_hz(self) -> float:
-        return self.grid.resolution_hz
-
-    @property
     def frequencies_hz(self) -> np.ndarray:
         return self.grid.frequency_hz(self.support)
 
@@ -862,8 +849,7 @@ def recovery_phase_diagram(
     """
     if grid_bins > 4096:
         raise ValueError("phase diagram is desk-scale: grid_bins <= 4096")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_range(1, trials=trials)
     grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=float(grid_bins))
     m_total = grid.num_bins
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -921,10 +907,10 @@ def design_rates(
     Returns:
         Sample rates 1/t_s in Hz, sorted descending (shortest period first).
     """
-    if num_rates < 2:
-        raise ValueError("num_rates must be >= 2")
-    if not (base_period_s > 0.0 and max_extra_s > 0.0):
-        raise ValueError("base_period_s and max_extra_s must be > 0")
+    check_range(2, num_rates=num_rates)
+    check_range(0, strict=True, base_period_s=base_period_s)
+    check_range(0, strict=True, max_extra_s=max_extra_s)
+    check_range(0, strict=True, time_grid_s=time_grid_s)
     levels = int(math.floor(max_extra_s / time_grid_s + 1e-9)) + 1
     if levels < num_rates:
         raise ValueError("time grid too coarse for the requested number of rates")

@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .signal import AcSignal, AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
+from ._io import check_range
+from .signal import AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
 
 __all__ = [
     "CpmgSequence",
@@ -67,14 +68,11 @@ class CpmgSequence:
     harmonic: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.pulse_count, (int, np.integer)) and self.pulse_count >= 2):
-            raise ValueError(f"pulse_count must be an integer >= 2, got {self.pulse_count}")
+        check_range(2, integer=True, pulse_count=self.pulse_count)
         if self.pulse_count % 2 != 0:
             raise ValueError(f"pulse_count must be even, got {self.pulse_count}")
-        if not (self.tau_s > 0.0 and math.isfinite(self.tau_s)):
-            raise ValueError(f"tau_s must be > 0, got {self.tau_s}")
-        if not (isinstance(self.harmonic, (int, np.integer)) and self.harmonic >= 1):
-            raise ValueError(f"harmonic must be an integer >= 1, got {self.harmonic}")
+        check_range(0, strict=True, tau_s=self.tau_s)
+        check_range(1, integer=True, harmonic=self.harmonic)
         if self.harmonic % 2 == 0:
             raise ValueError(f"harmonic must be odd, got {self.harmonic}")
 
@@ -98,8 +96,7 @@ class CpmgSequence:
         frequency_hz: float, pulse_count: int, harmonic: int = 1
     ) -> "CpmgSequence":
         """Tune tau so the ``harmonic``-th passband sits at ``frequency_hz``."""
-        if not frequency_hz > 0.0:
-            raise ValueError(f"frequency_hz must be > 0, got {frequency_hz}")
+        check_range(0, strict=True, frequency_hz=frequency_hz)
         return CpmgSequence(
             pulse_count=pulse_count,
             tau_s=harmonic / (2.0 * frequency_hz),
@@ -123,8 +120,7 @@ def modulation_function(
     Raises:
         ValueError: If any t' lies outside [0, K tau).
     """
-    if not tau > 0.0:
-        raise ValueError(f"tau must be > 0, got {tau}")
+    check_range(0, strict=True, tau=tau)
     t_arr = np.asarray(t_prime, dtype=float)
     if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() >= pulse_count * tau):
         raise ValueError(
@@ -254,7 +250,7 @@ def _fm_phase(
 
 
 def phase_closed_form(
-    signal: AnySignal | Tone,
+    signal: AnySignal,
     seq: CpmgSequence,
     t: float | np.ndarray,
     *,
@@ -271,8 +267,7 @@ def phase_closed_form(
     interval x path segment) pieces, each with a closed form.
 
     Args:
-        signal: A :class:`Tone`, :class:`AcSignal` or
-            :class:`CompositeSignal`.
+        signal: An :class:`AcSignal` or :class:`CompositeSignal`.
         seq: CPMG sequence (even pulse count enforced by the type).
         t: Start time(s) of the sensing window (s).
         phase_noise: Materialized FM path(s), as for
@@ -288,8 +283,6 @@ def phase_closed_form(
             match the groups, or a window runs past its path.
     """
     t_arr = np.asarray(t, dtype=float)
-    if isinstance(signal, Tone):
-        signal = AcSignal(tones=(signal,))
     groups = signal.groups
     if isinstance(phase_noise, PhaseNoisePath):
         phase_noise = (phase_noise,)
@@ -321,7 +314,7 @@ def phase_amplitude(tone: Tone, seq: CpmgSequence) -> float:
 
 
 def phase_by_integration(
-    signal: AnySignal | Tone,
+    signal: AnySignal,
     seq: CpmgSequence,
     t: float | np.ndarray,
     dt: float | None = None,
@@ -338,8 +331,7 @@ def phase_by_integration(
     windows.
 
     Args:
-        signal: Any signal accepted by :func:`lockinsim.signal.evaluate`,
-            or a bare :class:`Tone`.
+        signal: Any signal accepted by :func:`lockinsim.signal.evaluate`.
         seq: CPMG sequence.
         t: Scalar or 1-D array of window start times (s).
         dt: Base quadrature step; must satisfy dt <= tau/100
@@ -349,8 +341,6 @@ def phase_by_integration(
     Returns:
         phi(t) in radians with the shape of ``t``.
     """
-    if isinstance(signal, Tone):
-        signal = AcSignal(tones=(signal,))
     tau = seq.tau_s
     if dt is None:
         dt = tau / 100.0
@@ -423,15 +413,11 @@ def nonlinear_spectrum_prediction(
     Returns:
         Harmonics [(2k+1) f_ac, J_{2k+1}(phi_max)] for k = 0..k_max.
     """
-    if phi_max < 0.0:
-        raise ValueError(f"phi_max must be >= 0, got {phi_max}")
-    if not f_ac > 0.0:
-        raise ValueError(f"f_ac must be > 0, got {f_ac}")
+    check_range(0, phi_max=phi_max, k_max=k_max)
+    check_range(0, strict=True, f_ac=f_ac)
     if k_max is None:
         # J_n(x) decays super-exponentially once n > x; pad generously.
         k_max = max(3, int(math.ceil((phi_max + 12.0 * (phi_max ** (1.0 / 3.0) + 1.0)) / 2.0)))
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
     from scipy import special  # here, not at module level: no CLI command needs it
 
     orders = 2 * np.arange(k_max + 1) + 1

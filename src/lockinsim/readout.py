@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._io import check_range
+
 __all__ = [
     "ReadoutModel",
     "sample_counts",
@@ -59,25 +61,11 @@ class ReadoutModel:
     readout_unit_time_s: float = 2.32e-6
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.qnd_repetitions, (int, np.integer)) and self.qnd_repetitions >= 1):
-            raise ValueError(
-                f"qnd_repetitions must be an integer >= 1, got {self.qnd_repetitions}"
-            )
-        if not (0.0 < self.contrast < 1.0):
-            raise ValueError(f"contrast must be in (0, 1), got {self.contrast}")
-        if not (self.gain_slope_photons > 0.0 and math.isfinite(self.gain_slope_photons)):
-            raise ValueError(
-                f"gain_slope_photons must be > 0, got {self.gain_slope_photons}"
-            )
-        if not (self.depolarization_per_readout >= 0.0):
-            raise ValueError(
-                "depolarization_per_readout must be >= 0, got "
-                f"{self.depolarization_per_readout}"
-            )
-        if not (self.readout_unit_time_s > 0.0):
-            raise ValueError(
-                f"readout_unit_time_s must be > 0, got {self.readout_unit_time_s}"
-            )
+        check_range(1, integer=True, qnd_repetitions=self.qnd_repetitions)
+        check_range(0, high=1, strict=True, contrast=self.contrast)
+        check_range(0, strict=True, gain_slope_photons=self.gain_slope_photons)
+        check_range(0, depolarization_per_readout=self.depolarization_per_readout)
+        check_range(0, strict=True, readout_unit_time_s=self.readout_unit_time_s)
 
     @property
     def mean_gain_photons(self) -> float:
@@ -101,8 +89,7 @@ def depolarization_survival(model: ReadoutModel) -> float:
 
 def threshold_gain(contrast: float) -> float:
     """Gain C_thresh = 4/eps^2 - 2/eps where projection noise equals shot noise."""
-    if not (0.0 < contrast < 1.0):
-        raise ValueError(f"contrast must be in (0, 1), got {contrast}")
+    check_range(0, high=1, strict=True, contrast=contrast)
     return 4.0 / contrast**2 - 2.0 / contrast
 
 

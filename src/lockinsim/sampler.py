@@ -19,9 +19,10 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Union
+from typing import Any
 
 import numpy as np
+import numpy.random  # numpy loads it on first use: load it at start-up, not in a run
 
 from . import __version__
 from .lockin import CpmgSequence, phase_closed_form, transition_probability
@@ -33,7 +34,7 @@ from .signal import (
     PhaseNoisePath,
     materialize_fm_noise,
 )
-from ._io import canonical_json, csv_blocks, sha256_hex
+from ._io import canonical_json, check_range, csv_blocks, sha256_hex
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -49,8 +50,6 @@ __all__ = [
 #: Fixed chunk length for parallel generation (part of the determinism
 #: contract: results never depend on thread count).
 CHUNK_SAMPLES = 65536
-
-RngLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,12 @@ class SamplingSchedule:
     clock_jitter_std_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.sensing_time_s > 0.0):
-            raise ValueError(f"sensing_time_s must be > 0, got {self.sensing_time_s}")
-        if not (self.readout_time_s > 0.0):
-            raise ValueError(f"readout_time_s must be > 0, got {self.readout_time_s}")
-        if not (self.dead_time_s >= 0.0):
-            raise ValueError(f"dead_time_s must be >= 0, got {self.dead_time_s}")
-        if not (isinstance(self.num_samples, (int, np.integer)) and self.num_samples >= 1):
-            raise ValueError(f"num_samples must be an integer >= 1, got {self.num_samples}")
-        if not (self.start_time_s >= 0.0):
-            raise ValueError(f"start_time_s must be >= 0, got {self.start_time_s}")
-        if not (self.clock_jitter_std_s >= 0.0):
-            raise ValueError(
-                f"clock_jitter_std_s must be >= 0, got {self.clock_jitter_std_s}"
-            )
+        check_range(0, strict=True, sensing_time_s=self.sensing_time_s)
+        check_range(0, strict=True, readout_time_s=self.readout_time_s)
+        check_range(0, dead_time_s=self.dead_time_s)
+        check_range(1, integer=True, num_samples=self.num_samples)
+        check_range(0, start_time_s=self.start_time_s)
+        check_range(0, clock_jitter_std_s=self.clock_jitter_std_s)
 
     @property
     def sampling_period_s(self) -> float:
@@ -187,8 +178,7 @@ class TimeTrace:
             raise ValueError("counts must be integers")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        if not (self.sampling_period_s > 0.0):
-            raise ValueError(f"sampling_period_s must be > 0, got {self.sampling_period_s}")
+        check_range(0, strict=True, sampling_period_s=self.sampling_period_s)
         if self.sample_times_s is not None:
             times = np.asarray(self.sample_times_s, dtype=float)
             if times.shape != counts.shape:
@@ -205,10 +195,6 @@ class TimeTrace:
         return 1.0 / self.sampling_period_s
 
     @property
-    def duration_s(self) -> float:
-        return self.num_samples * self.sampling_period_s
-
-    @property
     def times_s(self) -> np.ndarray:
         """Sample times: the jittered record if present, else the nominal grid."""
         if self.sample_times_s is not None:
@@ -222,12 +208,9 @@ def undersampled_bin(f_true: float, f_s: float, num_samples: int) -> int:
     Nearest-bin rounding (ties to even); the result is clamped to the
     one-sided range [0, N//2].
     """
-    if not f_s > 0.0:
-        raise ValueError(f"f_s must be > 0, got {f_s}")
-    if not (isinstance(num_samples, (int, np.integer)) and num_samples >= 1):
-        raise ValueError(f"num_samples must be an integer >= 1, got {num_samples}")
-    if not f_true >= 0.0:
-        raise ValueError(f"f_true must be >= 0, got {f_true}")
+    check_range(0, strict=True, f_s=f_s)
+    check_range(1, integer=True, num_samples=num_samples)
+    check_range(0, f_true=f_true)
     pos = (f_true / f_s) % 1.0 * num_samples  # position in bin units, [0, N)
     if pos > num_samples / 2.0:
         pos = num_samples - pos
@@ -263,31 +246,12 @@ def _materialize_paths(
     return tuple(paths)
 
 
-def _seed_metadata(rng: RngLike) -> Any:
-    if isinstance(rng, (int, np.integer)):
-        return int(rng)
-    if isinstance(rng, np.random.SeedSequence):
-        entropy = rng.entropy
-        return list(entropy) if isinstance(entropy, (list, tuple)) else entropy
-    return "generator"
-
-
-def _spawn_chunk_rngs(rng: RngLike, n_chunks: int) -> list[np.random.Generator]:
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.SeedSequence(int(rng))
-    if isinstance(rng, np.random.SeedSequence):
-        return [np.random.Generator(np.random.PCG64(c)) for c in rng.spawn(n_chunks)]
-    if isinstance(rng, np.random.Generator):
-        return rng.spawn(n_chunks)
-    raise TypeError(f"rng must be an int, SeedSequence, or Generator, got {type(rng)}")
-
-
 def run_sampling(
     signal: AnySignal,
     seq: CpmgSequence,
     model: ReadoutModel,
     sched: SamplingSchedule,
-    rng: RngLike,
+    rng: int | np.random.SeedSequence,
     *,
     num_threads: int = 1,
 ) -> TimeTrace:
@@ -302,8 +266,8 @@ def run_sampling(
         seq: CPMG sequence; its t_a must match the schedule.
         model: Readout model; its t_r must match the schedule.
         sched: Sampling schedule.
-        rng: Seed, SeedSequence, or Generator. Chunk streams are spawned from
-            it; the result is bit-identical for any ``num_threads``.
+        rng: Seed or SeedSequence. Chunk streams are spawned from it; the
+            result is bit-identical for any ``num_threads``.
         num_threads: Worker threads for chunk generation.
 
     Returns:
@@ -319,7 +283,9 @@ def run_sampling(
     paths = _materialize_paths(signal, last_nominal + jitter_margin, seq)
 
     n_chunks = (n + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
-    chunk_rngs = _spawn_chunk_rngs(rng, n_chunks)
+    if not isinstance(rng, np.random.SeedSequence):
+        rng = np.random.SeedSequence(int(rng))
+    chunk_rngs = [np.random.Generator(np.random.PCG64(c)) for c in rng.spawn(n_chunks)]
 
     jittered = sched.clock_jitter_std_s > 0.0
     times_out = np.empty(n) if jittered else None
@@ -350,7 +316,7 @@ def run_sampling(
         "cpmg": dataclasses.asdict(seq),
         "readout": dataclasses.asdict(model),
         "schedule": dataclasses.asdict(sched),
-        "seed": _seed_metadata(rng),
+        "seed": list(rng.entropy) if isinstance(rng.entropy, (list, tuple)) else rng.entropy,
         "phase_method": "closed_form",
     }
     return TimeTrace(

@@ -24,6 +24,8 @@ from typing import Union
 
 import numpy as np
 
+from ._io import check_range
+
 __all__ = [
     "GYROMAGNETIC_RATIO_RAD_PER_S_PER_T",
     "Tone",
@@ -72,14 +74,9 @@ class Tone:
     phase_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.frequency_hz > 0.0 and math.isfinite(self.frequency_hz)):
-            raise ValueError(f"tone frequency must be > 0 Hz, got {self.frequency_hz}")
-        if not (self.amplitude_rad_per_s >= 0.0 and math.isfinite(self.amplitude_rad_per_s)):
-            raise ValueError(
-                f"tone amplitude must be >= 0 rad/s, got {self.amplitude_rad_per_s}"
-            )
-        if not math.isfinite(self.phase_rad):
-            raise ValueError(f"tone phase must be finite, got {self.phase_rad}")
+        check_range(0, strict=True, frequency_hz=self.frequency_hz)
+        check_range(0, amplitude_rad_per_s=self.amplitude_rad_per_s)
+        check_range(None, phase_rad=self.phase_rad)
         object.__setattr__(self, "phase_rad", float(self.phase_rad) % TWO_PI)
 
 
@@ -98,14 +95,9 @@ class AmModulation:
     mod_phase_rad: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.mod_frequency_hz > 0.0 and math.isfinite(self.mod_frequency_hz)):
-            raise ValueError(
-                f"am.mod_frequency_hz must be > 0, got {self.mod_frequency_hz}"
-            )
-        if not (0.0 <= self.mod_depth <= 1.0):
-            raise ValueError(f"am.mod_depth must be in [0, 1], got {self.mod_depth}")
-        if not math.isfinite(self.mod_phase_rad):
-            raise ValueError(f"am.mod_phase_rad must be finite, got {self.mod_phase_rad}")
+        check_range(0, strict=True, prefix="am.", mod_frequency_hz=self.mod_frequency_hz)
+        check_range(0, high=1, prefix="am.", mod_depth=self.mod_depth)
+        check_range(None, prefix="am.", mod_phase_rad=self.mod_phase_rad)
         object.__setattr__(self, "mod_phase_rad", float(self.mod_phase_rad) % TWO_PI)
 
 
@@ -131,12 +123,8 @@ class FmNoise:
     correlation_time_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if not (self.linewidth_hz >= 0.0 and math.isfinite(self.linewidth_hz)):
-            raise ValueError(f"fm.linewidth_hz must be >= 0, got {self.linewidth_hz}")
-        if not (self.correlation_time_s > 0.0 and math.isfinite(self.correlation_time_s)):
-            raise ValueError(
-                f"fm.correlation_time_s must be > 0, got {self.correlation_time_s}"
-            )
+        check_range(0, prefix="fm.", linewidth_hz=self.linewidth_hz)
+        check_range(0, strict=True, prefix="fm.", correlation_time_s=self.correlation_time_s)
 
     @property
     def frequency_std_hz(self) -> float:
@@ -322,8 +310,7 @@ def materialize_fm_noise(
     if signal.fm is None:
         raise ValueError("materialize_fm_noise requires a signal with fm configured")
     fm = signal.fm
-    if not (duration_s > 0.0 and math.isfinite(duration_s)):
-        raise ValueError(f"duration_s must be > 0, got {duration_s}")
+    check_range(0, strict=True, duration_s=duration_s)
     tau_c = fm.correlation_time_s
     if not (0.0 < dt_s <= tau_c / 4.0):
         raise ValueError(

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._io import check_range
 from .lockin import CpmgSequence
 from .readout import ReadoutModel, depolarization_survival, noise_variance
 from .sampler import SamplingSchedule, TimeTrace, run_sampling, undersampled_bin
@@ -400,10 +401,12 @@ def _median(values: np.ndarray) -> float:
 
 
 class FitError(RuntimeError):
-    """Nonlinear fit failure with iteration diagnostics."""
+    """Numerical failure; a failed fit carries its iteration diagnostics."""
 
-    def __init__(self, message: str, iterations: int = 0, residual: float = math.nan):
-        super().__init__(f"{message} (iterations={iterations}, residual={residual})")
+    def __init__(self, message: str, iterations: int | None = None, residual: float = math.nan):
+        if iterations is not None:
+            message = f"{message} (iterations={iterations}, residual={residual})"
+        super().__init__(message)
         self.iterations = iterations
         self.residual = residual
 
@@ -539,8 +542,7 @@ def fit_lorentzian(
         out[3] = (ss * ty - s1 * sy) / det
         return out
 
-    if width_floor_bins < 0.0:
-        raise ValueError(f"width_floor_bins must be >= 0, got {width_floor_bins}")
+    check_range(0, width_floor_bins=width_floor_bins)
     min_width = max(width_floor_bins, 1e-3) * df
     beta[1] = max(abs(beta[1]), min_width)
     beta = snap_linear(beta)
@@ -755,8 +757,7 @@ def scaling_study(
         raise ValueError(
             f"need >= 4 points per decade, got {len(n_list) / decades:.2f}"
         )
-    if seeds_per_point < 1:
-        raise ValueError(f"seeds_per_point must be >= 1, got {seeds_per_point}")
+    check_range(1, seeds_per_point=seeds_per_point)
 
     if target_frequency_hz is None:
         target_frequency_hz = strongest_tone(signal).frequency_hz

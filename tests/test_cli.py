@@ -176,6 +176,11 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(write_config(tmp_path, overrides))
 
+    def test_reconstruction_grid_is_built_at_load(self, tmp_path):
+        recon = dict(reconstruction_config()["reconstruction"], nyquist_rate_hz=1.0)
+        with pytest.raises(ConfigError, match=r"^reconstruction: num_bins must be >= 2, got 1$"):
+            load_config(write_config(tmp_path, {"reconstruction": recon}))
+
     def test_field_amplitude_tones_build(self, tmp_path):
         tone = {"frequency_hz": 601254.7, "field_amplitude_tesla": 1.7e-7}
         config = load_config(write_config(tmp_path, {"signal": {"tones": [tone]}}))
@@ -593,6 +598,22 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == EXIT_NUMERICAL
         assert "residual_norm" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_finite_rate_design_exits_3_and_writes_no_sidecar(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def nan_mu(matrices):
+            return dataclasses.replace(csrecon.coherence(matrices), mu=np.nan)
+
+        monkeypatch.setattr("lockinsim.cli.coherence", nan_mu)
+        config = short_wideband_config(tmp_path)
+        out = tmp_path / "design.csv"
+        argv = ["rate-design", "--config", str(config), "--format", "csv", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "lockinsim: numerical failure: result.coherence_mu is non-finite (nan)\n"
+        )
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_non_finite_fitted_width_exits_3(self, tmp_path, capsys, monkeypatch):
         def nan_width(*args, **kwargs):
