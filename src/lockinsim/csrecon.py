@@ -211,6 +211,7 @@ class WidebandGrid:
         check_range(0, strict=True, duration_s=self.duration_s)
         check_range(0, strict=True, nyquist_rate_hz=self.nyquist_rate_hz)
         m = self.duration_s * self.nyquist_rate_hz
+        check_range(None, **{"duration_s * nyquist_rate_hz": m})
         if abs(m - round(m)) > 1e-6:
             raise ValueError(f"duration_s * nyquist_rate_hz must be a whole number, got {m}")
         check_range(2, num_bins=self.num_bins)

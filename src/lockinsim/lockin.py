@@ -42,9 +42,16 @@ __all__ = [
     "phase_by_integration",
     "transition_probability",
     "nonlinear_spectrum_prediction",
+    "two_prod",
+    "two_sum",
+    "carrier_cycles",
 ]
 
 TWO_PI = 2.0 * math.pi
+
+#: Dekker's splitter 2**27 + 1: ``_DEKKER * a`` cuts a double into two
+#: halves of at most 26 significant bits each.
+_DEKKER = 134217729.0
 
 #: Windows per block of the FM kernel; bounds its (windows x pieces)
 #: temporaries whatever the number of windows.
@@ -160,16 +167,60 @@ def _passband_gain(
     )
 
 
-def _tone_phase(tone: Tone, seq: CpmgSequence, t: np.ndarray) -> np.ndarray:
+def two_prod(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971), barring
+    overflow and underflow."""
+    p = a * b
+    c = _DEKKER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _DEKKER * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def two_sum(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    b_virtual = s - a
+    return s, (a - (s - b_virtual)) + (b - b_virtual)
+
+
+def carrier_cycles(
+    frequency_hz: float, t: np.ndarray, t_lo: float | np.ndarray = 0.0
+) -> np.ndarray:
+    """Cycle count f (t + t_lo) of a carrier minus its nearest integer.
+
+    f t is formed as an exact two-product, so its whole cycles drop out
+    without rounding and the fraction, in [-1/2, 1/2] give or take an ulp
+    of f t, keeps double precision at any t; ``t_lo`` is the rounding error
+    of a time held as the double-double t + t_lo (0 for a plain float
+    time). Then sin(2 pi cycles + alpha) is the carrier sin(omega t + alpha)
+    without the range reduction of an argument of up to ~1e10 rad, which is
+    slow and loses ~1e-6 rad.
+    """
+    p, e = two_prod(frequency_hz, t)
+    return (p - np.rint(p)) + (e + frequency_hz * t_lo)
+
+
+def _tone_phase(
+    tone: Tone, seq: CpmgSequence, t: np.ndarray, t_lo: float | np.ndarray
+) -> np.ndarray:
     omega = TWO_PI * tone.frequency_hz
     u = omega * seq.tau_s / 2.0
     return _passband_gain(tone.amplitude_rad_per_s, omega, seq) * np.sin(
-        omega * t + tone.phase_rad + seq.pulse_count * u
+        TWO_PI * carrier_cycles(tone.frequency_hz, t, t_lo)
+        + (tone.phase_rad + seq.pulse_count * u)
     )
 
 
 def _fm_phase(
-    tones: Sequence[Tone], seq: CpmgSequence, t: np.ndarray, path: PhaseNoisePath
+    tones: Sequence[Tone],
+    seq: CpmgSequence,
+    t: np.ndarray,
+    t_lo: float | np.ndarray,
+    path: PhaseNoisePath,
 ) -> np.ndarray:
     """Exact phi(t) for tones sharing the piecewise-linear carrier phase ``path``.
 
@@ -189,12 +240,15 @@ def _fm_phase(
 
         Omega (-1)^k w sinc(omega' w / 2 pi) cos(omega s_m + alpha + psi(s_m)),
 
-    which stays accurate for arbitrarily short pieces. Each block of windows
+    which stays accurate for arbitrarily short pieces. The carrier omega m
+    (or omega s_m) enters as :func:`carrier_cycles` of the midpoint, held
+    with its rounding error as a double-double. Each block of windows
     has the same number of cuts: nodes that fall outside a window clip to
     its ends as zero-width pieces. Pulse signs and segments come from index
     arithmetic at the midpoints.
     """
     t_flat = t.ravel()
+    t_lo_flat = np.broadcast_to(t_lo, t.shape).ravel()
     tau = seq.tau_s
     t_a = seq.sensing_time_s
     dt = path.dt_s
@@ -206,7 +260,8 @@ def _fm_phase(
     inside = (j * dt <= t_flat) & (t_flat + t_a <= (j + 1) * dt)
     out = np.empty(t_flat.size)
     if inside.any():
-        mid = t_flat[inside] + 0.5 * t_a
+        mid, mid_lo = two_sum(t_flat[inside], 0.5 * t_a)
+        mid_lo += t_lo_flat[inside]
         psi, slope = path.on_segment(j[inside], mid)
         runs = np.flatnonzero(np.concatenate(([True], slope[1:] != slope[:-1])))
         run_lengths = np.diff(runs, append=slope.size)
@@ -214,7 +269,8 @@ def _fm_phase(
         for tone in tones:
             omega = TWO_PI * tone.frequency_hz
             gain = _passband_gain(tone.amplitude_rad_per_s, omega + slope[runs], seq)
-            phi += np.repeat(gain, run_lengths) * np.sin(omega * mid + tone.phase_rad + psi)
+            cycles = carrier_cycles(tone.frequency_hz, mid, mid_lo)
+            phi += np.repeat(gain, run_lengths) * np.sin(TWO_PI * cycles + tone.phase_rad + psi)
         out[inside] = phi
     crossing = np.flatnonzero(~inside)
     edges = np.arange(seq.pulse_count + 1) * tau
@@ -234,7 +290,8 @@ def _fm_phase(
         width = np.diff(cuts, axis=1)
         offset = cuts[:, :-1] + 0.5 * width
         signed_width = np.where(np.floor(offset / tau) % 2 == 0, width, -width)
-        mid = start + offset
+        mid, mid_lo = two_sum(start, offset)
+        mid_lo += t_lo_flat[block, None]
         psi, slope = path.segment_at(mid)
         phi = np.zeros(block.size)
         for tone in tones:
@@ -242,7 +299,11 @@ def _fm_phase(
             pieces = (
                 signed_width
                 * np.sinc((omega + slope) * width / TWO_PI)
-                * np.cos(omega * mid + tone.phase_rad + psi)
+                * np.cos(
+                    TWO_PI * carrier_cycles(tone.frequency_hz, mid, mid_lo)
+                    + tone.phase_rad
+                    + psi
+                )
             )
             phi += tone.amplitude_rad_per_s * pieces.sum(axis=1)
         out[block] = phi
@@ -254,6 +315,7 @@ def phase_closed_form(
     seq: CpmgSequence,
     t: float | np.ndarray,
     *,
+    t_lo: float | np.ndarray = 0.0,
     phase_noise: PhaseNoisePath | tuple[PhaseNoisePath | None, ...] | None = None,
 ) -> np.ndarray:
     """Accumulated phase phi(t) from the closed-form filter response.
@@ -264,12 +326,18 @@ def phase_closed_form(
     exactly over its materialized piecewise-linear carrier phase psi(t):
     a window inside one path segment is the tone closed form at the
     shifted frequency, and a window across path nodes is cut into (pulse
-    interval x path segment) pieces, each with a closed form.
+    interval x path segment) pieces, each with a closed form. Every carrier
+    enters through :func:`carrier_cycles`, so its phase keeps double
+    precision at any t instead of losing ~1e-6 rad at an hour.
 
     Args:
         signal: An :class:`AcSignal` or :class:`CompositeSignal`.
         seq: CPMG sequence (even pulse count enforced by the type).
         t: Start time(s) of the sensing window (s).
+        t_lo: Rounding error(s) of ``t``, broadcastable to it: the start
+            time is the double-double t + t_lo. A schedule passes the error
+            of start + k t_s so the phase is exact for the schedule itself;
+            0 takes ``t`` as exact.
         phase_noise: Materialized FM path(s), as for
             :func:`lockinsim.signal.evaluate`: one path, or one entry per
             group (None for groups without FM). Every window must lie
@@ -294,14 +362,14 @@ def phase_closed_form(
         tones = expand_am(group).tones
         if group.fm is None:
             for tone in tones:
-                total = total + _tone_phase(tone, seq, t_arr)
+                total = total + _tone_phase(tone, seq, t_arr, t_lo)
         elif path is None:
             raise ValueError(
                 "signal has fm configured: the closed form needs the "
                 "materialized path (phase_noise=)"
             )
         else:
-            total = total + _fm_phase(tones, seq, t_arr, path)
+            total = total + _fm_phase(tones, seq, t_arr, t_lo, path)
     return total
 
 

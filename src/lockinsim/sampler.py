@@ -25,7 +25,13 @@ import numpy as np
 import numpy.random  # numpy loads it on first use: load it at start-up, not in a run
 
 from . import __version__
-from .lockin import CpmgSequence, phase_closed_form, transition_probability
+from .lockin import (
+    CpmgSequence,
+    phase_closed_form,
+    transition_probability,
+    two_prod,
+    two_sum,
+)
 from .lockin import phase_by_integration  # noqa: F401  (bench/ traces it by this name)
 from .readout import ReadoutModel, sample_counts
 from .signal import (
@@ -246,6 +252,18 @@ def _materialize_paths(
     return tuple(paths)
 
 
+def _nominal_times(sched: SamplingSchedule, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """t_k = start + k t_s for k in [lo, hi), and the rounding error of each.
+
+    The times are the rounded floats of the nominal grid; the errors come
+    from an exact two-product and two-sum, so t_k + error is start + k t_s
+    up to the rounding of the error itself (~1e-29 s at an hour).
+    """
+    k_t_s, product_error = two_prod(np.arange(lo, hi, dtype=float), sched.sampling_period_s)
+    t_k, sum_error = two_sum(sched.start_time_s, k_t_s)
+    return t_k, product_error + sum_error
+
+
 def run_sampling(
     signal: AnySignal,
     seq: CpmgSequence,
@@ -259,7 +277,10 @@ def run_sampling(
 
     For each k = 0..N-1: t_k = start + k t_s (plus optional jitter), the
     phase is accumulated over [t_k, t_k + t_a] and tagged to t_k, converted
-    to a transition probability, and read out stochastically.
+    to a transition probability, and read out stochastically. Nominal times
+    carry their rounding error into :func:`phase_closed_form`, so each
+    carrier phase is exact for start + k t_s; jittered times are taken as
+    they are.
 
     Args:
         signal: Signal (or composite of independent sources).
@@ -295,11 +316,12 @@ def run_sampling(
         lo = chunk_index * CHUNK_SAMPLES
         hi = min(lo + CHUNK_SAMPLES, n)
         crng = chunk_rngs[chunk_index]
-        t_k = sched.start_time_s + np.arange(lo, hi) * t_s
+        t_k, t_lo = _nominal_times(sched, lo, hi)
         if jittered:
             t_k = np.maximum(t_k + crng.normal(0.0, sched.clock_jitter_std_s, hi - lo), 0.0)
+            t_lo = 0.0
             times_out[lo:hi] = t_k
-        phi = phase_closed_form(signal, seq, t_k, phase_noise=paths)
+        phi = phase_closed_form(signal, seq, t_k, t_lo=t_lo, phase_noise=paths)
         p = transition_probability(phi)
         counts_out[lo:hi] = sample_counts(model, p, crng)
 
@@ -339,9 +361,10 @@ def expected_probabilities(
     noise); composing with :func:`lockinsim.readout.expected_counts` yields
     the analytic expected trace.
     """
-    times = sched.start_time_s + np.arange(sched.num_samples) * sched.sampling_period_s
+    times, t_lo = _nominal_times(sched, 0, sched.num_samples)
     paths = _materialize_paths(signal, float(times[-1]), seq)
-    return transition_probability(phase_closed_form(signal, seq, times, phase_noise=paths))
+    phi = phase_closed_form(signal, seq, times, t_lo=t_lo, phase_noise=paths)
+    return transition_probability(phi)
 
 
 def _signal_to_dict(signal: AnySignal) -> dict[str, Any]:

@@ -106,27 +106,37 @@ def _largest_prime_factor(n: int) -> int:
 def _rfft(x: np.ndarray) -> np.ndarray:
     """``np.fft.rfft(x)``, split at a large prime factor p of N = p q.
 
-    Cooley-Tukey in four steps: q length-p transforms down the columns of x
-    viewed as (p, q), the twiddles exp(-2 pi i k1 j2 / N) with k1 j2 < N exact
-    in int64 (formed as cos + i sin of the real angle, about twice as fast as
-    ``np.exp`` of the complex one), p length-q transforms along the rows, then
-    X[k1 + p k2] = B[k1, k2] for k <= N/2. For p <= ``_SPLIT_PRIME`` or prime N it is
-    ``np.fft.rfft`` itself.
+    Cooley-Tukey in four steps on x viewed as (p, q): length-p transforms
+    down the columns, the twiddles exp(-2 pi i k1 j2 / N) with k1 j2 < N exact
+    in a double (formed as cos + i sin of the real angle, about twice as fast
+    as ``np.exp`` of the complex one), length-q transforms along the rows in
+    place, then X[k1 + p k2] = B[k1, k2] for k <= N/2. x is real, so the
+    column transforms are ``np.fft.rfft`` and only rows k1 <= p//2 are
+    twiddled and transformed: the others follow from
+    B[k1, k2] = conj(B[p - k1, q - 1 - k2]), read through reversed views.
+    That halves the work and memory of the middle steps. For
+    p <= ``_SPLIT_PRIME`` or prime N it is ``np.fft.rfft`` itself.
     """
     n = x.size
     p = _largest_prime_factor(n)
     if p <= _SPLIT_PRIME or p == n:
         return np.fft.rfft(x)
     q = n // p
-    a = np.fft.fft(x.reshape(p, q), axis=0)
-    angle = (-2.0 * np.pi / n) * np.outer(np.arange(p), np.arange(q))
-    twiddle = np.empty((p, q), dtype=complex)
+    h, m = p // 2 + 1, q // 2 + 1  # rows computed; columns k2 that reach k <= N/2
+    a = np.fft.rfft(x.reshape(p, q), axis=0)
+    twiddle = np.empty((h, q), dtype=complex)
+    angle = twiddle.imag  # the angles live where their sines will go
+    np.multiply.outer(np.arange(h, dtype=float), np.arange(q, dtype=float), out=angle)
+    angle *= -2.0 * np.pi / n
     np.cos(angle, out=twiddle.real)
-    np.sin(angle, out=twiddle.imag)
+    np.sin(angle, out=angle)
     a *= twiddle
-    del angle, twiddle  # freed before the row transforms, which double a's memory
-    b = np.fft.fft(a, axis=1)[:, : q // 2 + 1]
-    return b.T.ravel()[: n // 2 + 1]
+    del twiddle, angle  # freed before ``out`` is allocated
+    np.fft.fft(a, axis=1, out=a)
+    out = np.empty((m, p), dtype=complex)  # out[k2, k1] = X[k1 + p k2]
+    out[:, :h] = a[:, :m].T
+    np.conjugate(a[p - h : 0 : -1, ::-1][:, :m].T, out=out[:, h:])
+    return out.ravel()[: n // 2 + 1]
 
 
 def power_spectrum(
@@ -137,8 +147,10 @@ def power_spectrum(
 
     Works for arbitrary N, no window, no zero padding. When the largest prime
     factor p of N exceeds ``_SPLIT_PRIME`` (and N is not prime), the transform
-    is split into length-p and length-N/p transforms (see ``_rfft``);
-    otherwise it is ``np.fft.rfft`` over the whole trace.
+    is split into length-p real and length-N/p complex transforms over half
+    the rows, the rest filled by conjugate symmetry (see ``_rfft``); its
+    memory peaks near twice the trace's. Otherwise it is ``np.fft.rfft``
+    over the whole trace.
 
     Args:
         trace: A :class:`TimeTrace` or a raw sample array (then

@@ -10,6 +10,7 @@ check is expected to pass.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import time
@@ -613,24 +614,30 @@ class TestCliDeterminism:
         assert traces[0] == traces[1]
 
     def test_thread_count_does_not_change_the_bytes(self, tmp_path, capsys):
-        config = self._write_config(tmp_path)
-        outputs = []
-        for threads, name in ((1, "one.csv"), (4, "four.csv")):
-            out = tmp_path / name
-            code = main(
-                [
-                    "spectrum",
-                    "--config",
-                    str(config),
-                    "--format",
-                    "csv",
-                    "--out",
-                    str(out),
-                    "--threads",
-                    str(threads),
-                ]
-            )
-            capsys.readouterr()
-            assert code == EXIT_OK
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        # 2000 samples are one chunk; 140 000 are three, which run through the
+        # thread pool, each chunk with its own stream and time errors.
+        for num_samples in (2000, 140_000):
+            cfg = copy.deepcopy(self.CONFIG)
+            cfg["schedule"]["num_samples"] = num_samples
+            config = tmp_path / f"run_{num_samples}.yaml"
+            config.write_text(yaml.safe_dump(cfg))
+            outputs = []
+            for threads in (1, 4):
+                out = tmp_path / f"{num_samples}_{threads}.csv"
+                code = main(
+                    [
+                        "spectrum",
+                        "--config",
+                        str(config),
+                        "--format",
+                        "csv",
+                        "--out",
+                        str(out),
+                        "--threads",
+                        str(threads),
+                    ]
+                )
+                capsys.readouterr()
+                assert code == EXIT_OK
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]

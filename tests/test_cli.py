@@ -17,6 +17,7 @@ import yaml
 
 import lockinsim
 from lockinsim import __version__, csrecon, spectral
+from lockinsim import config as config_module
 from lockinsim._io import CSV_BLOCK_ROWS, csv_blocks
 from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, _emit, main
 from lockinsim.config import ConfigError, config_hash, load_config
@@ -441,6 +442,17 @@ class TestReconstructCommand:
         assert main(["reconstruct", "--config", str(path)]) == EXIT_CONFIG
         assert "reconstruction" in capsys.readouterr().err
 
+    def test_grid_size_overflow_exits_2_naming_both_fields(self, tmp_path, capsys):
+        # 1e200 * 1e200 overflows to inf; round(inf) used to raise OverflowError.
+        cfg = reconstruction_config()
+        cfg["reconstruction"].update(duration_s=1.0e200, nyquist_rate_hz=1.0e200)
+        path = tmp_path / "recon.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["reconstruct", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "duration_s * nyquist_rate_hz must be finite" in err
+
 
 class TestRateDesignCommand:
     def test_reports_rates_and_design_coherence(self, tmp_path, capsys):
@@ -788,6 +800,18 @@ class TestShippedConfigs:
         config = load_config(path)
         assert config.seed is not None
         assert config_hash(config) == CONFIG_HASHES[name]
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(CONFIG_DIR.glob("*.yaml")) + sorted(BENCH_CONFIG_DIR.glob("*.yaml")),
+        ids=lambda path: path.name,
+    )
+    def test_libyaml_and_pure_python_loaders_give_equal_configs(self, path, monkeypatch):
+        loaded = []
+        for loader in (yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+            monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+            loaded.append(load_config(path))
+        assert loaded[0] == loaded[1]
 
     def test_the_directory_ships_exactly_the_documented_set(self):
         found = sorted(p.name for p in self.CONFIG_DIR.glob("*.yaml"))

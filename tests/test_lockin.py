@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from scipy import special
 
 from lockinsim.lockin import (
     CpmgSequence,
+    carrier_cycles,
     modulation_function,
     nonlinear_spectrum_prediction,
     phase_amplitude,
     phase_by_integration,
     phase_closed_form,
     transition_probability,
+    two_prod,
+    two_sum,
 )
 from lockinsim.signal import (
     AcSignal,
@@ -272,6 +276,55 @@ class TestPhaseOverFmPath:
         late = np.array([0.0, last_start + 1e-3 * self.SEQ.tau_s])
         with pytest.raises(ValueError, match="outside the materialized range"):
             phase_closed_form(signal, self.SEQ, late, phase_noise=path)
+
+
+class TestCarrierCycles:
+    """Error-free products and sums, and the carrier phase built on them."""
+
+    finite = st.floats(min_value=1e-6, max_value=1e9) | st.floats(min_value=-1e9, max_value=-1e-6)
+
+    @given(finite, finite)
+    def test_two_prod_and_two_sum_are_exact(self, a, b):
+        p, e = two_prod(a, b)
+        assert p == a * b
+        assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+        s, e = two_sum(a, b)
+        assert s == a + b
+        assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
+
+    def test_cycle_fraction_matches_exact_arithmetic_at_hour_long_times(self):
+        rng = np.random.default_rng(3)
+        f = 1.2e6 + 0.1234567
+        t = rng.uniform(0.0, 3600.0, 500)
+        t_lo = rng.uniform(-1e-13, 1e-13, 500)
+        got = carrier_cycles(f, t, t_lo)
+        for g, t_hi, lo in zip(got, t, t_lo):
+            cycles = Fraction(f) * (Fraction(t_hi) + Fraction(lo))
+            assert abs(g - float(cycles - round(cycles))) <= 1e-16
+        assert np.abs(got).max() <= 0.5 + 1e-6
+
+    @pytest.mark.parametrize("ratio", [None, 50.0])
+    def test_time_error_shifts_the_phase_like_a_shift_of_t(self, ratio):
+        # 1e-13 s moves a 1.2 MHz carrier by 7.5e-7 rad; the FM path moves by
+        # far less. ratio 50 puts windows both inside path segments and across
+        # nodes, the two carrier sites of the FM kernel.
+        seq = TestPhaseOverFmPath.SEQ
+        fm = None if ratio is None else TestPhaseOverFmPath.fm(ratio)
+        signal = AcSignal(
+            tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.7),), fm=fm
+        )
+        starts = np.linspace(0.0, 200.0 * seq.sensing_time_s, 301)
+        path = None
+        if fm is not None:
+            dt = fm.correlation_time_s / 8.0
+            path = materialize_fm_noise(signal, float(starts.max()) + seq.sensing_time_s + dt, dt)
+        shift = 1e-13 * np.linspace(0.5, 1.0, starts.size)
+        base = phase_closed_form(signal, seq, starts, phase_noise=path)
+        moved = phase_closed_form(signal, seq, starts + shift, phase_noise=path)
+        got = phase_closed_form(signal, seq, starts, t_lo=shift, phase_noise=path)
+        tol = 1e-9 * 1e5 * seq.sensing_time_s
+        assert np.abs(moved - base).max() > 100.0 * tol
+        np.testing.assert_allclose(got, moved, rtol=0.0, atol=tol)
 
 
 class TestTransitionProbability:

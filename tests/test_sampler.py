@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lockinsim.lockin import CpmgSequence, phase_amplitude
+from lockinsim import sampler as sampler_module
+from lockinsim.lockin import CpmgSequence, phase_amplitude, phase_closed_form
 from lockinsim.readout import ReadoutModel, expected_counts, noise_variance
 from lockinsim.sampler import (
     CHUNK_SAMPLES,
     SamplingSchedule,
     TimeTrace,
+    _nominal_times,
     expected_probabilities,
     read_trace,
     run_sampling,
@@ -309,6 +312,61 @@ class TestRunSampling:
             a = run_sampling(sig, seq, model, sched, 99, num_threads=1)
             b = run_sampling(sig, seq, model, sched, 99, num_threads=2)
             np.testing.assert_array_equal(a.counts, b.counts)
+
+
+class TestCarrierPhaseAccuracy:
+    """The schedule's carrier phase is exact over the one-hour AM record."""
+
+    @pytest.mark.parametrize("start_time_s", [0.0, 1.0 / 3.0])
+    def test_hour_long_schedule_phase_matches_the_exact_cycle_count(self, start_time_s):
+        # configs/am_sidebands_hour.yaml: carrier, lock-in and sampling period;
+        # a start off zero also rounds in start + k t_s.
+        f = 601254.7
+        seq = CpmgSequence.for_frequency(f, 32)
+        model = ReadoutModel(qnd_repetitions=1000, contrast=0.35)
+        sched = SamplingSchedule.from_period(
+            seq, model, 4.21152e-3, 854_798, start_time_s=start_time_s
+        )
+        tone = Tone(frequency_hz=f, amplitude_rad_per_s=1e5, phase_rad=0.3)
+        signal = AcSignal(tones=(tone,))
+        gain = -phase_amplitude(tone, seq)  # on resonance, negative for K/2 even
+        rng = np.random.default_rng(11)
+        k = np.unique(np.r_[0:20, rng.integers(0, 854_798, 400), 854_778:854_798])
+        t, t_lo = _nominal_times(sched, 0, sched.num_samples)
+        assert t[-1] == pytest.approx(3600.0, rel=1e-3)
+        nominal = sched.start_time_s + np.arange(854_798) * sched.sampling_period_s
+        np.testing.assert_array_equal(t, nominal)  # the times themselves are unchanged
+        phi = phase_closed_form(signal, seq, t[k], t_lo=t_lo[k])
+        # Angle the closed form adds to the carrier: alpha + K omega tau / 2.
+        offset = tone.phase_rad + seq.pulse_count * (2.0 * math.pi * f * seq.tau_s / 2.0)
+        start, period = Fraction(sched.start_time_s), Fraction(sched.sampling_period_s)
+        exact = []
+        for index in k.tolist():
+            cycles = Fraction(f) * (start + index * period)
+            exact.append(math.sin(2.0 * math.pi * float(cycles - round(cycles)) + offset))
+        # phi = gain sin(carrier angle), so this bounds the angle error in rad.
+        np.testing.assert_allclose(phi / gain, exact, rtol=0.0, atol=1e-12)
+        # The sampler's own phases come from the same times and errors.
+        p = expected_probabilities(signal, seq, sched)[k]
+        p_exact = 0.5 * (1.0 - np.sin(gain * np.array(exact)))
+        np.testing.assert_allclose(p, p_exact, rtol=0.0, atol=1e-12)
+
+
+    def test_run_sampling_passes_every_chunk_its_time_errors(self, monkeypatch):
+        seq, model, sched = make_parts(num_samples=CHUNK_SAMPLES + 1001, start_time_s=1.0 / 3.0)
+        seen = []
+
+        def spy(signal, seq, t, *, t_lo=0.0, phase_noise=None):
+            seen.append((t, np.broadcast_to(t_lo, t.shape)))
+            return phase_closed_form(signal, seq, t, t_lo=t_lo, phase_noise=phase_noise)
+
+        monkeypatch.setattr(sampler_module, "phase_closed_form", spy)
+        run_sampling(tone_signal(), seq, model, sched, 3, num_threads=2)
+        seen.sort(key=lambda chunk: chunk[0][0])
+        t, t_lo = _nominal_times(sched, 0, sched.num_samples)
+        np.testing.assert_array_equal(np.concatenate([c[0] for c in seen]), t)
+        np.testing.assert_array_equal(np.concatenate([c[1] for c in seen]), t_lo)
+        assert np.count_nonzero(t_lo) > 0.9 * t_lo.size
 
 
 class TestTraceIO:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,20 @@ class TestSplitRfft:
         assert spec.power[0] == pytest.approx(float(n) ** 2, rel=1e-13)
         assert lengths and n not in lengths
         assert max(lengths) <= max(p, n // p)
+
+    def test_split_spectrum_memory_peaks_below_three_inputs(self):
+        # The hour-long AM record: p = 61 057, q = 14. The real-input split
+        # twiddles and transforms half the rows; the full complex split
+        # peaked at 5.1 times the input's bytes.
+        n = 854_798
+        x = np.random.default_rng(5).poisson(3.0, n).astype(float)
+        tracemalloc.start()
+        try:
+            power_spectrum(x, sample_rate_hz=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * x.nbytes
 
 
 class TestAverageSpectra:
