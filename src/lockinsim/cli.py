@@ -15,8 +15,9 @@ Each command but ``simulate`` returns its JSON result, CSV header and CSV
 columns (which may be None outside ``--format csv``); :func:`main` checks every
 number of the result for finiteness, then writes it.
 
-Exit codes: 0 success; 2 configuration/input errors; 3 numerical failures
-(non-convergent fits, NNLS cap, a non-finite value in any result field).
+Exit codes: 0 success; 2 configuration/input errors, and a config whose
+arrays do not fit in memory; 3 numerical failures (non-convergent fits, NNLS
+cap, a non-finite value in any result field).
 """
 
 from __future__ import annotations
@@ -440,6 +441,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"lockinsim: invalid input: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"lockinsim: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -441,6 +441,9 @@ def _shared_design(matrices: Sequence[SamplingMatrix]) -> tuple[WidebandGrid, np
 def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """Mutual coherence of the stacked design (memory-bounded, exact).
 
+    The design is the one-sided matrices as built, stacked unweighted with
+    every row. It is not the system :func:`reconstruct` solves: that drops
+    each record's DC row and weights row N_i/2 of an even N_i by sqrt(1/2).
     Columns are scaled to unit norm and the Gram matrix is formed by
     :meth:`CooMatrix.gram_rows`, for as many columns at a time as keep a
     block within ``COHERENCE_BLOCK_ENTRIES`` entries.
@@ -841,9 +844,11 @@ def recovery_phase_diagram(
     ``PHASE_DIAGRAM_RECORD_BINS``, s forward tone bins (redrawn if a tone
     folds onto a DC/Nyquist row of any record — degenerate folds are not
     identifiable) with components from ``PHASE_DIAGRAM_AMPLITUDES``, forms
-    Y_i = Phi_i X exactly, and solves the stacked NNLS on every forward bin
-    of the grid, as :func:`reconstruct` does. Success = exact support
-    recovery with component error <= 1e-6 * max(X).
+    Y_i = Phi_i X exactly, and solves NNLS on every forward bin of the grid.
+    The stacked design is the one-sided matrices as built, unweighted with
+    every row; :func:`reconstruct` instead drops the DC rows and weights row
+    N_i/2 by sqrt(1/2). Success = exact support recovery with component
+    error <= 1e-6 * max(X).
 
     Returns:
         success[s_index, p_index] in [0, 1].
@@ -912,7 +917,10 @@ def design_rates(
     check_range(0, strict=True, base_period_s=base_period_s)
     check_range(0, strict=True, max_extra_s=max_extra_s)
     check_range(0, strict=True, time_grid_s=time_grid_s)
-    levels = int(math.floor(max_extra_s / time_grid_s + 1e-9)) + 1
+    # The level indices are drawn as int64, so their count must fit one.
+    ratio = max_extra_s / time_grid_s
+    check_range(0, high=np.iinfo(np.int64).max - 1, **{"max_extra_s / time_grid_s": ratio})
+    levels = int(math.floor(ratio + 1e-9)) + 1
     if levels < num_rates:
         raise ValueError("time grid too coarse for the requested number of rates")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))

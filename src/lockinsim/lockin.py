@@ -467,6 +467,30 @@ class HarmonicLine:
     amplitude: float
 
 
+def _odd_bessel(x: float, k_max: int) -> np.ndarray:
+    """J_{2k+1}(x) for k = 0..k_max and x >= 0.
+
+    Below x = 1e-8 the series' leading term (x/2)^n / n! is J_n(x) to double
+    precision; it is formed as a running product, since 2n/x may overflow.
+    Above, Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} runs
+    down from an even order well past x and 2 k_max + 1, is rescaled before
+    it can overflow, and is normalized by J_0 + 2 sum_k J_{2k} = 1 (Gautschi
+    1967, SIAM Review 9). Time and memory grow as x + k_max.
+    """
+    top = 2 * k_max + 1
+    if x < 1e-8:
+        return np.cumprod(0.5 * x / np.arange(1.0, top + 1))[::2]
+    reach = max(top, x)
+    start = 2 * ((int(reach) + int(math.sqrt(40.0 * reach)) + 20) // 2)
+    j = np.zeros(start + 2)
+    j[start] = 1.0
+    for n in range(start, 0, -1):
+        j[n - 1] = 2.0 * n / x * j[n] - j[n + 1]
+        if abs(j[n - 1]) > 1e250:
+            j[n - 1 :] *= 1e-250
+    return j[1 : top + 1 : 2] / (j[0] + 2.0 * j[2::2].sum())
+
+
 def nonlinear_spectrum_prediction(
     phi_max: float, f_ac: float, k_max: int | None = None
 ) -> list[HarmonicLine]:
@@ -481,15 +505,14 @@ def nonlinear_spectrum_prediction(
     Returns:
         Harmonics [(2k+1) f_ac, J_{2k+1}(phi_max)] for k = 0..k_max.
     """
-    check_range(0, phi_max=phi_max, k_max=k_max)
+    check_range(0, phi_max=phi_max)
+    check_range(0, integer=True, k_max=k_max)
     check_range(0, strict=True, f_ac=f_ac)
     if k_max is None:
         # J_n(x) decays super-exponentially once n > x; pad generously.
         k_max = max(3, int(math.ceil((phi_max + 12.0 * (phi_max ** (1.0 / 3.0) + 1.0)) / 2.0)))
-    from scipy import special  # here, not at module level: no CLI command needs it
-
     orders = 2 * np.arange(k_max + 1) + 1
-    amplitudes = special.jv(orders, phi_max)
+    amplitudes = _odd_bessel(phi_max, k_max)
     return [
         HarmonicLine(order=int(n), frequency_hz=n * f_ac, amplitude=float(a))
         for n, a in zip(orders, amplitudes)

@@ -160,14 +160,6 @@ class AcSignal:
         """The signal as its single group, mirroring :attr:`CompositeSignal.groups`."""
         return (self,)
 
-    @property
-    def max_frequency_hz(self) -> float:
-        """Highest tone frequency (Hz), AM sidebands included."""
-        top = max(t.frequency_hz for t in self.tones)
-        if self.am is not None:
-            top += self.am.mod_frequency_hz
-        return top
-
 
 @dataclass(frozen=True)
 class CompositeSignal:
@@ -186,10 +178,6 @@ class CompositeSignal:
         if not all(isinstance(g, AcSignal) for g in groups):
             raise ValueError("CompositeSignal.groups must contain AcSignal instances")
         object.__setattr__(self, "groups", groups)
-
-    @property
-    def max_frequency_hz(self) -> float:
-        return max(g.max_frequency_hz for g in self.groups)
 
 
 AnySignal = Union[AcSignal, CompositeSignal]

@@ -21,6 +21,7 @@ from lockinsim import config as config_module
 from lockinsim._io import CSV_BLOCK_ROWS, csv_blocks
 from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, _emit, main
 from lockinsim.config import ConfigError, config_hash, load_config
+from lockinsim.lockin import nonlinear_spectrum_prediction
 from lockinsim.sampler import read_trace, undersampled_bin
 from lockinsim.spectral import FitError
 
@@ -455,16 +456,41 @@ class TestReconstructCommand:
 
 
 class TestRateDesignCommand:
-    def test_reports_rates_and_design_coherence(self, tmp_path, capsys):
+    @staticmethod
+    def design_config(tmp_path, reconstruction=None, **rate_design):
         cfg = reconstruction_config()
+        cfg["reconstruction"].update(reconstruction or {})
         cfg["rate_design"] = {
             "num_rates": 3,
             "base_period_s": 1.0 / 79.0,
             "max_extra_s": 2.0e-3,
             "time_grid_s": 1.0e-5,
+            **rate_design,
         }
         path = tmp_path / "design.yaml"
         path.write_text(yaml.safe_dump(cfg))
+        return path
+
+    @pytest.mark.parametrize("max_extra_s", [1.0e300, 1.0e10])
+    def test_level_count_overflow_exits_2_naming_the_ratio(self, tmp_path, capsys, max_extra_s):
+        # 1e310 levels overflow to inf, and 1e20 levels do not fit the int64 draw.
+        path = self.design_config(tmp_path, max_extra_s=max_extra_s, time_grid_s=1.0e-10)
+        assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid input: max_extra_s / time_grid_s must be" in err
+
+    def test_unallocatable_support_exits_2_out_of_memory(self, tmp_path, capsys):
+        # The support is 5e16 int64 bins: 355 PiB, more than any address space
+        # and less than numpy's 2**63-byte limit, so the allocation is refused
+        # at once with a MemoryError and nothing is allocated.
+        wide = {"duration_s": 1.0e12, "nyquist_rate_hz": 2.5e6,
+                "support_bands_hz": [[1.0e6, 1.05e6]]}
+        path = self.design_config(tmp_path, reconstruction=wide)
+        assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
+        assert "lockinsim: out of memory: " in capsys.readouterr().err
+
+    def test_reports_rates_and_design_coherence(self, tmp_path, capsys):
+        path = self.design_config(tmp_path)
         result = run_json(["rate-design", "--config", str(path)], capsys)["result"]
         rates = result["sample_rates_hz"]
         assert len(rates) == 3
@@ -473,15 +499,7 @@ class TestRateDesignCommand:
         assert result["num_columns"] == 11
 
     def test_writes_matrix_sidecars_in_csv_mode(self, tmp_path, capsys):
-        cfg = reconstruction_config()
-        cfg["rate_design"] = {
-            "num_rates": 2,
-            "base_period_s": 1.0 / 79.0,
-            "max_extra_s": 2.0e-3,
-            "time_grid_s": 1.0e-5,
-        }
-        path = tmp_path / "design.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        path = self.design_config(tmp_path, num_rates=2)
         out = tmp_path / "design.csv"
         code = main(
             ["rate-design", "--config", str(path), "--format", "csv", "--out", str(out)]
@@ -492,15 +510,7 @@ class TestRateDesignCommand:
         assert (tmp_path / "design.matrix1.csv").exists()
 
     def test_csv_with_matrix_sidecars_requires_out(self, tmp_path, capsys):
-        cfg = reconstruction_config()
-        cfg["rate_design"] = {
-            "num_rates": 2,
-            "base_period_s": 1.0 / 79.0,
-            "max_extra_s": 2.0e-3,
-            "time_grid_s": 1.0e-5,
-        }
-        path = tmp_path / "design.yaml"
-        path.write_text(yaml.safe_dump(cfg))
+        path = self.design_config(tmp_path, num_rates=2)
         code = main(["rate-design", "--config", str(path), "--format", "csv"])
         assert code == EXIT_CONFIG
         captured = capsys.readouterr()
@@ -725,6 +735,20 @@ class TestImportGraph:
         loaded = self.start_up_modules()
         assert "lockinsim.cli" in loaded
         assert self.scipy_modules(loaded) == []
+
+    def test_harmonic_prediction_runs_with_scipy_blocked(self):
+        # None in sys.modules makes any scipy import raise ImportError.
+        phis = (0.0, 1.8, 14.0)
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lockinsim.lockin import nonlinear_spectrum_prediction as predict\n"
+            f"lines = [predict(phi, 1.0e6) for phi in {phis!r}]\n"
+            "print(json.dumps([[line.amplitude for line in each] for each in lines]))\n"
+        )
+        lines = [nonlinear_spectrum_prediction(phi, 1.0e6) for phi in phis]
+        expected = [[line.amplitude for line in each] for each in lines]
+        assert json.loads(run_python(["-c", code])) == expected
 
     def test_cli_start_up_loads_no_pydantic_module(self):
         # The config loader needs no validation library.

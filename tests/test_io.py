@@ -76,8 +76,8 @@ SCHEDULE = {
 }
 READOUT = {"qnd_repetitions": 260, "contrast": 0.35}
 
-#: (field, call) pairs: each call passes NaN, inf or 0 where the field
-#: forbids it, and must be refused by name.
+#: (field, call) pairs: each call passes NaN, inf, 0, a fraction or an
+#: overflowing value where the field forbids it, and must be refused by name.
 REFUSED = [
     ("dead_time_s", lambda: SamplingSchedule(**{**SCHEDULE, "dead_time_s": math.inf})),
     ("start_time_s", lambda: SamplingSchedule(**SCHEDULE, start_time_s=math.inf)),
@@ -92,7 +92,17 @@ REFUSED = [
     ("f_true", lambda: undersampled_bin(math.inf, 700.0, 100)),
     ("base_period_s", lambda: design_rates(3, math.inf, 1e-5, seed=0)),
     ("time_grid_s", lambda: design_rates(3, 1e-3, 1e-5, seed=0, time_grid_s=0.0)),
+    # 1e310 levels overflow to inf; 1e20 levels do not fit the int64 draw.
+    (
+        "max_extra_s / time_grid_s",
+        lambda: design_rates(3, 1e-3, 1.0e300, seed=0, time_grid_s=1.0e-10),
+    ),
+    (
+        "max_extra_s / time_grid_s",
+        lambda: design_rates(3, 1e-3, 1.0e10, seed=0, time_grid_s=1.0e-10),
+    ),
     ("phi_max", lambda: nonlinear_spectrum_prediction(math.nan, 1.0e6)),
+    ("k_max", lambda: nonlinear_spectrum_prediction(1.0, 1.0, k_max=2.5)),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -368,6 +369,25 @@ class TestBessel:
         lines = nonlinear_spectrum_prediction(x, 100.0, k_max=20)
         assert lines[-1].order == n
         assert lines[-1].amplitude == pytest.approx(series, rel=1e-10)
+
+    @pytest.mark.parametrize("k_max", [None, 40])
+    @pytest.mark.parametrize(
+        "x", [1e-300, 1e-100, 1e-12, 1e-3, 0.5, 1.8, 14.0, 21.6, 50.0, 200.0, 1000.0]
+    )
+    def test_matches_scipy_jv(self, x, k_max):
+        # Relative accuracy wherever J is a normal double, down to x = 1e-300
+        # where 2n/x overflows; absolute at large x, where J oscillates about 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            lines = nonlinear_spectrum_prediction(x, 100.0, k_max=k_max)
+        amps = np.array([line.amplitude for line in lines])
+        ref = special.jv([line.order for line in lines], x)
+        assert not np.isnan(amps).any()
+        if x >= 200.0:
+            np.testing.assert_allclose(amps, ref, rtol=0.0, atol=1e-13)
+        else:
+            normal = np.abs(ref) >= np.finfo(float).tiny
+            np.testing.assert_allclose(amps[normal], ref[normal], rtol=1e-12, atol=0.0)
 
     @given(st.integers(1, 14), st.floats(0.5, 50.0))
     def test_three_term_recurrence(self, k, x):

@@ -128,22 +128,6 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(sig, 0.0)
 
-    def test_max_frequency_includes_am_sideband(self):
-        sig = AcSignal(
-            tones=(Tone(frequency_hz=50.0, amplitude_rad_per_s=1.0),),
-            am=AmModulation(mod_frequency_hz=5.0, mod_depth=0.5),
-        )
-        assert sig.max_frequency_hz == pytest.approx(55.0)
-
-    def test_max_frequency_is_strongest_constraint_over_tones(self):
-        sig = AcSignal(
-            tones=(
-                Tone(frequency_hz=50.0, amplitude_rad_per_s=1.0),
-                Tone(frequency_hz=120.0, amplitude_rad_per_s=0.1),
-            )
-        )
-        assert sig.max_frequency_hz == pytest.approx(120.0)
-
     def test_strongest_tone_and_linewidth_span_all_groups(self):
         coherent = single_tone(frequency_hz=40.0, amplitude=3.0)
         broadened = AcSignal(
