@@ -153,7 +153,7 @@ def _emit(
     csv_columns: Sequence[Any] | None,
 ) -> None:
     if fmt == "json":
-        blocks: Iterable[str] = (canonical_json(payload) + "\n",)
+        blocks: Iterable[bytes] = ((canonical_json(payload) + "\n").encode(),)
     else:
         header = (
             f"# tool_version={payload['tool_version']}",
@@ -163,9 +163,10 @@ def _emit(
         )
         blocks = csv_blocks(header, csv_columns)
     if out is None:
-        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(blocks)
     else:
-        with open(out, "w") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(blocks)
 
 

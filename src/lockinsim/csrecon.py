@@ -942,6 +942,6 @@ def write_matrix_csv(matrix: SamplingMatrix, path: str | Path) -> Path:
         "row,wideband_bin,weight",
     )
     columns = (coo.rows[order], matrix.support[coo.cols[order]], coo.data[order])
-    with path.open("w") as fh:
+    with path.open("wb") as fh:
         fh.writelines(csv_blocks(header, columns))
     return path

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import check_range
+from ._io import check_range, two_prod, two_sum
 from .signal import AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-#: Dekker's splitter 2**27 + 1: ``_DEKKER * a`` cuts a double into two
-#: halves of at most 26 significant bits each.
-_DEKKER = 134217729.0
 
 #: Windows per block of the FM kernel; bounds its (windows x pieces)
 #: temporaries whatever the number of windows.
@@ -165,26 +161,6 @@ def _passband_gain(
     return (2.0 * amplitude_rad_per_s / omega) * _bandpass_kernel(
         omega * seq.tau_s / 2.0, seq.pulse_count
     )
-
-
-def two_prod(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker 1971), barring
-    overflow and underflow."""
-    p = a * b
-    c = _DEKKER * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    c = _DEKKER * b
-    b_hi = c - (c - b)
-    b_lo = b - b_hi
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def two_sum(a: float | np.ndarray, b: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
-    s = a + b
-    b_virtual = s - a
-    return s, (a - (s - b_virtual)) + (b - b_virtual)
 
 
 def carrier_cycles(

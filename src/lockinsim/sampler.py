@@ -29,8 +29,6 @@ from .lockin import (
     CpmgSequence,
     phase_closed_form,
     transition_probability,
-    two_prod,
-    two_sum,
 )
 from .lockin import phase_by_integration  # noqa: F401  (bench/ traces it by this name)
 from .readout import ReadoutModel, sample_counts
@@ -40,7 +38,7 @@ from .signal import (
     PhaseNoisePath,
     materialize_fm_noise,
 )
-from ._io import canonical_json, check_range, csv_blocks, sha256_hex
+from ._io import canonical_json, check_range, csv_blocks, sha256_hex, split, two_prod, two_sum
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -257,9 +255,21 @@ def _nominal_times(sched: SamplingSchedule, lo: int, hi: int) -> tuple[np.ndarra
 
     The times are the rounded floats of the nominal grid; the errors come
     from an exact two-product and two-sum, so t_k + error is start + k t_s
-    up to the rounding of the error itself (~1e-29 s at an hour).
+    up to the rounding of the error itself (~1e-29 s at an hour). Below
+    2**26 an index k splits exactly as (k, 0), so only t_s is split, and
+    the two-sum is skipped at start 0, where it adds an exact 0: the same
+    bits as the general path, for a fraction of the work.
     """
-    k_t_s, product_error = two_prod(np.arange(lo, hi, dtype=float), sched.sampling_period_s)
+    k = np.arange(lo, hi, dtype=float)
+    t_s = sched.sampling_period_s
+    if hi <= 1 << 26:
+        t_s_hi, t_s_lo = split(t_s)
+        k_t_s = k * t_s
+        product_error = (k * t_s_hi - k_t_s) + k * t_s_lo
+    else:
+        k_t_s, product_error = two_prod(k, t_s)
+    if sched.start_time_s == 0.0:
+        return k_t_s, product_error
     t_k, sum_error = two_sum(sched.start_time_s, k_t_s)
     return t_k, product_error + sum_error
 
@@ -399,7 +409,7 @@ def write_trace(trace: TimeTrace, path: str | Path) -> Path:
         "k,t_k_s,counts",
     )
     columns = (np.arange(trace.num_samples), trace.times_s, trace.counts)
-    with path.open("w") as fh:
+    with path.open("wb") as fh:
         fh.writelines(csv_blocks(header, columns))
     return path
 

@@ -2,18 +2,21 @@
 
 The oracles here are deliberately independent of the library internals:
 the DFT oracle is a direct O(N^2) sum, slopes are plain least squares on
-log-log points, and sequence/model builders only use public constructors.
+log-log points, the CSV oracle formats every cell with ``str``, and
+sequence/model builders only use public constructors.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import yaml
 
+from lockinsim._io import CSV_BLOCK_ROWS
 from lockinsim.lockin import CpmgSequence
 from lockinsim.readout import ReadoutModel
 
@@ -179,3 +182,20 @@ def short_wideband_config(tmp_path: Path) -> Path:
     path = tmp_path / "wideband.yaml"
     path.write_text(yaml.safe_dump(cfg))
     return path
+
+
+def str_csv_blocks(header: Sequence[str], columns: Sequence[Any]) -> Iterator[str]:
+    """The CSV text of :func:`lockinsim._io.csv_blocks`, every cell formatted
+    by ``str`` of the column's Python scalars (``tolist``), in the same
+    blocks. Test oracle only: encoded, the blocks must equal the library's."""
+    yield "".join(f"{line}\n" for line in header)
+    columns = [np.asarray(column) for column in columns]
+    rows = min((column.shape[0] for column in columns), default=0)
+    for start in range(0, rows, CSV_BLOCK_ROWS):
+        cells = [map(str, c[start : start + CSV_BLOCK_ROWS].tolist()) for c in columns]
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def str_csv_bytes(header: Sequence[str], columns: Sequence[Any]) -> bytes:
+    """The whole CSV file of :func:`str_csv_blocks` as UTF-8 bytes."""
+    return "".join(str_csv_blocks(header, columns)).encode()

@@ -17,7 +17,9 @@ import yaml
 
 import lockinsim
 from lockinsim import __version__, csrecon, spectral
+from lockinsim import cli as cli_module
 from lockinsim import config as config_module
+from lockinsim import sampler as sampler_module
 from lockinsim._io import CSV_BLOCK_ROWS, csv_blocks
 from lockinsim.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _COMMANDS, _emit, main
 from lockinsim.config import ConfigError, config_hash, load_config
@@ -25,7 +27,7 @@ from lockinsim.lockin import nonlinear_spectrum_prediction
 from lockinsim.sampler import read_trace, undersampled_bin
 from lockinsim.spectral import FitError
 
-from .helpers import short_wideband_config
+from .helpers import REPO_ROOT, short_wideband_config, str_csv_blocks, str_csv_bytes
 
 BASE_CONFIG = {
     "seed": 42,
@@ -682,11 +684,38 @@ class TestCsvOutput:
     def test_blocks_join_to_the_whole_text(self, rows):
         header = ("# a=1", "k,x")
         columns = (np.arange(rows), np.random.default_rng(rows).normal(size=rows))
-        cells = [map(str, np.asarray(c).tolist()) for c in columns]
-        whole = "\n".join([*header, *map(",".join, zip(*cells))]) + "\n"
         blocks = list(csv_blocks(header, columns))
-        assert "".join(blocks) == whole
+        assert [block.decode() for block in blocks] == list(str_csv_blocks(header, columns))
         assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--config", "configs/am_sidebands_hour.yaml", "--threads", "2"],
+            ["spectrum", "--config", "configs/broadened_pair.yaml"],
+            ["spectrum", "--config", "configs/gain_sweep.yaml"],
+            ["simulate", "--config", "configs/gain_sweep.yaml"],
+            ["rate-design", "--config", "configs/wideband_recovery.yaml"],
+        ],
+        ids=["spectrum-hour", "spectrum-broadened", "spectrum-gain", "simulate", "rate-design"],
+    )
+    def test_shipped_configs_write_the_str_oracle_bytes(self, argv, tmp_path, monkeypatch):
+        # Every CSV a command writes (its output, trace and matrix files)
+        # must equal the cell-by-cell str writer on the same columns.
+        expected = []
+
+        def spy(header, columns):
+            expected.append(str_csv_bytes(header, columns))
+            return csv_blocks(header, columns)
+
+        for module in (cli_module, sampler_module, csrecon):
+            monkeypatch.setattr(module, "csv_blocks", spy)
+        argv = [*argv, "--format", "csv", "--out", str(tmp_path / "out.csv")]
+        argv[2] = str(REPO_ROOT / argv[2])
+        assert main(argv) == EXIT_OK
+        written = [p.read_bytes() for p in tmp_path.glob("*.csv")]
+        assert len(written) == len(expected) >= 1
+        assert sorted(written) == sorted(expected)
 
     def test_spectrum_csv_to_stdout_and_out_file_is_the_same_bytes(self, tmp_path, capsysbinary):
         path = write_config(tmp_path, {"schedule": {"num_samples": 70000, "dead_time_s": 5e-4}})

@@ -1,4 +1,5 @@
-"""Tests for the shared range check and the inputs it refuses."""
+"""Tests for the shared range check and the inputs it refuses, and for the
+CSV writer against the cell-by-cell ``str`` oracle."""
 
 from __future__ import annotations
 
@@ -6,12 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lockinsim._io import check_range
+from lockinsim._io import CSV_BLOCK_ROWS, check_range, csv_blocks
 from lockinsim.csrecon import design_rates
 from lockinsim.lockin import nonlinear_spectrum_prediction
 from lockinsim.readout import ReadoutModel
 from lockinsim.sampler import SamplingSchedule, TimeTrace, undersampled_bin
+
+from .helpers import str_csv_bytes
 
 
 def message(low, value, **options):
@@ -110,3 +115,111 @@ REFUSED = [
 def test_non_finite_or_zero_input_is_refused_by_name(field, call):
     with pytest.raises(ValueError, match=rf"^{field} must be "):
         call()
+
+
+def assert_like_str(*columns, header=("# h", "a")):
+    assert b"".join(csv_blocks(header, columns)) == str_csv_bytes(header, columns)
+
+
+def bits_to_floats(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+#: Cells at the edges of the numpy path: zeros, non-finite values,
+#: subnormals and the smallest normal, powers of two, the ends of the
+#: fixed-point range 1e-4 <= |x| < 1e16, short and tie-prone decimals.
+EDGE_FLOATS = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1.7976931348623157e308,
+    *[2.0**k for k in range(-20, 60)], *[-(2.0**k) for k in range(-20, 60, 7)],
+    1e-4, 9.99e-5, 0.00010000000000000002, 9.999999999999999e-05, 1e16,
+    9999999999999998.0, 1e15, 999999999999999.9, 0.5, 4.35, -4.35, 0.1, 0.3,
+    0.09999999999999999, 0.001, 0.0009999999999999998, 123456789012345.67,
+    *[10.0**k for k in range(-5, 18)], *[k / 3600.0 for k in range(1, 4000)],
+]
+
+
+class TestCsvBlocks:
+    @given(
+        st.lists(
+            st.integers(0, 2**64 - 1).map(lambda b: float(bits_to_floats([b])[0]))
+            | st.floats(allow_subnormal=True),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_any_float64_is_written_as_str(self, values):
+        assert_like_str(np.array(values, dtype=np.float64))
+
+    def test_a_million_random_doubles_are_written_as_str(self):
+        # Random sign and fraction bits over the binades 2**-14 .. 2**54,
+        # which hold the numpy path's range 1e-4 <= |x| < 1e16 and its ends.
+        rng = np.random.default_rng(20260418)
+        n = 1_000_000
+        exponent = rng.integers(1023 - 14, 1023 + 54, n, dtype=np.uint64)
+        bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)) | (
+            (exponent << np.uint64(52)) | rng.integers(0, 2**52, n, dtype=np.uint64)
+        )
+        assert_like_str(bits_to_floats(bits))
+
+    def test_edge_values_are_written_as_str(self):
+        assert_like_str(np.array(EDGE_FLOATS), np.array(EDGE_FLOATS[::-1]))
+
+    def test_decimals_of_16_and_17_digits_are_written_as_str(self):
+        # Above 2**53 * 10**k doubles are sparser than 17-digit decimals, so
+        # the shortest repr of each nearest double needs the full search.
+        rng = np.random.default_rng(7)
+        digits = rng.integers(2**53, 10**17, 20_000)
+        digits[::2] //= 10  # 16 digits
+        powers = rng.integers(-20, 0, digits.size)
+        values = np.array([float(f"{d}e{k}") for d, k in zip(digits.tolist(), powers.tolist())])
+        assert_like_str(values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf))
+
+    def test_short_binary_fractions_are_written_as_str(self):
+        # m / 2**k has a finite decimal expansion, so the scaled value often
+        # ends in exactly one half: a tie between two 17-digit strings.
+        rng = np.random.default_rng(8)
+        m = rng.integers(1, 2**45, 50_000)
+        shifts = rng.integers(0, 40, m.size)
+        assert_like_str(m / 2.0**shifts, -m / 2.0 ** (shifts % 9))
+
+    def test_integer_extremes_are_written_as_str(self):
+        ints = np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 9, 10, 99, 100, 10**18 - 1,
+                         10**18, -(10**18), 2**63 - 1], dtype=np.int64)
+        unsigned = np.array([0, 1, 10**19 - 1, 10**19, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert_like_str(ints)
+        assert_like_str(unsigned)
+        assert_like_str(ints.astype(np.int8), ints.astype(np.uint32), ints.astype(np.int32))
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ([True, False], [1.5, 2.5]),
+            ([1, None], [0.25, 3.0]),
+            (np.array([0.1, 1e-5, 3.4e38, -2.5], dtype=np.float32), [1, 2, 3, 4]),
+            (np.array([0.1, 65504.0], dtype=np.float16), [1, 2.5]),
+            ([1, 2.5, 3], [1, 2, 3], ["a", "b", "c"]),
+            ([[1, 2], [3, 4]], [5, 6]),
+        ],
+        ids=["bool", "object", "float32", "float16-mixed", "str", "2-d"],
+    )
+    def test_other_dtypes_follow_the_tolist_semantics(self, columns):
+        assert_like_str(*columns)
+
+    def test_str_rows_are_spliced_in_place_across_blocks(self):
+        rows = CSV_BLOCK_ROWS + 5
+        x = np.random.default_rng(5).normal(size=rows)
+        slow = [0, 1, 2, 100, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, rows - 1]
+        x[slow] = [math.nan, 1e-5, -math.inf, math.inf, 0.5, 5e-324, 1e300]
+        assert_like_str(np.arange(rows), x, x[::-1].copy())
+        # Blocks of mostly str rows, and of zeros, which numpy writes.
+        assert_like_str(np.where(x > -0.5, 1e-5, x), np.arange(rows))
+        assert_like_str(np.where(x > 0.0, 0.0, -0.0), np.arange(rows))
+
+    def test_header_alone_without_columns(self):
+        assert b"".join(csv_blocks(["# h", "a,b"], [])) == b"# h\na,b\n"
+
+    def test_unequal_columns_are_refused_before_any_output(self):
+        blocks = csv_blocks(["a,b,c"], [[1, 2, 3], [1.0, 2.0], np.arange(3)])
+        with pytest.raises(ValueError, match=r"^CSV columns differ in length: 3, 2, 3$"):
+            next(blocks)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lockinsim import sampler as sampler_module
+from lockinsim._io import two_prod, two_sum
 from lockinsim.lockin import CpmgSequence, phase_amplitude, phase_closed_form
 from lockinsim.readout import ReadoutModel, expected_counts, noise_variance
 from lockinsim.sampler import (
@@ -351,6 +352,20 @@ class TestCarrierPhaseAccuracy:
         p_exact = 0.5 * (1.0 - np.sin(gain * np.array(exact)))
         np.testing.assert_allclose(p, p_exact, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("start_time_s", [0.0, 1.0 / 3.0])
+    @pytest.mark.parametrize(
+        "lo, hi", [(0, 4096), (2**26 - 4096, 2**26), (2**26 - 2048, 2**26 + 2048)]
+    )
+    def test_nominal_times_match_the_general_two_product(self, start_time_s, lo, hi):
+        # Below 2**26 the index is not split and, at start 0, the two-sum is
+        # skipped; the bits must be those of the general path either way.
+        _, _, sched = make_parts(num_samples=10, start_time_s=start_time_s)
+        k_t_s, product_error = two_prod(np.arange(lo, hi, dtype=float), sched.sampling_period_s)
+        t_k, sum_error = two_sum(sched.start_time_s, k_t_s)
+        t, t_lo = _nominal_times(sched, lo, hi)
+        np.testing.assert_array_equal(t.view(np.int64), t_k.view(np.int64))
+        t_lo_general = product_error + sum_error
+        np.testing.assert_array_equal(t_lo.view(np.int64), t_lo_general.view(np.int64))
 
     def test_run_sampling_passes_every_chunk_its_time_errors(self, monkeypatch):
         seq, model, sched = make_parts(num_samples=CHUNK_SAMPLES + 1001, start_time_s=1.0 / 3.0)
