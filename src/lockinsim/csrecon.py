@@ -23,7 +23,8 @@ conjugate and counts its images once; bin M/2 collects the images of both
 
 Exact recovery of s tones from p incoherent records is expected for
 p > 2s - 1 (noiseless); the mutual coherence mu (largest normalized column
-inner product of the stacked matrix) measures design quality.
+inner product of the stacked system :func:`reconstruct` solves) measures
+design quality.
 
 The module needs numpy alone. Matrices are :class:`CooMatrix` triplets in
 column-major order. Both the NNLS and the coherence work from Gram rows
@@ -121,17 +122,6 @@ class CooMatrix:
             raise ValueError(f"expected a 2-D array, got shape {array.shape}")
         cols, rows = np.nonzero(array.T)
         return cls(rows, cols, array[rows, cols], array.shape)
-
-    @classmethod
-    def vstack(cls, blocks: Sequence[CooMatrix]) -> CooMatrix:
-        """Stack matrices with equal column counts on top of each other."""
-        offsets = np.cumsum([0] + [blk.shape[0] for blk in blocks])
-        return cls.from_entries(
-            np.concatenate([blk.rows + off for blk, off in zip(blocks, offsets)]),
-            np.concatenate([blk.cols for blk in blocks]),
-            np.concatenate([blk.data for blk in blocks]),
-            (int(offsets[-1]), blocks[0].shape[1]),
-        )
 
     @property
     def nnz(self) -> int:
@@ -279,6 +269,11 @@ def support_from_bands(
             )
         lo = int(math.ceil(f_lo * grid.duration_s - 1e-9))
         hi = int(math.floor(f_hi * grid.duration_s + 1e-9))
+        if hi < lo:
+            raise ValueError(
+                f"band ({f_lo}, {f_hi}) holds no bin of the "
+                f"{grid.resolution_hz} Hz grid"
+            )
         bins = np.arange(lo, hi + 1, dtype=np.int64)
         chunks.append(bins)
         total += bins.size
@@ -412,8 +407,9 @@ class CoherenceReport:
 
     Attributes:
         mu: max_{i != j} |<phi_i, phi_j>| over l2-normalized columns.
-        num_zero_columns: Columns with no nonzero entry in any record
-            (excluded from normalization).
+        num_zero_columns: Columns with no entry on a solved row of any
+            record, such as a column seen only on DC rows (excluded from
+            normalization).
         num_columns: Total columns evaluated.
     """
 
@@ -422,28 +418,62 @@ class CoherenceReport:
     num_columns: int
 
 
-def _shared_design(matrices: Sequence[SamplingMatrix]) -> tuple[WidebandGrid, np.ndarray]:
-    """The grid and support of ``matrices[0]``, which every matrix must share.
+def _solved_system(
+    matrices: Sequence[SamplingMatrix],
+) -> tuple[CooMatrix, list[tuple[np.ndarray, np.ndarray]]]:
+    """The stacked one-sided system :func:`reconstruct` solves.
+
+    Each record contributes its rows 1 .. floor(N_i/2) that the support
+    folds to, in ascending order; the DC row is dropped. The row N_i/2 of an
+    even N_i stands for itself alone in the two-sided record, and is
+    weighted by sqrt(1/2), so the objective is exactly half the two-sided
+    one at the mirrored X.
+
+    Args:
+        matrices: >= 1 matrices sharing one grid and one support.
+
+    Returns:
+        (A, kept): A has one column per support bin, and ``kept[i]`` holds
+        the record rows of ``matrices[i]`` that A keeps, with their weights.
 
     Raises:
         ValueError: If a matrix has another grid or another support.
     """
-    grid = matrices[0].grid
-    support = matrices[0].support
-    for m in matrices[1:]:
-        if m.grid != grid:
+    grid, support = matrices[0].grid, matrices[0].support
+    rows: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
+    weights: list[np.ndarray] = []
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    num_rows = 0
+    for mat in matrices:
+        if mat.grid != grid:
             raise ValueError("all matrices must share the same wideband grid")
-        if m.support.shape != support.shape or np.any(m.support != support):
+        if mat.support.shape != support.shape or np.any(mat.support != support):
             raise ValueError("all matrices must share the same support")
-    return grid, support
+        row_weight = np.ones(mat.num_record_bins // 2 + 1)
+        if mat.num_record_bins % 2 == 0:
+            row_weight[-1] = math.sqrt(0.5)
+        coo = mat.matrix
+        keep = coo.rows >= 1
+        touched, row = np.unique(coo.rows[keep], return_inverse=True)
+        rows.append(row + num_rows)
+        cols.append(coo.cols[keep])
+        weights.append(coo.data[keep] * row_weight[coo.rows[keep]])
+        kept.append((touched, row_weight[touched]))
+        num_rows += int(touched.size)
+    system = CooMatrix.from_entries(
+        np.concatenate(rows),
+        np.concatenate(cols),
+        np.concatenate(weights),
+        (num_rows, support.size),
+    )
+    return system, kept
 
 
 def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
-    """Mutual coherence of the stacked design (memory-bounded, exact).
+    """Mutual coherence of the stacked system :func:`reconstruct` solves
+    (memory-bounded, exact).
 
-    The design is the one-sided matrices as built, stacked unweighted with
-    every row. It is not the system :func:`reconstruct` solves: that drops
-    each record's DC row and weights row N_i/2 of an even N_i by sqrt(1/2).
     Columns are scaled to unit norm and the Gram matrix is formed by
     :meth:`CooMatrix.gram_rows`, for as many columns at a time as keep a
     block within ``COHERENCE_BLOCK_ENTRIES`` entries.
@@ -456,36 +486,25 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """
     if len(matrices) < 2:
         raise ValueError("coherence requires at least two matrices")
-    _, support = _shared_design(matrices)
-
-    stacked = CooMatrix.vstack([m.matrix for m in matrices])
+    system, _ = _solved_system(matrices)
+    n_cols = system.shape[1]
+    # Every stored entry is a positive sum of hat weights, so the columns
+    # with entries are those of nonzero norm; the others add zero Gram rows.
     # Column sums by reduceat, as scipy.sparse forms them (pairwise).
-    pointers = stacked.column_pointers
+    pointers = system.column_pointers
     filled = np.flatnonzero(np.diff(pointers))
-    norms_sq = np.zeros(support.size)
-    if filled.size:
-        norms_sq[filled] = np.add.reduceat(stacked.data * stacked.data, pointers[filled])
-    nonzero = norms_sq > 0.0
-    num_zero = int(np.count_nonzero(~nonzero))
-    inv_norm = np.zeros(support.size)
-    inv_norm[nonzero] = 1.0 / np.sqrt(norms_sq[nonzero])
-    kept = nonzero[stacked.cols]
-    cols = stacked.cols[kept]
-    normalized = CooMatrix(
-        stacked.rows[kept],
-        (np.cumsum(nonzero) - 1)[cols],
-        stacked.data[kept] * inv_norm[cols],
-        (stacked.shape[0], support.size - num_zero),
-    )
-    n_cols = normalized.shape[1]
+    inv_norm = np.zeros(n_cols)
+    squares = system.data * system.data
+    inv_norm[filled] = 1.0 / np.sqrt(np.add.reduceat(squares, pointers[filled]))
+    system.data[:] = system.data * inv_norm[system.cols]
 
     mu = 0.0
     step = max(1, COHERENCE_BLOCK_ENTRIES // max(n_cols, 1))
     for lo in range(0, n_cols, step):
-        block = normalized.gram_rows(lo, min(lo + step, n_cols))
+        block = system.gram_rows(lo, min(lo + step, n_cols))
         block[np.arange(block.shape[0]), np.arange(lo, lo + block.shape[0])] = 0.0
         mu = max(mu, float(np.abs(block, out=block).max()))
-    return CoherenceReport(mu=mu, num_zero_columns=num_zero, num_columns=int(support.size))
+    return CoherenceReport(mu=mu, num_zero_columns=n_cols - filled.size, num_columns=n_cols)
 
 
 @dataclass(frozen=True)
@@ -737,12 +756,10 @@ def reconstruct(
     (median estimate — an additive flat noise floor would otherwise bias the
     non-negative solution) and scaled by D_i = 4 / (M N_i), so a tone of
     per-sample count amplitude a contributes the same X = a^2 in every
-    record. The one-sided sampling matrices are used as they are, on record
-    rows 1 .. floor(N_i/2) that the support folds to (the DC row is
-    excluded). The row N_i/2 of an even N_i stands for itself alone in the
-    two-sided record, and is weighted by sqrt(1/2), so the objective is
-    exactly half the two-sided one at the mirrored X. The stacked
-    non-negative least-squares problem is solved by :func:`nnls_active_set`
+    record. The system solved is the one :func:`coherence` measures: record
+    rows 1 .. floor(N_i/2) that the support folds to, with row N_i/2 of an
+    even N_i weighted by sqrt(1/2), so the objective is exactly half the
+    two-sided one at the mirrored X. It is solved by :func:`nnls_active_set`
     and its solution mirrored onto both bins of each conjugate pair.
 
     Args:
@@ -763,15 +780,12 @@ def reconstruct(
         raise ValueError("need equally many spectra and matrices (>= 1)")
     if floor_subtraction not in (None, "median"):
         raise ValueError(f"unknown floor_subtraction {floor_subtraction!r}")
-    grid, support = _shared_design(matrices)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
+    system, kept = _solved_system(matrices)
+    grid, support = matrices[0].grid, matrices[0].support
     data: list[np.ndarray] = []
     floors = np.zeros(len(spectra))
-    rows_used = 0
     dc_coupled = np.zeros(support.size, dtype=bool)
-    for i, (spec, mat) in enumerate(zip(spectra, matrices)):
+    for i, (spec, mat, (rows, weights)) in enumerate(zip(spectra, matrices, kept)):
         if spec.num_samples != mat.num_record_bins:
             raise ValueError(
                 f"record {i}: spectrum has N={spec.num_samples} but the matrix "
@@ -782,33 +796,15 @@ def reconstruct(
                 f"record {i}: spectrum rate {spec.sample_rate_hz} != matrix rate "
                 f"{mat.sample_rate_hz}"
             )
-        n_i = mat.num_record_bins
         y = np.asarray(spec.power, dtype=float)
         if floor_subtraction == "median":
             floors[i] = _median(spec.power[1:])
             y = y - floors[i]
-        y = y * (4.0 / (grid.num_bins * n_i))
-        row_weight = np.ones(y.size)
-        if n_i % 2 == 0:
-            row_weight[-1] = math.sqrt(0.5)
+        y = y * (4.0 / (grid.num_bins * mat.num_record_bins))
+        data.append(y[rows] * weights)
+        dc_coupled[mat.matrix.cols[mat.matrix.rows == 0]] = True
 
-        coo = mat.matrix
-        dc_coupled[coo.cols[coo.rows == 0]] = True
-        keep = coo.rows >= 1
-        touched, row = np.unique(coo.rows[keep], return_inverse=True)
-        rows.append(row + rows_used)
-        cols.append(coo.cols[keep])
-        weights.append(coo.data[keep] * row_weight[coo.rows[keep]])
-        data.append(y[touched] * row_weight[touched])
-        rows_used += int(touched.size)
-
-    a_stacked = CooMatrix.from_entries(
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(weights),
-        (rows_used, support.size),
-    )
-    x, info = nnls_active_set(a_stacked, np.concatenate(data), tol=tol)
+    x, info = nnls_active_set(system, np.concatenate(data), tol=tol)
     # support is sorted and <= M/2, so the mirrors M - m of the paired bins
     # follow it in ascending order.
     paired = (support > 0) & (2 * support < grid.num_bins)
@@ -822,7 +818,7 @@ def reconstruct(
         residual_norm=math.sqrt(2.0) * info.residual_norm,
         kkt_max=info.kkt_max,
         converged=info.converged,
-        rows_used=rows_used,
+        rows_used=system.shape[0],
         floor_estimates=floors,
         num_dc_coupled_columns=int(np.sum(np.where(paired, 2, 1)[dc_coupled])),
     )
@@ -841,25 +837,29 @@ def recovery_phase_diagram(
 
     Noiseless synthetic instances on a small grid (M = ``grid_bins`` <= 4096,
     T = 1 s, integer folds): each trial draws p distinct record lengths from
-    ``PHASE_DIAGRAM_RECORD_BINS``, s forward tone bins (redrawn if a tone
-    folds onto a DC/Nyquist row of any record — degenerate folds are not
-    identifiable) with components from ``PHASE_DIAGRAM_AMPLITUDES``, forms
-    Y_i = Phi_i X exactly, and solves NNLS on every forward bin of the grid.
-    The stacked design is the one-sided matrices as built, unweighted with
-    every row; :func:`reconstruct` instead drops the DC rows and weights row
-    N_i/2 by sqrt(1/2). Success = exact support recovery with component
-    error <= 1e-6 * max(X).
+    ``PHASE_DIAGRAM_RECORD_BINS``, then s distinct tone bins from those in
+    [1, M/2) that fold onto no DC or Nyquist row of any record (degenerate
+    folds are not identifiable), with components from
+    ``PHASE_DIAGRAM_AMPLITUDES``. It forms Y = A X exactly for the system A
+    :func:`reconstruct` solves, and solves NNLS on every forward bin of the
+    grid. Success = exact support recovery with component error
+    <= 1e-6 * max(X).
 
     Returns:
         success[s_index, p_index] in [0, 1].
+
+    Raises:
+        ValueError: If a trial's records leave fewer than s admissible tone
+            bins.
     """
     if grid_bins > 4096:
         raise ValueError("phase diagram is desk-scale: grid_bins <= 4096")
-    check_range(1, trials=trials)
+    check_range(1, integer=True, trials=trials)
     grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=float(grid_bins))
     m_total = grid.num_bins
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     lo_n, hi_n = PHASE_DIAGRAM_RECORD_BINS
+    forward = np.arange(1, m_total // 2)
 
     success = np.zeros((len(sparsity_values), len(record_counts)))
     for si, s in enumerate(sparsity_values):
@@ -867,24 +867,19 @@ def recovery_phase_diagram(
             wins = 0
             for _ in range(trials):
                 n_is = rng.choice(np.arange(lo_n, hi_n), size=p, replace=False)
-                mats = [
-                    build_sampling_matrix(float(n_i), int(n_i), grid)
-                    for n_i in n_is
-                ]
-                # tone bins with non-degenerate folds in every record
-                tones: list[int] = []
-                while len(tones) < s:
-                    m = int(rng.integers(1, m_total // 2))
-                    if m in tones:
-                        continue
-                    folds = [m % n_i for n_i in n_is]
-                    if any(f == 0 or 2 * f == n_i for f, n_i in zip(folds, n_is)):
-                        continue
-                    tones.append(m)
+                folds = forward[:, None] % n_is
+                admissible = forward[np.all((folds != 0) & (2 * folds != n_is), axis=1)]
+                if s > admissible.size:
+                    raise ValueError(
+                        f"sparsity {s} exceeds the {admissible.size} tone bins that fold "
+                        f"onto no DC or Nyquist row of records {sorted(n_is.tolist())}"
+                    )
                 x_true = np.zeros(m_total // 2 + 1)
-                for m in tones:
-                    x_true[m] = rng.uniform(*PHASE_DIAGRAM_AMPLITUDES)
-                a_stacked = CooMatrix.vstack([mt.matrix for mt in mats])
+                tones = rng.choice(admissible, size=s, replace=False)
+                x_true[tones] = rng.uniform(*PHASE_DIAGRAM_AMPLITUDES, size=s)
+                a_stacked, _ = _solved_system(
+                    [build_sampling_matrix(float(n_i), int(n_i), grid) for n_i in n_is]
+                )
                 b = a_stacked.matvec(x_true)
                 x_hat, _ = nnls_active_set(a_stacked, b)
                 err = np.max(np.abs(x_hat - x_true))

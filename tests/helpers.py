@@ -99,11 +99,25 @@ def as_csc(a_matrix) -> sp.csc_matrix:
     return sp.csc_matrix((a_matrix.data, (a_matrix.rows, a_matrix.cols)), shape=a_matrix.shape)
 
 
-def scipy_coherence(matrices) -> float:
-    """Mutual coherence mu of stacked sampling matrices through scipy.sparse:
-    columns scaled to unit norm, then the largest off-diagonal entry of the
-    Gram product, formed 4096 columns at a time. Test oracle only."""
-    stacked = sp.vstack([as_csc(m.matrix) for m in matrices], format="csc")
+def solved_rows(matrices) -> sp.csc_matrix:
+    """The stacked system the reconstruction solves, through scipy.sparse:
+    of each sampling matrix, the rows 1 .. N_i/2 that hold an entry, with
+    row N_i/2 of an even N_i weighted by sqrt(1/2). Test oracle only."""
+    blocks = []
+    for m in matrices:
+        a = as_csc(m.matrix).tocsr()
+        weight = np.ones(a.shape[0])
+        if m.num_record_bins % 2 == 0:
+            weight[-1] = math.sqrt(0.5)
+        touched = np.flatnonzero(np.diff(a.indptr))
+        blocks.append((sp.diags(weight) @ a)[touched[touched >= 1]])
+    return sp.vstack(blocks, format="csc")
+
+
+def scipy_coherence(stacked: sp.csc_matrix) -> float:
+    """Mutual coherence mu of a stacked matrix through scipy.sparse: columns
+    scaled to unit norm, then the largest off-diagonal entry of the Gram
+    product, formed 4096 columns at a time. Test oracle only."""
     norms_sq = np.asarray(stacked.multiply(stacked).sum(axis=0)).ravel()
     nonzero = norms_sq > 0.0
     normalized = (stacked[:, nonzero] @ sp.diags(1.0 / np.sqrt(norms_sq[nonzero]))).tocsc()

@@ -481,6 +481,14 @@ class TestRateDesignCommand:
         err = capsys.readouterr().err
         assert "invalid input: max_extra_s / time_grid_s must be" in err
 
+    @pytest.mark.parametrize("command", ["reconstruct", "rate-design"])
+    def test_band_without_a_grid_bin_exits_2(self, tmp_path, capsys, command):
+        path = self.design_config(tmp_path, reconstruction={"support_bands_hz": [[995.1, 995.3]]})
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "invalid input: band (995.1, 995.3) holds no bin of the 1.0 Hz grid" in captured.err
+        assert captured.out == ""
+
     def test_unallocatable_support_exits_2_out_of_memory(self, tmp_path, capsys):
         # The support is 5e16 int64 bins: 355 PiB, more than any address space
         # and less than numpy's 2**63-byte limit, so the allocation is refused

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import yaml
 from scipy.optimize import nnls as scipy_nnls
 
 from lockinsim import csrecon
@@ -36,6 +37,7 @@ from .helpers import (
     scipy_coherence,
     scipy_gram_nnls,
     short_wideband_config,
+    solved_rows,
     two_sided_sampling_matrix,
 )
 
@@ -176,6 +178,8 @@ class TestSupportFromBands:
             support_from_bands(grid, [(6.0, 3.0)])
         with pytest.raises(ValueError, match="half-grid"):
             support_from_bands(grid, [(3.0, 60.0)])
+        with pytest.raises(ValueError, match=r"band \(3.1, 3.3\) holds no bin of the 1.0 Hz grid"):
+            support_from_bands(grid, [(1.0, 2.0), (3.1, 3.3)])
 
 
 class TestBuildSamplingMatrix:
@@ -314,17 +318,13 @@ class TestCooMatrix:
             dense = mat.toarray()
             np.testing.assert_array_equal(CooMatrix.from_dense(dense).toarray(), dense)
 
-    def test_products_and_stacking_match_scipy(self):
+    def test_products_match_scipy(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
             n_cols = int(rng.integers(1, 40))
-            blocks = []
-            for _ in range(int(rng.integers(1, 4))):
-                shape = (int(rng.integers(1, 40)), n_cols)
-                blocks.append(CooMatrix.from_entries(*self.random_matrix(rng, shape, 80), shape))
-            mat = CooMatrix.vstack(blocks)
-            ref = sp.vstack([as_csc(blk) for blk in blocks], format="csc")
-            np.testing.assert_array_equal(mat.toarray(), ref.toarray())
+            shape = (int(rng.integers(1, 120)), n_cols)
+            mat = CooMatrix.from_entries(*self.random_matrix(rng, shape, 200), shape)
+            ref = as_csc(mat)
             x = rng.normal(size=n_cols)
             y = rng.normal(size=mat.shape[0])
             np.testing.assert_array_equal(mat.matvec(x), ref @ x)
@@ -366,6 +366,16 @@ class TestCoherence:
         assert report.num_zero_columns == 1
         assert report.mu == 0.0
 
+    def test_columns_seen_only_on_dc_rows_count_as_zero(self):
+        # At integer decimation bin 16 folds onto row 0 of a 16-bin record
+        # alone, and the solved system drops DC rows.
+        grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
+        mat = build_sampling_matrix(16.0, 16, grid, support=[5, 16])
+        assert mat.matrix.rows[mat.matrix.cols == 1].tolist() == [0]
+        report = coherence([mat, mat])
+        assert report.num_zero_columns == 1
+        assert report.mu == 0.0
+
     def test_matches_the_scipy_oracle_to_two_ulp(self, monkeypatch):
         # Random interpolated designs, in blocks of fewer columns than the
         # design has. scipy's diagonal scaling leaves each column's entries
@@ -383,10 +393,12 @@ class TestCoherence:
                 build_sampling_matrix(rate, int(rng.integers(4, rate + 1)), grid, support)
                 for rate in rates
             ]
-            np.testing.assert_array_max_ulp(coherence(mats).mu, scipy_coherence(mats), maxulp=2)
+            np.testing.assert_array_max_ulp(
+                coherence(mats).mu, scipy_coherence(solved_rows(mats)), maxulp=2
+            )
 
     def test_shipped_design_equals_the_scipy_oracle(self, tmp_path, monkeypatch):
-        # Bit for bit: the shipped rate-design output did not change.
+        # Bit for bit, on the solved rows of the shipped rate-design rates.
         matrices = []
         monkeypatch.setattr(
             "lockinsim.cli.coherence", lambda mats: matrices.append(mats) or coherence(mats)
@@ -396,7 +408,36 @@ class TestCoherence:
         assert main(["rate-design", "--config", path, "--out", str(out)]) == EXIT_OK
         ((mats,),) = [matrices]
         mu = json.loads(out.read_text())["result"]["coherence_mu"]
-        assert mu == scipy_coherence(mats)
+        assert mu == scipy_coherence(solved_rows(mats))
+
+    def test_rate_design_reports_the_system_reconstruct_solves(self, tmp_path, monkeypatch):
+        # Reconstruct on the periods rate-design proposes, and measure the
+        # matrix handed to the solver.
+        config = short_wideband_config(tmp_path)
+        design = tmp_path / "design.json"
+        assert main(["rate-design", "--config", str(config), "--out", str(design)]) == EXIT_OK
+        result = json.loads(design.read_text())["result"]
+        cfg = yaml.safe_load(config.read_text())
+        cfg["reconstruction"]["sampling_periods_s"] = result["sampling_periods_s"]
+        config.write_text(yaml.safe_dump(cfg))
+        problems = capture_nnls_problems(monkeypatch)
+        out = tmp_path / "recon.json"
+        assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        ((a_matrix, _, _),) = problems
+        assert a_matrix.shape[1] == result["num_columns"]
+        # Unit columns and their Gram matrix in the library's summation
+        # order; the scipy oracle sums in another order, within 2 ulp.
+        pointers = a_matrix.column_pointers
+        assert np.all(np.diff(pointers) > 0)
+        inv_norm = 1.0 / np.sqrt(np.add.reduceat(a_matrix.data * a_matrix.data, pointers[:-1]))
+        unit = CooMatrix(
+            a_matrix.rows, a_matrix.cols, a_matrix.data * inv_norm[a_matrix.cols], a_matrix.shape
+        )
+        gram = unit.gram_rows(0, a_matrix.shape[1])
+        np.fill_diagonal(gram, 0.0)
+        mu = result["coherence_mu"]
+        assert mu == np.abs(gram).max()
+        np.testing.assert_array_max_ulp(mu, scipy_coherence(as_csc(a_matrix)), maxulp=2)
 
     def test_requires_two_matrices_on_a_common_design(self):
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=64.0)
@@ -749,6 +790,13 @@ class TestRecoveryPhaseDiagram:
             recovery_phase_diagram([1], [2], trials=1, seed=0, grid_bins=8192)
         with pytest.raises(ValueError, match="trials"):
             recovery_phase_diagram([1], [2], trials=0, seed=0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            recovery_phase_diagram([1], [2], trials=2.5, seed=0)
+
+    def test_refuses_more_tones_than_admissible_bins(self):
+        # 511 forward bins in [1, 512), fewer once DC and Nyquist folds go.
+        with pytest.raises(ValueError, match="sparsity 600 exceeds the"):
+            recovery_phase_diagram([600], [4], trials=1, seed=0)
 
 
 class TestDesignRates:
