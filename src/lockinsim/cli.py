@@ -241,14 +241,13 @@ def cmd_snr_sweep(
     """Measure SNR against the analytic law over a readout-depth sweep."""
     config.require("sweep")
     signal, seq, base_model = _models(config)
-    base_sched = build_schedule(config, seq, base_model)
+    sched = build_schedule(config, seq, base_model)
     f_target = target_frequency_hz(config, signal)
     reported = ("peak_bin", "measured_snr", "predicted_snr_ideal", "predicted_snr_depolarized")
     result: dict[str, list] = {k: [] for k in ("qnd_repetitions", "sampling_period_s", *reported)}
     for idx, n in enumerate(config.sweep.qnd_repetitions):
-        model = dataclasses.replace(base_model, qnd_repetitions=n)
         # The dead time stays fixed; the readout train sets the period.
-        sched = dataclasses.replace(base_sched, readout_time_s=model.readout_time_s)
+        model = dataclasses.replace(base_model, qnd_repetitions=n)
         trace = run_sampling(
             signal, seq, model, sched,
             np.random.SeedSequence((seed, idx)), num_threads=threads,
@@ -256,7 +255,7 @@ def cmd_snr_sweep(
         spec = power_spectrum(trace)
         _, report = _target_snr(config, spec, f_target, signal, seq, model)
         result["qnd_repetitions"].append(n)
-        result["sampling_period_s"].append(sched.sampling_period_s)
+        result["sampling_period_s"].append(trace.sampling_period_s)
         for key in reported:
             result[key].append(getattr(report, key))
     return result, tuple(result), tuple(result.values())
@@ -273,7 +272,7 @@ def cmd_scaling(
             signal,
             seq,
             model,
-            build_schedule(config, seq, model).dead_time_s,
+            build_schedule(config, seq, model),
             config.scaling.num_samples_list,
             seed,
             seeds_per_point=config.scaling.seeds_per_point,
@@ -311,7 +310,7 @@ def cmd_reconstruct(
             )
             records.append(power_spectrum(trace))
         spectra.append(average_spectra(records))
-        matrices.append(build_sampling_matrix(sched.sample_rate_hz, n_i, grid, support))
+        matrices.append(build_sampling_matrix(spectra[-1].sample_rate_hz, n_i, grid, support))
     floor = None if rcfg.floor_subtraction == "none" else rcfg.floor_subtraction
     spectrum, diag = reconstruct(
         spectra, matrices, floor_subtraction=floor, tol=rcfg.nnls_tol

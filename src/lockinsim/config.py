@@ -135,7 +135,12 @@ class CpmgConfig:
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """Sample count and timing, checked by :class:`SamplingSchedule` when built."""
+    """Sample count and timing, checked by :class:`SamplingSchedule` when built.
+
+    Exactly one of ``dead_time_s`` (t_d) and ``sampling_period_s`` (t_s) is
+    given; a period becomes a dead time through
+    :meth:`SamplingSchedule.from_period`.
+    """
 
     num_samples: int
     dead_time_s: float | None = None
@@ -148,13 +153,11 @@ class ScheduleConfig:
             raise ValueError("exactly one of dead_time_s / sampling_period_s is required")
 
     def build(self, seq: CpmgSequence, model: ReadoutModel) -> SamplingSchedule:
+        timing = dict(start_time_s=self.start_time_s, clock_jitter_std_s=self.clock_jitter_std_s)
         if self.dead_time_s is not None:
-            make, spacing = SamplingSchedule.from_components, self.dead_time_s
-        else:
-            make, spacing = SamplingSchedule.from_period, self.sampling_period_s
-        return make(
-            seq, model, spacing, self.num_samples,
-            start_time_s=self.start_time_s, clock_jitter_std_s=self.clock_jitter_std_s,
+            return SamplingSchedule(self.dead_time_s, self.num_samples, **timing)
+        return SamplingSchedule.from_period(
+            seq, model, self.sampling_period_s, self.num_samples, **timing
         )
 
 

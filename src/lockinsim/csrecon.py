@@ -112,6 +112,7 @@ class CooMatrix:
             return_inverse=True,
         )
         summed = np.bincount(inverse, weights=np.asarray(data, dtype=float), minlength=keys.size)
+        summed = summed.astype(float, copy=False)  # bincount sums no entries to int64
         return cls(keys % n_rows, keys // n_rows, summed, (n_rows, int(shape[1])))
 
     @classmethod
@@ -219,7 +220,9 @@ class WidebandGrid:
     def record_bins(self, sample_rate_hz: float) -> int:
         """Length N = floor(T f_s) of a record at rate f_s spanning T, with
         T f_s a hair below an integer rounded up to it."""
-        return int(math.floor(self.duration_s * sample_rate_hz + 1e-9))
+        n = self.duration_s * sample_rate_hz
+        check_range(None, **{"duration_s * sample_rate_hz": n})
+        return int(math.floor(n + 1e-9))
 
     def frequency_hz(self, bins: int | np.ndarray) -> np.ndarray:
         """Absolute frequency of grid bin(s)."""

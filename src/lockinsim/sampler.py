@@ -1,6 +1,8 @@
 """Drive the lock-in + readout chain to produce sub-Nyquist time traces.
 
-One sample takes t_s = t_a + t_r + t_d (sense, read out, dead time); sample k
+One sample takes t_s = t_a + t_r + t_d (sense, read out, dead time): the
+:class:`CpmgSequence` owns t_a, the :class:`ReadoutModel` owns t_r, and a
+:class:`SamplingSchedule` holds only t_d and the sample clock. Sample k
 starts at t_k = start_time + k t_s, accumulates phase over [t_k, t_k + t_a]
 (tagged to t_k), and yields a photon count. Because t_s is vastly longer than
 the signal period, the trace is highly undersampled and tones fold into
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,11 +59,12 @@ CHUNK_SAMPLES = 65536
 
 @dataclass(frozen=True)
 class SamplingSchedule:
-    """Timing of the stroboscopic acquisition.
+    """Timing of the stroboscopic acquisition beyond the sense and readout.
+
+    The sequence owns t_a and the readout model owns t_r, so the schedule
+    holds only the dead time; :meth:`period_s` forms t_s from all three.
 
     Attributes:
-        sensing_time_s: CPMG sensing window t_a (must match the sequence).
-        readout_time_s: Readout duration t_r (must match the readout model).
         dead_time_s: Extra per-sample delay t_d >= 0.
         num_samples: Trace length N >= 1.
         start_time_s: Absolute time of sample 0.
@@ -70,55 +72,20 @@ class SamplingSchedule:
             time; 0 disables jitter.
     """
 
-    sensing_time_s: float
-    readout_time_s: float
     dead_time_s: float
     num_samples: int
     start_time_s: float = 0.0
     clock_jitter_std_s: float = 0.0
 
     def __post_init__(self) -> None:
-        check_range(0, strict=True, sensing_time_s=self.sensing_time_s)
-        check_range(0, strict=True, readout_time_s=self.readout_time_s)
         check_range(0, dead_time_s=self.dead_time_s)
         check_range(1, integer=True, num_samples=self.num_samples)
         check_range(0, start_time_s=self.start_time_s)
         check_range(0, clock_jitter_std_s=self.clock_jitter_std_s)
 
-    @property
-    def sampling_period_s(self) -> float:
+    def period_s(self, seq: CpmgSequence, model: ReadoutModel) -> float:
         """t_s = t_a + t_r + t_d (s)."""
-        return self.sensing_time_s + self.readout_time_s + self.dead_time_s
-
-    @property
-    def sample_rate_hz(self) -> float:
-        """f_s = 1/t_s (Hz)."""
-        return 1.0 / self.sampling_period_s
-
-    @property
-    def duration_s(self) -> float:
-        """Trace duration T = N t_s (s)."""
-        return self.num_samples * self.sampling_period_s
-
-    @staticmethod
-    def from_components(
-        seq: CpmgSequence,
-        model: ReadoutModel,
-        dead_time_s: float,
-        num_samples: int,
-        *,
-        start_time_s: float = 0.0,
-        clock_jitter_std_s: float = 0.0,
-    ) -> "SamplingSchedule":
-        """Build a schedule with t_a, t_r taken from the sequence and model."""
-        return SamplingSchedule(
-            sensing_time_s=seq.sensing_time_s,
-            readout_time_s=model.readout_time_s,
-            dead_time_s=dead_time_s,
-            num_samples=num_samples,
-            start_time_s=start_time_s,
-            clock_jitter_std_s=clock_jitter_std_s,
-        )
+        return seq.sensing_time_s + model.readout_time_s + self.dead_time_s
 
     @staticmethod
     def from_period(
@@ -141,9 +108,7 @@ class SamplingSchedule:
                 f"sampling_period_s = {sampling_period_s} is shorter than "
                 f"t_a + t_r = {seq.sensing_time_s + model.readout_time_s}"
             )
-        return SamplingSchedule.from_components(
-            seq,
-            model,
+        return SamplingSchedule(
             max(0.0, dead),
             num_samples,
             start_time_s=start_time_s,
@@ -221,21 +186,6 @@ def undersampled_bin(f_true: float, f_s: float, num_samples: int) -> int:
     return min(int(np.rint(pos)), num_samples // 2)
 
 
-def _validate_consistency(
-    seq: CpmgSequence, model: ReadoutModel, sched: SamplingSchedule
-) -> None:
-    if not math.isclose(sched.sensing_time_s, seq.sensing_time_s, rel_tol=1e-9):
-        raise ValueError(
-            f"schedule.sensing_time_s = {sched.sensing_time_s} does not match "
-            f"the sequence t_a = {seq.sensing_time_s}"
-        )
-    if not math.isclose(sched.readout_time_s, model.readout_time_s, rel_tol=1e-9):
-        raise ValueError(
-            f"schedule.readout_time_s = {sched.readout_time_s} does not match "
-            f"the readout model t_r = {model.readout_time_s}"
-        )
-
-
 def _materialize_paths(
     signal: AnySignal, last_time_s: float, seq: CpmgSequence
 ) -> tuple[PhaseNoisePath | None, ...]:
@@ -250,7 +200,9 @@ def _materialize_paths(
     return tuple(paths)
 
 
-def _nominal_times(sched: SamplingSchedule, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _nominal_times(
+    start_time_s: float, t_s: float, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
     """t_k = start + k t_s for k in [lo, hi), and the rounding error of each.
 
     The times are the rounded floats of the nominal grid; the errors come
@@ -261,16 +213,15 @@ def _nominal_times(sched: SamplingSchedule, lo: int, hi: int) -> tuple[np.ndarra
     bits as the general path, for a fraction of the work.
     """
     k = np.arange(lo, hi, dtype=float)
-    t_s = sched.sampling_period_s
     if hi <= 1 << 26:
         t_s_hi, t_s_lo = split(t_s)
         k_t_s = k * t_s
         product_error = (k * t_s_hi - k_t_s) + k * t_s_lo
     else:
         k_t_s, product_error = two_prod(k, t_s)
-    if sched.start_time_s == 0.0:
+    if start_time_s == 0.0:
         return k_t_s, product_error
-    t_k, sum_error = two_sum(sched.start_time_s, k_t_s)
+    t_k, sum_error = two_sum(start_time_s, k_t_s)
     return t_k, product_error + sum_error
 
 
@@ -294,9 +245,9 @@ def run_sampling(
 
     Args:
         signal: Signal (or composite of independent sources).
-        seq: CPMG sequence; its t_a must match the schedule.
-        model: Readout model; its t_r must match the schedule.
-        sched: Sampling schedule.
+        seq: CPMG sequence; sets t_a.
+        model: Readout model; sets t_r.
+        sched: Sampling schedule; sets t_d, N, the start and the jitter.
         rng: Seed or SeedSequence. Chunk streams are spawned from it; the
             result is bit-identical for any ``num_threads``.
         num_threads: Worker threads for chunk generation.
@@ -306,9 +257,8 @@ def run_sampling(
         ``phase_method`` is always "closed_form": every group's phase, FM
         included, is the exact closed form of :func:`phase_closed_form`.
     """
-    _validate_consistency(seq, model, sched)
     n = sched.num_samples
-    t_s = sched.sampling_period_s
+    t_s = sched.period_s(seq, model)
     last_nominal = sched.start_time_s + (n - 1) * t_s
     jitter_margin = 8.0 * sched.clock_jitter_std_s
     paths = _materialize_paths(signal, last_nominal + jitter_margin, seq)
@@ -326,7 +276,7 @@ def run_sampling(
         lo = chunk_index * CHUNK_SAMPLES
         hi = min(lo + CHUNK_SAMPLES, n)
         crng = chunk_rngs[chunk_index]
-        t_k, t_lo = _nominal_times(sched, lo, hi)
+        t_k, t_lo = _nominal_times(sched.start_time_s, t_s, lo, hi)
         if jittered:
             t_k = np.maximum(t_k + crng.normal(0.0, sched.clock_jitter_std_s, hi - lo), 0.0)
             t_lo = 0.0
@@ -363,15 +313,18 @@ def run_sampling(
 def expected_probabilities(
     signal: AnySignal,
     seq: CpmgSequence,
+    model: ReadoutModel,
     sched: SamplingSchedule,
 ) -> np.ndarray:
     """Noise-free transition probabilities p_k on the nominal time grid.
 
     The deterministic core of :func:`run_sampling` (no jitter, no readout
-    noise); composing with :func:`lockinsim.readout.expected_counts` yields
-    the analytic expected trace.
+    noise); ``model`` enters only through t_r. Composing with
+    :func:`lockinsim.readout.expected_counts` yields the analytic expected
+    trace.
     """
-    times, t_lo = _nominal_times(sched, 0, sched.num_samples)
+    t_s = sched.period_s(seq, model)
+    times, t_lo = _nominal_times(sched.start_time_s, t_s, 0, sched.num_samples)
     paths = _materialize_paths(signal, float(times[-1]), seq)
     phi = phase_closed_form(signal, seq, times, t_lo=t_lo, phase_noise=paths)
     return transition_probability(phi)

@@ -700,7 +700,7 @@ def scaling_study(
     signal: AnySignal,
     seq: CpmgSequence,
     model: ReadoutModel,
-    dead_time_s: float,
+    sched: SamplingSchedule,
     num_samples_list: Sequence[int],
     seed: int,
     *,
@@ -747,7 +747,8 @@ def scaling_study(
         signal: Tone (optionally FM-broadened) signal.
         seq: CPMG sequence.
         model: Readout model.
-        dead_time_s: Dead time setting t_s = t_a + t_r + t_d for all points.
+        sched: Schedule for every point (dead time, start time, clock
+            jitter); each point replaces only its ``num_samples``.
         num_samples_list: Trace lengths N (>= 4 points per decade of T).
         seed: Master seed; per-(point, repeat) streams derive from it.
         seeds_per_point: Independent traces per duration.
@@ -785,13 +786,14 @@ def scaling_study(
         )
         return fit_lorentzian(spec, peak.window)
 
+    t_s = sched.period_s(seq, model)
     durations = np.empty(len(n_list))
     bin_widths = np.empty(len(n_list))
     widths = np.empty(len(n_list))
     sigmas = np.empty(len(n_list))
     for i, n in enumerate(n_list):
-        sched = SamplingSchedule.from_components(seq, model, dead_time_s, n)
-        df = sched.sample_rate_hz / n
+        point_sched = replace(sched, num_samples=n)
+        df = 1.0 / t_s / n
         point_resolved = linewidth_hz > df
         specs = []
         seed_sigmas = np.empty(seeds_per_point)
@@ -801,7 +803,7 @@ def scaling_study(
                 _reseed_fm(signal, (seed, i, r)),
                 seq,
                 model,
-                sched,
+                point_sched,
                 np.random.SeedSequence((seed, i, r)),
                 num_threads=num_threads,
             )
@@ -811,7 +813,7 @@ def scaling_study(
             seed_sigmas[r] = seed_fit.sigma_center_hz
             seed_centers[r] = seed_fit.center_hz
         ensemble_fit = fit_target(average_spectra(specs))
-        durations[i] = sched.duration_s
+        durations[i] = n * t_s
         bin_widths[i] = df
         widths[i] = ensemble_fit.width_hz
         if point_resolved and seeds_per_point >= 2:

@@ -221,7 +221,7 @@ class TestNoiseFloorStatistics:
         f_ac = 1.2e6
         seq = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * f_ac))
         num = 4096
-        sched = SamplingSchedule.from_components(seq, model, 5e-4, num)
+        sched = SamplingSchedule(5e-4, num)
         sig = tone_signal(f_ac, 0.0)
         level = num * noise_variance(model)
 
@@ -246,8 +246,7 @@ class TestSnrLaw:
         """Mean measured SNR and the analytic prediction at one grid point."""
         seq0 = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * cls.F_AC))
         model = ReadoutModel(qnd_repetitions=n, contrast=eps)
-        sched0 = SamplingSchedule.from_components(seq0, model, 5e-4, num)
-        t_s = sched0.sampling_period_s
+        t_s = SamplingSchedule(5e-4, num).period_s(seq0, model)
         cycles = round(cls.F_AC * t_s) + nu  # nu lands the fold on a bin
         f_sig = cycles / t_s
         seq = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * f_sig))
@@ -371,18 +370,19 @@ class TestScalingLaws:
             fm=fm,
         )
         model = ReadoutModel(qnd_repetitions=498, contrast=0.35)
-        dead = cls.T_S - seq.sensing_time_s - model.readout_time_s
-        return sig, seq, model, dead
+        # scaling_study sets each point's num_samples
+        sched = SamplingSchedule.from_period(seq, model, cls.T_S, num_samples=1)
+        return sig, seq, model, sched
 
     def test_coherent_tone_width_and_center_uncertainty_slopes(self):
         """Fourier-limited regime: linewidth ~ T^-1 and center uncertainty
         ~ T^-1.5 on log-log ladders."""
-        sig, seq, model, dead = self._parts(0.25)
+        sig, seq, model, sched = self._parts(0.25)
         study = scaling_study(
             sig,
             seq,
             model,
-            dead,
+            sched,
             [4130, 7030, 12030, 20130, 34030, 58030, 99030, 168030],
             seed=202,
             seeds_per_point=6,
@@ -395,7 +395,7 @@ class TestScalingLaws:
         """An intrinsically broadened tone saturates at its linewidth and the
         center uncertainty slope relaxes to ~ T^-0.5 once resolved."""
         linewidth = 7.6e-4
-        sig, seq, model, dead = self._parts(
+        sig, seq, model, sched = self._parts(
             0.25,
             fm=FmNoise(linewidth_hz=linewidth, rng_seed=5, correlation_time_s=2.0),
         )
@@ -403,7 +403,7 @@ class TestScalingLaws:
             sig,
             seq,
             model,
-            dead,
+            sched,
             [
                 4699,
                 9398,

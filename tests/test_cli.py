@@ -363,8 +363,9 @@ class TestSnrSweepCommand:
 
 
 class TestScalingCommand:
-    def test_reports_the_duration_ladder(self, tmp_path, capsys):
-        path = write_config(
+    @staticmethod
+    def scaling_config(tmp_path, **schedule):
+        return write_config(
             tmp_path,
             {
                 "signal": {
@@ -378,10 +379,15 @@ class TestScalingCommand:
                 },
                 "cpmg": {"pulse_count": 32, "tau_s": 1.0 / 2.4e6},
                 "readout": {"qnd_repetitions": 498, "contrast": 0.35},
-                "schedule": {"num_samples": 4130, "sampling_period_s": 20160.31 / 1.2e6},
+                "schedule": {
+                    "num_samples": 4130, "sampling_period_s": 20160.31 / 1.2e6, **schedule
+                },
                 "scaling": {"num_samples_list": [4130, 5230, 6730], "seeds_per_point": 2},
             },
         )
+
+    def test_reports_the_duration_ladder(self, tmp_path, capsys):
+        path = self.scaling_config(tmp_path)
         result = run_json(["scaling", "--config", str(path)], capsys)["result"]
         assert result["num_samples"] == [4130, 5230, 6730]
         assert len(result["durations_s"]) == 3
@@ -391,6 +397,21 @@ class TestScalingCommand:
         assert result["width_plateau_hz"] is None
         assert all(np.isfinite(w) for w in result["width_hz"])
         assert all(s > 0 for s in result["sigma_center_hz"])
+
+    def test_every_point_runs_the_configured_schedule(self, tmp_path, capsys, monkeypatch):
+        # Each point keeps the config's start time and clock jitter; only
+        # its sample count changes.
+        path = self.scaling_config(tmp_path, start_time_s=12345.0, clock_jitter_std_s=1.0e-12)
+        seen = []
+
+        def spy(signal, seq, model, sched, rng, **kwargs):
+            seen.append(sched)
+            return sampler_module.run_sampling(signal, seq, model, sched, rng, **kwargs)
+
+        monkeypatch.setattr(spectral, "run_sampling", spy)
+        run_json(["scaling", "--config", str(path)], capsys)
+        assert [s.num_samples for s in seen] == [4130, 4130, 5230, 5230, 6730, 6730]
+        assert {(s.start_time_s, s.clock_jitter_std_s) for s in seen} == {(12345.0, 1.0e-12)}
 
     def test_requires_the_scaling_section(self, tmp_path, capsys):
         path = write_config(tmp_path)
@@ -455,6 +476,16 @@ class TestReconstructCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "duration_s * nyquist_rate_hz must be finite" in err
+
+
+    def test_subnormal_sampling_period_exits_2_naming_the_record_length(self, tmp_path, capsys):
+        # 1 / 1e-320 overflows to inf; floor(inf) used to raise OverflowError.
+        cfg = reconstruction_config()
+        cfg["reconstruction"]["sampling_periods_s"] = [1.0e-320, 1.0 / 66.0]
+        path = tmp_path / "recon.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["reconstruct", "--config", str(path)]) == EXIT_CONFIG
+        assert "duration_s * sample_rate_hz must be finite" in capsys.readouterr().err
 
 
 class TestRateDesignCommand:

@@ -318,6 +318,13 @@ class TestCooMatrix:
             dense = mat.toarray()
             np.testing.assert_array_equal(CooMatrix.from_dense(dense).toarray(), dense)
 
+    def test_no_entries_give_float_data(self):
+        empty = np.array([], dtype=np.int64)
+        assert CooMatrix.from_entries(empty, empty, np.array([]), (3, 4)).data.dtype == np.float64
+        mat = build_sampling_matrix(16.0, 16, WidebandGrid(1.0, 64.0), support=[])
+        assert mat.matrix.nnz == 0
+        assert mat.matrix.data.dtype == np.float64
+
     def test_products_match_scipy(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

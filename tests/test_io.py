@@ -73,12 +73,7 @@ class TestCheckRange:
         assert str(excinfo.value) == "fm.b must be > 0, got -2.0"
 
 
-SCHEDULE = {
-    "sensing_time_s": 6.7e-6,
-    "readout_time_s": 6.0e-4,
-    "dead_time_s": 5.0e-4,
-    "num_samples": 10,
-}
+SCHEDULE = {"dead_time_s": 5.0e-4, "num_samples": 10}
 READOUT = {"qnd_repetitions": 260, "contrast": 0.35}
 
 #: (field, call) pairs: each call passes NaN, inf, 0, a fraction or an

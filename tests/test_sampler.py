@@ -33,10 +33,7 @@ F_CARRIER = 1.2e6
 def make_parts(dead_time_s=5e-4, num_samples=64, pulse_count=16, qnd=260, **sched_kwargs):
     seq = CpmgSequence(pulse_count=pulse_count, tau_s=1.0 / (2.0 * F_CARRIER))
     model = ReadoutModel(qnd_repetitions=qnd, contrast=0.35)
-    sched = SamplingSchedule.from_components(
-        seq, model, dead_time_s, num_samples, **sched_kwargs
-    )
-    return seq, model, sched
+    return seq, model, SamplingSchedule(dead_time_s, num_samples, **sched_kwargs)
 
 
 def tone_signal(frequency_hz=F_CARRIER, amplitude=5e4, phase=0.0, **kwargs) -> AcSignal:
@@ -72,19 +69,18 @@ def best_time_per_sample(sig, seq, model, sched) -> float:
 class TestSamplingSchedule:
     def test_period_is_sum_of_sensing_readout_and_dead_time(self):
         seq, model, sched = make_parts(dead_time_s=5e-4)
-        assert sched.sampling_period_s == pytest.approx(
-            seq.sensing_time_s + model.readout_time_s + 5e-4, rel=1e-15
-        )
-        assert sched.sample_rate_hz == pytest.approx(1.0 / sched.sampling_period_s, rel=1e-15)
-        assert sched.duration_s == pytest.approx(64 * sched.sampling_period_s, rel=1e-15)
+        assert sched.period_s(seq, model) == seq.sensing_time_s + model.readout_time_s + 5e-4
+        trace = run_sampling(tone_signal(), seq, model, sched, 1)
+        assert trace.sampling_period_s == sched.period_s(seq, model)
 
     def test_reference_period_reciprocal(self):
         # The reference operating point samples at exactly 1 / 4.21152 ms.
         seq = CpmgSequence(pulse_count=32, tau_s=26.622e-6 / 32.0)
         model = ReadoutModel(qnd_repetitions=1000, contrast=0.35)
         sched = SamplingSchedule.from_period(seq, model, 4.21152e-3, 100)
-        assert sched.sample_rate_hz == pytest.approx(1.0 / 4.21152e-3, rel=1e-15)
-        assert sched.sample_rate_hz == pytest.approx(237.4, abs=0.1)
+        f_s = 1.0 / sched.period_s(seq, model)
+        assert f_s == pytest.approx(1.0 / 4.21152e-3, rel=1e-15)
+        assert f_s == pytest.approx(237.4, abs=0.1)
 
     def test_from_period_derives_dead_time(self):
         seq, model, _ = make_parts()
@@ -99,18 +95,12 @@ class TestSamplingSchedule:
             SamplingSchedule.from_period(seq, model, 1e-5, 8)
 
     def test_rejects_invalid_arguments(self):
-        seq, model, _ = make_parts()
         with pytest.raises(ValueError):
-            SamplingSchedule.from_components(seq, model, -1e-6, 8)
+            SamplingSchedule(-1e-6, 8)
         with pytest.raises(ValueError):
-            SamplingSchedule.from_components(seq, model, 1e-4, 0)
+            SamplingSchedule(1e-4, 0)
         with pytest.raises(ValueError):
-            SamplingSchedule(
-                sensing_time_s=0.0,
-                readout_time_s=1e-4,
-                dead_time_s=1e-4,
-                num_samples=4,
-            )
+            SamplingSchedule(1e-4, 4, start_time_s=-1.0)
 
 
 class TestTimeTrace:
@@ -187,7 +177,9 @@ class TestRunSampling:
         meta = trace.metadata
         assert meta["seed"] == 123
         assert meta["phase_method"] == "closed_form"
-        assert meta["schedule"]["num_samples"] == 16
+        assert meta["schedule"] == {
+            "dead_time_s": 5e-4, "num_samples": 16, "start_time_s": 0.0, "clock_jitter_std_s": 0.0
+        }
         assert "tool_version" in meta
 
     def test_zero_amplitude_signal_gives_balanced_counts(self):
@@ -204,7 +196,7 @@ class TestRunSampling:
         sig = tone_signal(amplitude=0.0)
         a = run_sampling(sig, seq, model, sched_a, 77)
         b = run_sampling(sig, seq, model, sched_b, 77)
-        assert sched_a.sample_rate_hz != sched_b.sample_rate_hz
+        assert a.sampling_period_s != b.sampling_period_s
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_sampled_signal_matches_expected_probabilities_per_phase_class(self):
@@ -212,7 +204,7 @@ class TestRunSampling:
         # sample: the probability sequence has period eight, and each residue
         # class mean over many samples must match the modeled counts.
         seq, model, sched0 = make_parts(num_samples=8)
-        t_s = sched0.sampling_period_s
+        t_s = sched0.period_s(seq, model)
         cycles = round(F_CARRIER * t_s) + 3.0 / 8.0
         f_sig = cycles / t_s
         seq = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * f_sig))
@@ -220,7 +212,9 @@ class TestRunSampling:
         sched = SamplingSchedule.from_period(seq, model, t_s, 160_000)
         omega = 0.5 * math.pi / (2.0 * seq.sensing_time_s)
         sig = tone_signal(f_sig, omega, 0.8)
-        probs = expected_probabilities(sig, seq, SamplingSchedule.from_period(seq, model, t_s, 8))
+        probs = expected_probabilities(
+            sig, seq, model, SamplingSchedule.from_period(seq, model, t_s, 8)
+        )
         assert float(np.ptp(probs)) > 0.1  # the classes genuinely differ
         trace = run_sampling(sig, seq, model, sched, 2024, num_threads=2)
         counts = trace.counts.astype(float)
@@ -237,8 +231,8 @@ class TestRunSampling:
         # offset from the filter's phase response, so their power spectra
         # must agree bin by bin.
         seq, model, sched = make_parts(num_samples=64)
-        f_s = sched.sample_rate_hz
-        t_s = sched.sampling_period_s
+        t_s = sched.period_s(seq, model)
+        f_s = 1.0 / t_s
         # Pin the fold to bin 13 of 64 exactly so every nonlinear harmonic
         # also lands on an exact line and leakage cannot couple to the
         # carrier phase.
@@ -249,9 +243,9 @@ class TestRunSampling:
         gain_lo = phase_amplitude(Tone(frequency_hz=f_lo, amplitude_rad_per_s=1.0), seq)
         gain_hi = phase_amplitude(Tone(frequency_hz=f_hi, amplitude_rad_per_s=1.0), seq)
         omega = 4.0e4
-        base = expected_probabilities(tone_signal(f_lo, omega, 0.3), seq, sched)
+        base = expected_probabilities(tone_signal(f_lo, omega, 0.3), seq, model, sched)
         aliased = expected_probabilities(
-            tone_signal(f_hi, omega * gain_lo / gain_hi, 0.3), seq, sched
+            tone_signal(f_hi, omega * gain_lo / gain_hi, 0.3), seq, model, sched
         )
         power_base = np.abs(np.fft.rfft(base - np.mean(base))) ** 2
         power_alias = np.abs(np.fft.rfft(aliased - np.mean(aliased))) ** 2
@@ -263,7 +257,7 @@ class TestRunSampling:
         seq, model, sched = make_parts(num_samples=64, clock_jitter_std_s=1e-8)
         trace = run_sampling(tone_signal(), seq, model, sched, 3)
         assert trace.sample_times_s is not None
-        nominal = sched.sampling_period_s * np.arange(64)
+        nominal = trace.sampling_period_s * np.arange(64)
         offsets = trace.sample_times_s - nominal
         assert float(np.max(np.abs(offsets))) > 0.0
         assert float(np.max(np.abs(offsets))) < 1e-6  # a few jitter sigmas
@@ -274,20 +268,6 @@ class TestRunSampling:
         seq, model, sched = make_parts(num_samples=8)
         trace = run_sampling(tone_signal(), seq, model, sched, 3)
         assert trace.sample_times_s is None
-
-    def test_rejects_schedule_inconsistent_with_sequence(self):
-        seq, model, _ = make_parts()
-        other_seq = CpmgSequence(pulse_count=32, tau_s=1.0 / (2.0 * F_CARRIER))
-        sched = SamplingSchedule.from_components(other_seq, model, 5e-4, 8)
-        with pytest.raises(ValueError):
-            run_sampling(tone_signal(), seq, model, sched, 1)
-
-    def test_rejects_schedule_inconsistent_with_readout(self):
-        seq, model, _ = make_parts()
-        other_model = ReadoutModel(qnd_repetitions=996, contrast=0.35)
-        sched = SamplingSchedule.from_components(seq, other_model, 5e-4, 8)
-        with pytest.raises(ValueError):
-            run_sampling(tone_signal(), seq, model, sched, 1)
 
     def test_generation_time_scales_linearly_in_the_record_length(self):
         seq, model, small = make_parts(num_samples=25_000)
@@ -333,14 +313,15 @@ class TestCarrierPhaseAccuracy:
         gain = -phase_amplitude(tone, seq)  # on resonance, negative for K/2 even
         rng = np.random.default_rng(11)
         k = np.unique(np.r_[0:20, rng.integers(0, 854_798, 400), 854_778:854_798])
-        t, t_lo = _nominal_times(sched, 0, sched.num_samples)
+        t_s = sched.period_s(seq, model)
+        t, t_lo = _nominal_times(sched.start_time_s, t_s, 0, sched.num_samples)
         assert t[-1] == pytest.approx(3600.0, rel=1e-3)
-        nominal = sched.start_time_s + np.arange(854_798) * sched.sampling_period_s
+        nominal = sched.start_time_s + np.arange(854_798) * t_s
         np.testing.assert_array_equal(t, nominal)  # the times themselves are unchanged
         phi = phase_closed_form(signal, seq, t[k], t_lo=t_lo[k])
         # Angle the closed form adds to the carrier: alpha + K omega tau / 2.
         offset = tone.phase_rad + seq.pulse_count * (2.0 * math.pi * f * seq.tau_s / 2.0)
-        start, period = Fraction(sched.start_time_s), Fraction(sched.sampling_period_s)
+        start, period = Fraction(sched.start_time_s), Fraction(t_s)
         exact = []
         for index in k.tolist():
             cycles = Fraction(f) * (start + index * period)
@@ -348,7 +329,7 @@ class TestCarrierPhaseAccuracy:
         # phi = gain sin(carrier angle), so this bounds the angle error in rad.
         np.testing.assert_allclose(phi / gain, exact, rtol=0.0, atol=1e-12)
         # The sampler's own phases come from the same times and errors.
-        p = expected_probabilities(signal, seq, sched)[k]
+        p = expected_probabilities(signal, seq, model, sched)[k]
         p_exact = 0.5 * (1.0 - np.sin(gain * np.array(exact)))
         np.testing.assert_allclose(p, p_exact, rtol=0.0, atol=1e-12)
 
@@ -359,10 +340,11 @@ class TestCarrierPhaseAccuracy:
     def test_nominal_times_match_the_general_two_product(self, start_time_s, lo, hi):
         # Below 2**26 the index is not split and, at start 0, the two-sum is
         # skipped; the bits must be those of the general path either way.
-        _, _, sched = make_parts(num_samples=10, start_time_s=start_time_s)
-        k_t_s, product_error = two_prod(np.arange(lo, hi, dtype=float), sched.sampling_period_s)
-        t_k, sum_error = two_sum(sched.start_time_s, k_t_s)
-        t, t_lo = _nominal_times(sched, lo, hi)
+        seq, model, sched = make_parts()
+        t_s = sched.period_s(seq, model)
+        k_t_s, product_error = two_prod(np.arange(lo, hi, dtype=float), t_s)
+        t_k, sum_error = two_sum(start_time_s, k_t_s)
+        t, t_lo = _nominal_times(start_time_s, t_s, lo, hi)
         np.testing.assert_array_equal(t.view(np.int64), t_k.view(np.int64))
         t_lo_general = product_error + sum_error
         np.testing.assert_array_equal(t_lo.view(np.int64), t_lo_general.view(np.int64))
@@ -378,7 +360,8 @@ class TestCarrierPhaseAccuracy:
         monkeypatch.setattr(sampler_module, "phase_closed_form", spy)
         run_sampling(tone_signal(), seq, model, sched, 3, num_threads=2)
         seen.sort(key=lambda chunk: chunk[0][0])
-        t, t_lo = _nominal_times(sched, 0, sched.num_samples)
+        t_s = sched.period_s(seq, model)
+        t, t_lo = _nominal_times(sched.start_time_s, t_s, 0, sched.num_samples)
         np.testing.assert_array_equal(np.concatenate([c[0] for c in seen]), t)
         np.testing.assert_array_equal(np.concatenate([c[1] for c in seen]), t_lo)
         assert np.count_nonzero(t_lo) > 0.9 * t_lo.size

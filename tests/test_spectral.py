@@ -55,7 +55,7 @@ def synthetic_spectrum(power: np.ndarray, bin_width_hz: float = 1.0) -> PowerSpe
 def zero_signal_trace(num_samples: int, seed: int):
     f_ac = 1.2e6
     seq = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * f_ac))
-    sched = SamplingSchedule.from_components(seq, REFERENCE_MODEL, 5e-4, num_samples)
+    sched = SamplingSchedule(5e-4, num_samples)
     sig = AcSignal(tones=(Tone(frequency_hz=f_ac, amplitude_rad_per_s=0.0),))
     return run_sampling(sig, seq, REFERENCE_MODEL, sched, seed)
 
@@ -64,8 +64,7 @@ def onbin_tone_trace(num_samples: int, seed: int, phi_max: float = 0.5, fold: fl
     """Trace of a resonant tone whose fold lands exactly on a record bin."""
     f_ac = 1.2e6
     seq = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * f_ac))
-    sched0 = SamplingSchedule.from_components(seq, REFERENCE_MODEL, 5e-4, num_samples)
-    t_s = sched0.sampling_period_s
+    t_s = SamplingSchedule(5e-4, num_samples).period_s(seq, REFERENCE_MODEL)
     fold = round(fold * num_samples) / num_samples  # land exactly on a record bin
     cycles = round(f_ac * t_s) + fold
     f_sig = cycles / t_s
@@ -74,7 +73,7 @@ def onbin_tone_trace(num_samples: int, seed: int, phi_max: float = 0.5, fold: fl
     omega = omega_for_phi_max(phi_max, seq.sensing_time_s)
     sig = AcSignal(tones=(Tone(frequency_hz=f_sig, amplitude_rad_per_s=omega, phase_rad=0.6),))
     trace = run_sampling(sig, seq, REFERENCE_MODEL, sched, seed)
-    return trace, undersampled_bin(f_sig, sched.sample_rate_hz, num_samples)
+    return trace, undersampled_bin(f_sig, trace.sample_rate_hz, num_samples)
 
 
 class TestPowerSpectrum:
@@ -502,25 +501,24 @@ def coherent_study_signal(phi_max=0.25, f_ac=1.2e6, pulse_count=32):
     omega = omega_for_phi_max(phi_max, seq.sensing_time_s)
     sig = AcSignal(tones=(Tone(frequency_hz=f_ac, amplitude_rad_per_s=omega, phase_rad=0.7),))
     model = ReadoutModel(qnd_repetitions=498, contrast=0.35)
-    t_s = 20160.31 / f_ac
-    dead = t_s - seq.sensing_time_s - model.readout_time_s
-    return sig, seq, model, dead
+    sched = SamplingSchedule.from_period(seq, model, 20160.31 / f_ac, num_samples=1)
+    return sig, seq, model, sched
 
 
 class TestScalingStudy:
     def test_validates_the_duration_ladder(self):
-        sig, seq, model, dead = coherent_study_signal()
+        sig, seq, model, sched = coherent_study_signal()
         with pytest.raises(ValueError):
-            scaling_study(sig, seq, model, dead, [4130], seed=1)
+            scaling_study(sig, seq, model, sched, [4130], seed=1)
         with pytest.raises(ValueError):
-            scaling_study(sig, seq, model, dead, [4130, 160_030], seed=1)
+            scaling_study(sig, seq, model, sched, [4130, 160_030], seed=1)
         with pytest.raises(ValueError):
-            scaling_study(sig, seq, model, dead, [4130, 5230], seed=1, seeds_per_point=0)
+            scaling_study(sig, seq, model, sched, [4130, 5230], seed=1, seeds_per_point=0)
 
     def test_coherent_smoke_study_reports_unresolved_regime(self):
-        sig, seq, model, dead = coherent_study_signal()
+        sig, seq, model, sched = coherent_study_signal()
         result = scaling_study(
-            sig, seq, model, dead, [4130, 5230, 6730], seed=11, seeds_per_point=2
+            sig, seq, model, sched, [4130, 5230, 6730], seed=11, seeds_per_point=2
         )
         assert result.durations_s.shape == (3,)
         assert np.all(np.isfinite(result.width_hz))
@@ -535,7 +533,7 @@ class TestScalingStudy:
         assert result.sigma_center_slope_resolved is None
 
     def test_fm_reseeding_is_deterministic_and_leaves_coherent_signals_alone(self):
-        sig, seq, model, dead = coherent_study_signal()
+        sig, seq, model, sched = coherent_study_signal()
         assert _reseed_fm(sig, (1, 2, 3)) is sig
         broadened = AcSignal(
             tones=sig.tones, fm=FmNoise(linewidth_hz=7.6e-4, rng_seed=5)
