@@ -137,11 +137,13 @@ class CooMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x."""
-        return np.bincount(self.rows, weights=self.data * x[self.cols], minlength=self.shape[0])
+        ax = np.bincount(self.rows, weights=self.data * x[self.cols], minlength=self.shape[0])
+        return ax.astype(float, copy=False)  # bincount sums no entries to int64
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         """A^T y."""
-        return np.bincount(self.cols, weights=self.data * y[self.rows], minlength=self.shape[1])
+        aty = np.bincount(self.cols, weights=self.data * y[self.rows], minlength=self.shape[1])
+        return aty.astype(float, copy=False)  # bincount sums no entries to int64
 
     @cached_property
     def column_pointers(self) -> np.ndarray:

@@ -612,6 +612,14 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(missing)]) == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
 
+    def test_mean_gain_above_2_to_the_32_photons_exits_2(self, tmp_path, capsys):
+        readout = {"qnd_repetitions": 5_000_000_000, "contrast": 0.35, "gain_slope_photons": 1.0}
+        path = write_config(tmp_path, {"readout": readout})
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        assert "readout: qnd_repetitions * gain_slope_photons must be in [0, 4294967296]" in (
+            capsys.readouterr().err
+        )
+
     def test_bad_thread_count_exits_2(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["spectrum", "--config", str(path), "--threads", "0"]) == EXIT_CONFIG

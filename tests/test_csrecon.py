@@ -324,6 +324,8 @@ class TestCooMatrix:
         mat = build_sampling_matrix(16.0, 16, WidebandGrid(1.0, 64.0), support=[])
         assert mat.matrix.nnz == 0
         assert mat.matrix.data.dtype == np.float64
+        assert mat.matrix.matvec(np.zeros(mat.matrix.shape[1])).dtype == np.float64
+        assert mat.matrix.rmatvec(np.zeros(mat.matrix.shape[0])).dtype == np.float64
 
     def test_products_match_scipy(self):
         rng = np.random.default_rng(6)

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import stats
 
+from lockinsim import readout
 from lockinsim.readout import (
     ReadoutModel,
     depolarization_survival,
@@ -23,11 +25,12 @@ REFERENCE_GAIN = 27.3
 REFERENCE_NOISE_VARIANCE = 45.34700625
 REFERENCE_THRESHOLD = 26.93877551020409
 
-# Golden first draws for a pinned seed: the three-stage draw order
-# (depolarization, projection, shot noise) must stay reproducible
-# across versions.
-GOLDEN_COUNTS_PLAIN = [41, 17, 30, 21, 20, 17, 23, 11]
-GOLDEN_COUNTS_DEPOLARIZED = [31, 20, 17, 34, 19, 33, 33, 25]
+# Golden first draws for a pinned seed: the two-stage draw order
+# (Bernoulli uniforms, then count uniforms) must stay reproducible across
+# versions. Depolarization takes no draws of its own and leaves p = 1/2 at
+# 1/2, so the two lists are equal.
+GOLDEN_COUNTS_PLAIN = [37, 15, 26, 19, 22, 22, 20, 19]
+GOLDEN_COUNTS_DEPOLARIZED = [37, 15, 26, 19, 22, 22, 20, 19]
 
 
 def reference_model(**kwargs) -> ReadoutModel:
@@ -51,6 +54,11 @@ class TestModelValidation:
             ReadoutModel(qnd_repetitions=100, contrast=0.35, depolarization_per_readout=-1e-4)
         with pytest.raises(ValueError):
             ReadoutModel(qnd_repetitions=100, contrast=0.35, readout_unit_time_s=0.0)
+
+    def test_mean_gain_is_capped_at_2_to_the_32_photons(self):
+        ReadoutModel(qnd_repetitions=2**32, contrast=0.35, gain_slope_photons=1.0)
+        with pytest.raises(ValueError, match=r"qnd_repetitions \* gain_slope_photons"):
+            ReadoutModel(qnd_repetitions=2**32, contrast=0.35, gain_slope_photons=1.0 + 2**-40)
 
     def test_gain_and_readout_time_scale_with_repetitions(self):
         model = reference_model()
@@ -218,3 +226,77 @@ class TestSampleCounts:
         expected = expected_counts(model, 0.9)
         se = math.sqrt(float(np.var(counts)) / draws)
         assert abs(float(np.mean(counts)) - float(expected)) <= 4.0 * se
+
+
+class _Uniforms:
+    """A stand-in generator whose ``random`` returns the given arrays in turn."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, size):
+        out = self.draws.pop(0)
+        assert out.size == np.prod(size)
+        return out.reshape(size)
+
+
+class TestCountTable:
+    @pytest.mark.parametrize("mean", [0.07, 6.8, 27.3, 210.0, 1e4])
+    def test_cdf_matches_scipy(self, mean):
+        k0, cdf = readout._count_cdf(mean)
+        assert cdf[-1] == 1.0
+        assert k0 <= mean - 10.0 * math.sqrt(mean) or k0 == 0
+        assert k0 + cdf.size - 1 >= mean + 10.0 * math.sqrt(mean)
+        reference = stats.poisson.cdf(np.arange(k0, k0 + cdf.size), mean)
+        np.testing.assert_allclose(cdf, reference, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("gain_slope", [0.105, 2.0**32 / 260], ids=["shipped", "largest"])
+    def test_guide_lookup_is_the_inverse_transform(self, gain_slope):
+        """Every uniform, at and just below each guide-bucket edge and each
+        CDF value, gets the count a binary search of its state's CDF gives."""
+        model = ReadoutModel(qnd_repetitions=260, contrast=0.35, gain_slope_photons=gain_slope)
+        gain = model.mean_gain_photons
+        tables = [readout._count_cdf(gain), readout._count_cdf(gain * (1.0 - model.contrast))]
+        edges = np.arange(readout._MAX_GUIDE_BUCKETS) / readout._MAX_GUIDE_BUCKETS
+        steps = np.concatenate([cdf[cdf < 1.0] for _, cdf in tables])
+        exact = np.concatenate([edges, steps])
+        u = np.concatenate(
+            [exact, np.nextafter(exact[1:], 0.0), np.random.default_rng(8).random(4096)]
+        )
+        state = np.repeat([False, True], u.size)
+        u = np.tile(u, 2)
+        counts = sample_counts(model, state.astype(float), _Uniforms(np.full(u.size, 0.5), u))
+        for b, (k0, cdf) in enumerate(tables):
+            expected = k0 + np.searchsorted(cdf, u[state == b], side="right")
+            np.testing.assert_array_equal(counts[state == b], expected)
+
+    @pytest.mark.parametrize(
+        ("depolarization", "p", "seed"), [(0.0, 0.0, 21), (0.0, 1.0, 22), (1e-3, 0.9, 23)]
+    )
+    def test_chi_square_against_the_poisson_mixture(self, depolarization, p, seed):
+        """10^6 draws against the law b ~ Bernoulli(p_eff), y ~ Poisson(C (1 - eps b)),
+        with bins of expected count below 5 pooled into the tails."""
+        model = ReadoutModel(
+            qnd_repetitions=500, contrast=0.35, depolarization_per_readout=depolarization
+        )
+        draws = 1_000_000
+        counts = sample_counts(model, np.full(draws, p), np.random.default_rng(seed))
+        gain = model.mean_gain_photons
+        survival = depolarization_survival(model)
+        p_eff = survival * p + (1.0 - survival) / 2.0
+        k = np.arange(int(counts.max()) + 1)
+        pmf = (1.0 - p_eff) * stats.poisson.pmf(k, gain) + p_eff * stats.poisson.pmf(
+            k, gain * (1.0 - model.contrast)
+        )
+        observed = np.bincount(counts, minlength=k.size)
+        keep = np.flatnonzero(pmf * draws >= 5.0)
+        lo, hi = keep[0], keep[-1]
+        expected = np.concatenate(
+            [[pmf[: lo + 1].sum()], pmf[lo + 1 : hi], [1.0 - pmf[:hi].sum()]]
+        ) * draws
+        binned = np.concatenate(
+            [[observed[: lo + 1].sum()], observed[lo + 1 : hi], [observed[hi:].sum()]]
+        )
+        assert binned.sum() == draws
+        result = stats.chisquare(binned, expected)
+        assert result.pvalue > 1e-3, result
