@@ -250,6 +250,16 @@ class RunConfig:
     reconstruction: ReconstructionConfig | None = None
     rate_design: RateDesignConfig | None = None
 
+    def __post_init__(self) -> None:
+        # Each sweep depth must make a valid readout with the config's own
+        # gain, as snr-sweep builds it, before any depth is simulated.
+        if self.sweep is not None and self.readout is not None:
+            for i, n in enumerate(self.sweep.qnd_repetitions):
+                try:
+                    dataclasses.replace(self.readout, qnd_repetitions=n)
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.qnd_repetitions[{i}]: {exc}") from exc
+
     def require(self, *sections: str) -> None:
         missing = [s for s in sections if getattr(self, s) is None]
         if missing:
@@ -304,6 +314,8 @@ def _load(cls: type, raw: Any, path: str) -> Any:
             raise ConfigError(f"{dot}{field.name}: required key is missing")
     try:
         return cls(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 

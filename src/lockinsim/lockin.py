@@ -38,6 +38,7 @@ __all__ = [
     "HarmonicLine",
     "modulation_function",
     "phase_closed_form",
+    "phase_on_grid",
     "phase_amplitude",
     "phase_by_integration",
     "transition_probability",
@@ -180,15 +181,67 @@ def carrier_cycles(
     return (p - np.rint(p)) + (e + frequency_hz * t_lo)
 
 
+def _tone_constants(tone: Tone, seq: CpmgSequence) -> tuple[float, float]:
+    """Gain g and fixed angle alpha + K omega tau / 2 of the tone's phase
+    g sin(omega t + alpha + K omega tau / 2)."""
+    omega = TWO_PI * tone.frequency_hz
+    gain = _passband_gain(tone.amplitude_rad_per_s, omega, seq)
+    return gain, tone.phase_rad + seq.pulse_count * (omega * seq.tau_s / 2.0)
+
+
 def _tone_phase(
     tone: Tone, seq: CpmgSequence, t: np.ndarray, t_lo: float | np.ndarray
 ) -> np.ndarray:
-    omega = TWO_PI * tone.frequency_hz
-    u = omega * seq.tau_s / 2.0
-    return _passband_gain(tone.amplitude_rad_per_s, omega, seq) * np.sin(
-        TWO_PI * carrier_cycles(tone.frequency_hz, t, t_lo)
-        + (tone.phase_rad + seq.pulse_count * u)
-    )
+    gain, angle = _tone_constants(tone, seq)
+    return gain * np.sin(TWO_PI * carrier_cycles(tone.frequency_hz, t, t_lo) + angle)
+
+
+def phase_on_grid(
+    signal: AnySignal,
+    seq: CpmgSequence,
+    t: np.ndarray,
+    t_lo: np.ndarray,
+    dt: np.ndarray,
+    dt_lo: np.ndarray,
+) -> np.ndarray:
+    """:func:`phase_closed_form` at every start time t_m + dt_j, for a signal
+    without FM.
+
+    A tone's phase is g sin(a_m + b_j), with a_m the carrier angle at the
+    double-double time t_m + t_lo_m plus the tone's fixed angle, and b_j the
+    carrier angle over dt_j + dt_lo_j; both come from :func:`carrier_cycles`.
+    It is formed as (g sin a_m) cos b_j + (g cos a_m) sin b_j, so M rows of
+    B offsets take 2 (M + B) sines and cosines per tone, against M B for
+    the direct form, and two outer products. The angle keeps the direct
+    form's precision: the cycle fractions of a_m and b_j are exact to about
+    1e-16 at any t, a_m then rounds as the direct form's argument does (a
+    few 1e-15 rad for a fixed angle of tens of rad), and the product adds
+    a few ulps. On an hour-long schedule the two forms agree to about 1e-14
+    rad.
+
+    Args:
+        signal: An :class:`AcSignal` or :class:`CompositeSignal` with no FM.
+        seq: CPMG sequence.
+        t, t_lo: The M row times and their rounding errors (s).
+        dt, dt_lo: The B offsets within a row and their rounding errors (s).
+
+    Returns:
+        phi in radians, shape (M, B): row m, column j starts at t_m + dt_j.
+
+    Raises:
+        ValueError: If a group has FM.
+    """
+    total = np.zeros((t.size, dt.size))
+    for group in signal.groups:
+        if group.fm is not None:
+            raise ValueError("phase_on_grid takes no FM: use phase_closed_form")
+        for tone in expand_am(group).tones:
+            gain, angle = _tone_constants(tone, seq)
+            a = TWO_PI * carrier_cycles(tone.frequency_hz, t, t_lo) + angle
+            b = TWO_PI * carrier_cycles(tone.frequency_hz, dt, dt_lo)
+            total += (gain * np.sin(a))[:, None] * np.cos(b)
+            total += (gain * np.cos(a))[:, None] * np.sin(b)
+    return total
 
 
 def _fm_phase(
@@ -304,7 +357,11 @@ def phase_closed_form(
     shifted frequency, and a window across path nodes is cut into (pulse
     interval x path segment) pieces, each with a closed form. Every carrier
     enters through :func:`carrier_cycles`, so its phase keeps double
-    precision at any t instead of losing ~1e-6 rad at an hour.
+    precision at any t instead of losing ~1e-6 rad at an hour. Each start
+    time costs one sine per tone; for start times on a regular grid and a
+    signal without FM, :func:`phase_on_grid` gives the same phases to about
+    1e-14 rad from sines and cosines of the rows and of the offsets alone;
+    the sampler uses it from 4096 samples without clock jitter or FM.
 
     Args:
         signal: An :class:`AcSignal` or :class:`CompositeSignal`.

@@ -146,8 +146,13 @@ def _count_cdf(mean: float) -> tuple[int, np.ndarray]:
     The table spans mean +- (10 sqrt(mean) + 10). Its log pmf is summed
     outward from the mode by log p(k) - log p(k-1) = log(mean / k), so no
     term under- or overflows at any mean, and the CDF is divided by its
-    last entry, which makes that entry exactly 1.
+    last entry, which makes that entry exactly 1. A mean below 1e-20 puts
+    less than 1e-20 of its mass above 0, so its table is the one entry 1
+    at k0 = 0, as the cut above gives it; mean / k, which may underflow to
+    0 there, is not taken.
     """
+    if mean < 1e-20:
+        return 0, np.ones(1)
     half_width = 10.0 * math.sqrt(mean) + 10.0
     k0 = max(0, math.floor(mean - half_width))
     mode = math.floor(mean)

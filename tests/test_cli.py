@@ -356,6 +356,18 @@ class TestSnrSweepCommand:
         assert periods[1] - periods[0] == pytest.approx(130 * 2.32e-6, rel=1e-9)
         assert periods[2] - periods[1] == pytest.approx(238 * 2.32e-6, rel=1e-9)
 
+    def test_depth_above_the_count_cap_exits_2_before_simulating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        path = write_config(tmp_path, {"sweep": {"qnd_repetitions": [260, 50_000_000_000]}})
+        simulated = []
+        monkeypatch.setattr(cli_module, "run_sampling", lambda *a, **k: simulated.append(a))
+        assert main(["snr-sweep", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: sweep.qnd_repetitions[1]: " in err
+        assert "qnd_repetitions * gain_slope_photons must be in [0, 4294967296]" in err
+        assert simulated == []
+
     def test_requires_the_sweep_section(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["snr-sweep", "--config", str(path)]) == EXIT_CONFIG

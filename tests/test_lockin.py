@@ -19,6 +19,7 @@ from lockinsim.lockin import (
     phase_amplitude,
     phase_by_integration,
     phase_closed_form,
+    phase_on_grid,
     transition_probability,
     two_prod,
     two_sum,
@@ -207,6 +208,41 @@ class TestPhaseClosedForm:
         seq = CpmgSequence(pulse_count=16, tau_s=1e-6)
         with pytest.raises(ValueError):
             phase_by_integration(tone_signal(5e5), seq, 0.0, dt=seq.tau_s / 10.0)
+
+
+class TestPhaseOnGrid:
+    SEQ = CpmgSequence(pulse_count=32, tau_s=1.0 / (2.0 * 601254.7))
+    # An AM group (expanded into sideband tones) next to a plain group.
+    SIGNAL = CompositeSignal(
+        (
+            AcSignal(
+                tones=(Tone(601254.7, 1e5, 0.3), Tone(601300.0, 4e4, 2.0)),
+                am=AmModulation(mod_frequency_hz=0.75, mod_depth=0.4, mod_phase_rad=1.0),
+            ),
+            AcSignal(tones=(Tone(601100.5, 6e4, 5.5),)),
+        )
+    )
+
+    def test_matches_the_closed_form_at_each_summed_time(self):
+        rng = np.random.default_rng(12)
+        t = np.sort(rng.uniform(0.0, 3600.0, 40))
+        t_lo = rng.uniform(-1e-13, 1e-13, t.size)
+        dt, dt_lo = two_prod(np.arange(16.0), 4.21152e-3)
+        got = phase_on_grid(self.SIGNAL, self.SEQ, t, t_lo, dt, dt_lo)
+        assert got.shape == (t.size, dt.size)
+        start, sum_lo = two_sum(t[:, None], dt)
+        exact = phase_closed_form(
+            self.SIGNAL, self.SEQ, start, t_lo=sum_lo + t_lo[:, None] + dt_lo
+        )
+        # Each carrier angle of tens of rad rounds to ~4e-15 rad in either
+        # form; the phases peak near 4 rad.
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-13)
+        assert np.abs(exact).max() > 1.0
+
+    def test_rejects_fm(self):
+        signal = AcSignal(tones=(Tone(1.2e6, 100.0),), fm=FmNoise(linewidth_hz=1e-3, rng_seed=0))
+        with pytest.raises(ValueError, match="FM"):
+            phase_on_grid(signal, self.SEQ, np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(3))
 
 
 class TestPhaseOverFmPath:

@@ -250,6 +250,19 @@ class TestCountTable:
         reference = stats.poisson.cdf(np.arange(k0, k0 + cdf.size), mean)
         np.testing.assert_allclose(cdf, reference, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("mean", [0.0, 5e-324, 1e-21])
+    def test_a_vanishing_mean_is_one_entry_at_zero(self, mean):
+        with np.errstate(all="raise"):
+            k0, cdf = readout._count_cdf(mean)
+        assert k0 == 0 and cdf.tolist() == [1.0]
+
+    def test_smallest_gain_draws_zeros_without_a_fault(self):
+        # The bright-state mean C (1 - eps) / k underflows to 0 in the log pmf.
+        model = ReadoutModel(qnd_repetitions=1, contrast=0.35, gain_slope_photons=5e-324)
+        with np.errstate(all="raise"):
+            counts = sample_counts(model, np.linspace(0.0, 1.0, 101), np.random.default_rng(4))
+        np.testing.assert_array_equal(counts, 0)
+
     @pytest.mark.parametrize("gain_slope", [0.105, 2.0**32 / 260], ids=["shipped", "largest"])
     def test_guide_lookup_is_the_inverse_transform(self, gain_slope):
         """Every uniform, at and just below each guide-bucket edge and each

@@ -12,8 +12,13 @@ from hypothesis import given, strategies as st
 
 from lockinsim import sampler as sampler_module
 from lockinsim._io import two_prod, two_sum
-from lockinsim.lockin import CpmgSequence, phase_amplitude, phase_closed_form
-from lockinsim.readout import ReadoutModel, expected_counts, noise_variance
+from lockinsim.lockin import (
+    CpmgSequence,
+    phase_amplitude,
+    phase_closed_form,
+    transition_probability,
+)
+from lockinsim.readout import ReadoutModel, expected_counts, noise_variance, sample_counts
 from lockinsim.sampler import (
     CHUNK_SAMPLES,
     SamplingSchedule,
@@ -349,8 +354,58 @@ class TestCarrierPhaseAccuracy:
         t_lo_general = product_error + sum_error
         np.testing.assert_array_equal(t_lo.view(np.int64), t_lo_general.view(np.int64))
 
-    def test_run_sampling_passes_every_chunk_its_time_errors(self, monkeypatch):
-        seq, model, sched = make_parts(num_samples=CHUNK_SAMPLES + 1001, start_time_s=1.0 / 3.0)
+    @pytest.mark.parametrize("num_threads", [1, 2])
+    def test_chunks_draw_from_their_grid_phases(self, monkeypatch, num_threads):
+        # Three chunks, the last one short, at a start that rounds in
+        # start + k t_s; two tones, so the grid sums its terms per tone.
+        seq, model, sched = make_parts(
+            num_samples=2 * CHUNK_SAMPLES + 1001, start_time_s=1.0 / 3.0
+        )
+        signal = AcSignal(
+            tones=(Tone(F_CARRIER, 5e4, 0.2), Tone(F_CARRIER + 1234.5, 2e4, 1.1))
+        )
+        expected = expected_probabilities(signal, seq, model, sched)
+        t, t_lo = _nominal_times(sched.start_time_s, sched.period_s(seq, model), 0, expected.size)
+        exact = phase_closed_form(signal, seq, t, t_lo=t_lo)
+        chunk_of = {
+            expected[lo : lo + CHUNK_SAMPLES].tobytes(): lo
+            for lo in range(0, expected.size, CHUNK_SAMPLES)
+        }
+        phases, drawn = {}, []
+
+        def spy_probability(phi):
+            p = transition_probability(phi)
+            phases[id(p)] = phi
+            return p
+
+        def spy_counts(model, p, rng):
+            drawn.append((chunk_of[p.tobytes()], phases[id(p)]))  # p is bit for bit a chunk
+            return sample_counts(model, p, rng)
+
+        def no_closed_form(*args, **kwargs):
+            raise AssertionError("the grid path calls phase_closed_form")
+
+        monkeypatch.setattr(sampler_module, "transition_probability", spy_probability)
+        monkeypatch.setattr(sampler_module, "sample_counts", spy_counts)
+        monkeypatch.setattr(sampler_module, "phase_closed_form", no_closed_form)
+        run_sampling(signal, seq, model, sched, 3, num_threads=num_threads)
+        assert sorted(lo for lo, _ in drawn) == list(chunk_of.values())
+        for lo, phi in drawn:
+            np.testing.assert_allclose(phi, exact[lo : lo + phi.size], rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["jitter", "fm", "short"])
+    def test_other_schedules_keep_the_closed_form(self, monkeypatch, case):
+        # Per sample: the jittered times as they are, the nominal times of
+        # FM or of a schedule too short for the grid with their rounding
+        # errors.
+        num_samples = sampler_module._GRID_MIN_SAMPLES - 1 if case == "short" else None
+        jitter = 1e-9 if case == "jitter" else 0.0
+        seq, model, sched = make_parts(
+            num_samples=num_samples or CHUNK_SAMPLES + 1001,
+            start_time_s=1.0 / 3.0,
+            clock_jitter_std_s=jitter,
+        )
+        signal = fast_fm_signal(seq) if case == "fm" else tone_signal()
         seen = []
 
         def spy(signal, seq, t, *, t_lo=0.0, phase_noise=None):
@@ -358,13 +413,20 @@ class TestCarrierPhaseAccuracy:
             return phase_closed_form(signal, seq, t, t_lo=t_lo, phase_noise=phase_noise)
 
         monkeypatch.setattr(sampler_module, "phase_closed_form", spy)
-        run_sampling(tone_signal(), seq, model, sched, 3, num_threads=2)
+        trace = run_sampling(signal, seq, model, sched, 3, num_threads=2)
         seen.sort(key=lambda chunk: chunk[0][0])
-        t_s = sched.period_s(seq, model)
-        t, t_lo = _nominal_times(sched.start_time_s, t_s, 0, sched.num_samples)
-        np.testing.assert_array_equal(np.concatenate([c[0] for c in seen]), t)
-        np.testing.assert_array_equal(np.concatenate([c[1] for c in seen]), t_lo)
-        assert np.count_nonzero(t_lo) > 0.9 * t_lo.size
+        sizes = [num_samples] if num_samples else [CHUNK_SAMPLES, 1001]
+        assert [c[0].size for c in seen] == sizes
+        t = np.concatenate([c[0] for c in seen])
+        t_lo = np.concatenate([c[1] for c in seen])
+        if case == "jitter":
+            np.testing.assert_array_equal(t, trace.sample_times_s)
+            assert not t_lo.any()
+        else:
+            nominal = _nominal_times(sched.start_time_s, sched.period_s(seq, model), 0, t.size)
+            np.testing.assert_array_equal(t, nominal[0])
+            np.testing.assert_array_equal(t_lo, nominal[1])
+            assert np.count_nonzero(t_lo) > 0.9 * t_lo.size
 
 
 class TestTraceIO:

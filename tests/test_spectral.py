@@ -148,8 +148,10 @@ def direct_rfft(values: np.ndarray) -> np.ndarray:
 class TestSplitRfft:
     """``_rfft`` splits N = p q at a large prime factor p; elsewhere it is rfft."""
 
-    def test_split_and_rfft_match_the_direct_dft(self):
-        n = 3 * 1009
+    @pytest.mark.parametrize("n", [3 * 1009, 4 * 1009])
+    def test_split_and_rfft_match_the_direct_dft(self, n):
+        # q = 3 packs one pair of columns and transforms the last alone;
+        # q = 4 packs two pairs.
         assert _largest_prime_factor(n) > _SPLIT_PRIME
         x = np.random.default_rng(7).poisson(3.0, n).astype(float)
         oracle = direct_rfft(x)
