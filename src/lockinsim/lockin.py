@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ._io import check_range, two_prod, two_sum
-from .signal import AnySignal, PhaseNoisePath, Tone, evaluate, expand_am
+from .signal import AnySignal, PhaseNoisePath, Tone, evaluate, expand_am, group_paths
 
 __all__ = [
     "CpmgSequence",
@@ -345,7 +345,7 @@ def phase_closed_form(
     t: float | np.ndarray,
     *,
     t_lo: float | np.ndarray = 0.0,
-    phase_noise: PhaseNoisePath | tuple[PhaseNoisePath | None, ...] | None = None,
+    phase_noise: tuple[PhaseNoisePath | None, ...] | None = None,
 ) -> np.ndarray:
     """Accumulated phase phi(t) from the closed-form filter response.
 
@@ -358,10 +358,9 @@ def phase_closed_form(
     interval x path segment) pieces, each with a closed form. Every carrier
     enters through :func:`carrier_cycles`, so its phase keeps double
     precision at any t instead of losing ~1e-6 rad at an hour. Each start
-    time costs one sine per tone; for start times on a regular grid and a
-    signal without FM, :func:`phase_on_grid` gives the same phases to about
-    1e-14 rad from sines and cosines of the rows and of the offsets alone;
-    the sampler uses it from 4096 samples without clock jitter or FM.
+    time costs one sine per tone; :func:`phase_on_grid` is the cheaper form
+    for start times on a regular grid without FM (the grid rule is in the
+    :mod:`lockinsim.sampler` docstring).
 
     Args:
         signal: An :class:`AcSignal` or :class:`CompositeSignal`.
@@ -371,36 +370,24 @@ def phase_closed_form(
             time is the double-double t + t_lo. A schedule passes the error
             of start + k t_s so the phase is exact for the schedule itself;
             0 takes ``t`` as exact.
-        phase_noise: Materialized FM path(s), as for
-            :func:`lockinsim.signal.evaluate`: one path, or one entry per
-            group (None for groups without FM). Every window must lie
-            within the path.
+        phase_noise: Materialized FM paths, one per group, as
+            :func:`lockinsim.signal.group_paths` takes them. Every window
+            must lie within its group's path.
 
     Returns:
         phi(t) in radians, shaped like ``t``.
 
     Raises:
-        ValueError: If an FM group has no path, the path count does not
-            match the groups, or a window runs past its path.
+        ValueError: If the paths are not one per group, an FM group has
+            no path, or a window runs past its path.
     """
     t_arr = np.asarray(t, dtype=float)
-    groups = signal.groups
-    if isinstance(phase_noise, PhaseNoisePath):
-        phase_noise = (phase_noise,)
-    paths = (None,) * len(groups) if phase_noise is None else tuple(phase_noise)
-    if len(paths) != len(groups):
-        raise ValueError(f"expected {len(groups)} phase-noise paths, got {len(paths)}")
     total = np.zeros(t_arr.shape)
-    for group, path in zip(groups, paths):
+    for group, path in zip(signal.groups, group_paths(signal, phase_noise)):
         tones = expand_am(group).tones
         if group.fm is None:
             for tone in tones:
                 total = total + _tone_phase(tone, seq, t_arr, t_lo)
-        elif path is None:
-            raise ValueError(
-                "signal has fm configured: the closed form needs the "
-                "materialized path (phase_noise=)"
-            )
         else:
             total = total + _fm_phase(tones, seq, t_arr, t_lo, path)
     return total
@@ -420,7 +407,7 @@ def phase_by_integration(
     t: float | np.ndarray,
     dt: float | None = None,
     *,
-    phase_noise: PhaseNoisePath | tuple[PhaseNoisePath | None, ...] | None = None,
+    phase_noise: tuple[PhaseNoisePath | None, ...] | None = None,
 ) -> np.ndarray:
     """Brute-force quadrature of phi(t) = integral x(t+t') g(t') dt'.
 
@@ -437,7 +424,8 @@ def phase_by_integration(
         t: Scalar or 1-D array of window start times (s).
         dt: Base quadrature step; must satisfy dt <= tau/100
             (default tau/100).
-        phase_noise: Materialized FM path(s) when the signal has FM.
+        phase_noise: Materialized FM paths, one per group, passed through
+            to :func:`lockinsim.signal.evaluate`.
 
     Returns:
         phi(t) in radians with the shape of ``t``.

@@ -210,6 +210,9 @@ def undersampled_bin(f_true: float, f_s: float, num_samples: int) -> int:
 def _materialize_paths(
     signal: AnySignal, last_time_s: float, seq: CpmgSequence
 ) -> tuple[PhaseNoisePath | None, ...]:
+    """One FM path per group (None without FM), as
+    :func:`lockinsim.signal.group_paths` takes them, covering every window
+    that starts by ``last_time_s``."""
     paths: list[PhaseNoisePath | None] = []
     for group in signal.groups:
         if group.fm is None:
@@ -258,17 +261,16 @@ def _nominal_phase(
 ) -> np.ndarray:
     """Phases of samples [lo, hi) of a schedule without jitter.
 
-    With FM (a path in ``paths``), or in a schedule shorter than
-    ``_GRID_MIN_SAMPLES``, each start time goes to :func:`phase_closed_form`
-    with its rounding error. Otherwise the samples are laid out as a grid:
-    sample k = lo + B m + j (B = ``_GRID_ROW_SAMPLES``) starts at row time
-    start + (lo + B m) t_s, held as :func:`_nominal_times` holds it, plus
-    the offset j t_s, held exactly as a two-product, and
-    :func:`phase_on_grid` sums the two carrier angles. lo is a multiple of
-    B, so a sample's phase has the same bits whichever range [lo, hi) holds
-    it. The choice reads hi, which is the length N when one range holds
-    the whole schedule and at least ``CHUNK_SAMPLES`` for each chunk of a
-    longer one, so every range of one schedule takes the same form.
+    The module docstring gives the rule between the per-sample closed form,
+    where each start time carries its rounding error, and the sample grid.
+    On the grid, sample k = lo + B m + j (B = ``_GRID_ROW_SAMPLES``) starts
+    at row time start + (lo + B m) t_s, held as :func:`_nominal_times`
+    holds it, plus the offset j t_s, held exactly as a two-product. lo is a
+    multiple of B, so a sample's phase has the same bits whichever range
+    [lo, hi) holds it. The choice reads hi, which is the length N when one
+    range holds the whole schedule and at least ``CHUNK_SAMPLES`` for each
+    chunk of a longer one, so every range of one schedule takes the same
+    form.
     """
     if hi < _GRID_MIN_SAMPLES or any(path is not None for path in paths):
         t_k, t_lo = _nominal_times(start_time_s, t_s, lo, hi)
@@ -294,13 +296,10 @@ def run_sampling(
     phase is accumulated over [t_k, t_k + t_a] and tagged to t_k, converted
     to a transition probability, and read out stochastically. Nominal times
     carry their rounding error into the carrier, so each carrier phase is
-    exact for start + k t_s; jittered times are taken as they are. From
-    4096 samples without jitter or FM the phases come from the sample grid
-    (see the module docstring), which evaluates the same closed form to
-    about 1e-14 rad with 2 (chunk / 256 + 256) sines and cosines per tone
-    and chunk; otherwise from :func:`phase_closed_form` per sample. The
-    probabilities of each chunk equal those of
-    :func:`expected_probabilities` bit for bit.
+    exact for start + k t_s; jittered times are taken as they are. The
+    phases come from the sample grid or from :func:`phase_closed_form` per
+    sample, by the rule in the module docstring. The probabilities of each
+    chunk equal those of :func:`expected_probabilities` bit for bit.
 
     Args:
         signal: Signal (or composite of independent sources).

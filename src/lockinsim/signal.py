@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -38,6 +39,7 @@ __all__ = [
     "evaluate",
     "expand_am",
     "expanded_tones",
+    "group_paths",
     "materialize_fm_noise",
     "max_linewidth_hz",
     "strongest_tone",
@@ -46,9 +48,13 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 #: Most nodes :func:`materialize_fm_noise` builds: 1 GiB per float64 array,
-#: of which the path keeps two and its construction holds a few more. A
+#: of which the path keeps one and its construction holds a few more. A
 #: longer path is refused before anything is allocated.
 _MAX_FM_NODES = 2**27
+
+#: Longest OU correlation time whose square, which the path's step
+#: variance needs, is a finite float.
+_MAX_CORRELATION_TIME_S = math.sqrt(sys.float_info.max)
 
 #: Electron gyromagnetic ratio, 2 pi x 28 GHz/T, in rad s^-1 T^-1.
 GYROMAGNETIC_RATIO_RAD_PER_S_PER_T = TWO_PI * 28.0e9
@@ -204,34 +210,28 @@ def max_linewidth_hz(signal: AnySignal) -> float:
 
 @dataclass(frozen=True)
 class PhaseNoisePath:
-    """A frozen realization of the FM carrier-phase offset psi(t).
+    """A frozen realization of one FM group's carrier-phase offset psi(t).
 
     Nodes are equally spaced at ``dt_s`` starting at t = 0;
     ``psi_rad[k]`` = 2 pi * integral_0^{k dt} x_f(t') dt' for the OU
     frequency offset x_f. Linear interpolation between nodes (exact node
-    statistics; the path is smooth on scales << tau_c).
+    statistics; the path is smooth on scales << tau_c). Functions that take
+    paths take one per signal group, as :func:`group_paths` describes.
 
     Attributes:
         dt_s: Node spacing in seconds.
         psi_rad: Phase offset at the nodes (rad), psi_rad[0] = 0.
-        freq_offset_hz: OU frequency offset at the nodes (Hz), diagnostic.
     """
 
     dt_s: float
     psi_rad: np.ndarray
-    freq_offset_hz: np.ndarray
 
     def __post_init__(self) -> None:
         psi = np.asarray(self.psi_rad, dtype=float)
-        freq = np.asarray(self.freq_offset_hz, dtype=float)
         if psi.ndim != 1 or psi.size < 2:
             raise ValueError("psi_rad must be a 1-D array with at least two nodes")
-        if freq.shape != psi.shape:
-            raise ValueError("freq_offset_hz must match psi_rad in shape")
         psi.setflags(write=False)
-        freq.setflags(write=False)
         object.__setattr__(self, "psi_rad", psi)
-        object.__setattr__(self, "freq_offset_hz", freq)
 
     @property
     def duration_s(self) -> float:
@@ -272,15 +272,18 @@ class PhaseNoisePath:
 def materialize_fm_noise(
     signal: AcSignal, duration_s: float, dt_s: float
 ) -> PhaseNoisePath:
-    """Draw the frozen FM phase-noise path for ``signal`` over [0, duration_s].
+    """Draw the frozen FM phase-noise path for one group over [0, duration_s].
 
     Uses the exact joint discretization of the OU frequency offset x_f and its
     running integral over each step (both are jointly Gaussian given the
-    previous node), so node statistics are independent of ``dt_s``. The path
-    is reproducible from ``signal.fm.rng_seed`` alone.
+    previous node; Gillespie 1996, "Exact numerical simulation of the
+    Ornstein-Uhlenbeck process and its integral"), so node statistics are
+    independent of ``dt_s``. x_f is needed only while the path is built:
+    the path keeps psi alone. The path is reproducible from
+    ``signal.fm.rng_seed`` alone.
 
     Args:
-        signal: Signal with ``fm`` configured.
+        signal: One group, with ``fm`` configured.
         duration_s: Last time that must be interpolatable (> 0). Callers that
             evaluate phases over a sensing window [t, t + t_a] must include
             the trailing t_a in ``duration_s``.
@@ -292,8 +295,9 @@ def materialize_fm_noise(
         A :class:`PhaseNoisePath` with nodes at 0, dt, 2 dt, ... >= duration_s.
 
     Raises:
-        ValueError: If ``fm`` is absent, the durations are invalid, or the
-            path needs more than ``_MAX_FM_NODES`` nodes.
+        ValueError: If ``fm`` is absent, the durations are invalid, the
+            path needs more than ``_MAX_FM_NODES`` nodes, or the correlation
+            time is too long for the step variance to be a finite float.
     """
     if signal.fm is None:
         raise ValueError("materialize_fm_noise requires a signal with fm configured")
@@ -317,8 +321,9 @@ def materialize_fm_noise(
     n_nodes = int(math.ceil(steps)) + 2  # one spare node of margin
     sigma_f = fm.frequency_std_hz
     if sigma_f == 0.0:
-        zeros = np.zeros(n_nodes)
-        return PhaseNoisePath(dt_s=dt_s, psi_rad=zeros, freq_offset_hz=zeros.copy())
+        return PhaseNoisePath(dt_s=dt_s, psi_rad=np.zeros(n_nodes))
+    if tau_c > _MAX_CORRELATION_TIME_S:
+        raise ValueError(f"fm.correlation_time_s = {tau_c} s is too long: its square overflows")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(fm.rng_seed)))
     alpha = math.exp(-dt_s / tau_c)
@@ -351,7 +356,7 @@ def materialize_fm_noise(
     psi = np.empty(n_nodes)
     psi[0] = 0.0
     np.cumsum(TWO_PI * delta_y, out=psi[1:])
-    return PhaseNoisePath(dt_s=dt_s, psi_rad=psi, freq_offset_hz=x)
+    return PhaseNoisePath(dt_s=dt_s, psi_rad=psi)
 
 
 #: Block length of the blocked AR(1) scan in :func:`_ar1`.
@@ -422,20 +427,52 @@ def expand_am(signal: AcSignal) -> AcSignal:
     return dataclasses.replace(signal, tones=tuple(tones), am=None)
 
 
+def group_paths(
+    signal: AnySignal, paths: tuple[PhaseNoisePath | None, ...] | None
+) -> tuple[PhaseNoisePath | None, ...]:
+    """``paths``, the ``phase_noise`` argument of every function that takes
+    FM paths, checked against ``signal``: one entry per group, in order,
+    holding the group's path from :func:`materialize_fm_noise` if it has FM
+    and ignored (None by convention) if not. None stands for no paths.
+
+    Raises:
+        ValueError: If ``paths`` is not a tuple with one entry per group,
+            or an FM group has no path.
+    """
+    groups = signal.groups
+    if paths is None:
+        paths = (None,) * len(groups)
+    if not isinstance(paths, tuple):
+        raise ValueError(
+            "phase_noise takes a tuple with one entry per signal group, "
+            f"not a {type(paths).__name__}"
+        )
+    if len(paths) != len(groups):
+        raise ValueError(
+            f"expected {len(groups)} phase-noise paths, one per group, got {len(paths)}"
+        )
+    for group, path in zip(groups, paths):
+        if group.fm is not None and path is None:
+            raise ValueError(
+                "signal has fm configured: materialize_fm_noise first and pass "
+                "the group's path in phase_noise="
+            )
+    return paths
+
+
 def evaluate(
     signal: AnySignal,
     t: float | np.ndarray,
     *,
-    phase_noise: PhaseNoisePath | tuple[PhaseNoisePath | None, ...] | None = None,
+    phase_noise: tuple[PhaseNoisePath | None, ...] | None = None,
 ) -> np.ndarray:
     """Evaluate the instantaneous field x(t) in rad/s.
 
     Args:
         signal: Tone-sum signal (or a :class:`CompositeSignal` of groups).
         t: Time(s) in seconds, all >= 0.
-        phase_noise: Materialized FM path(s). Required when ``fm`` is
-            configured (one path per group for composites); must come from
-            :func:`materialize_fm_noise` on the same signal.
+        phase_noise: Materialized FM paths, one per group, as
+            :func:`group_paths` takes them; needed when a group has ``fm``.
 
     Returns:
         x(t) as a float array broadcast like ``t`` (0-d for scalar input).
@@ -443,49 +480,21 @@ def evaluate(
     Raises:
         ValueError: For negative times or a missing phase-noise path.
     """
-    if isinstance(signal, CompositeSignal):
-        paths: tuple[PhaseNoisePath | None, ...]
-        if phase_noise is None:
-            paths = (None,) * len(signal.groups)
-        elif isinstance(phase_noise, PhaseNoisePath):
-            raise ValueError("composite signals need one phase-noise path per group")
-        else:
-            paths = tuple(phase_noise)
-            if len(paths) != len(signal.groups):
-                raise ValueError(
-                    f"expected {len(signal.groups)} phase-noise paths, got {len(paths)}"
-                )
-        total = None
-        for group, path in zip(signal.groups, paths):
-            part = evaluate(group, t, phase_noise=path)
-            total = part if total is None else total + part
-        return total
-
     t_arr = np.asarray(t, dtype=float)
     if t_arr.size and t_arr.min() < 0.0:
         raise ValueError("evaluate requires t >= 0")
-
-    if signal.fm is not None:
-        if not isinstance(phase_noise, PhaseNoisePath):
-            raise ValueError(
-                "signal has fm configured: materialize_fm_noise first and pass "
-                "the path via phase_noise="
-            )
-        psi = phase_noise.phase_at(t_arr)
-    else:
-        psi = 0.0
-
-    if signal.am is not None:
-        am = signal.am
-        envelope = 1.0 + am.mod_depth * np.cos(
-            TWO_PI * am.mod_frequency_hz * t_arr + am.mod_phase_rad
-        )
-    else:
-        envelope = 1.0
-
     total = np.zeros_like(t_arr)
-    for tone in signal.tones:
-        total += tone.amplitude_rad_per_s * np.cos(
-            TWO_PI * tone.frequency_hz * t_arr + tone.phase_rad + psi
-        )
-    return total * envelope
+    for group, path in zip(signal.groups, group_paths(signal, phase_noise)):
+        psi = 0.0 if group.fm is None else path.phase_at(t_arr)
+        part = np.zeros_like(t_arr)
+        for tone in group.tones:
+            part += tone.amplitude_rad_per_s * np.cos(
+                TWO_PI * tone.frequency_hz * t_arr + tone.phase_rad + psi
+            )
+        if group.am is not None:
+            am = group.am
+            part *= 1.0 + am.mod_depth * np.cos(
+                TWO_PI * am.mod_frequency_hz * t_arr + am.mod_phase_rad
+            )
+        total += part
+    return total

@@ -530,29 +530,28 @@ class LorentzianFit:
     window: tuple[int, int]
 
 
-def fit_lorentzian(
-    spectrum: PowerSpectrum,
-    window: tuple[int, int],
-    init: tuple[float, float, float, float] | None = None,
-    *,
-    max_iterations: int = 2000,
-    width_floor_bins: float = 0.25,
-) -> LorentzianFit:
+#: Most Levenberg-Marquardt iterations :func:`fit_lorentzian` takes.
+_FIT_MAX_ITERATIONS = 2000
+#: Least fitted width, in bins; :func:`fit_lorentzian` says why.
+_WIDTH_FLOOR_BINS = 0.25
+
+
+def fit_lorentzian(spectrum: PowerSpectrum, window: tuple[int, int]) -> LorentzianFit:
     """Fit a Lorentzian line to ``spectrum.power`` over bins [lo, hi).
 
-    Levenberg-Marquardt with the analytic Jacobian; initialization from the
-    window peak (center), half-power width (gamma), peak-minus-median
-    (amplitude), and median (offset) unless ``init`` is given.
+    Levenberg-Marquardt with the analytic Jacobian, at most
+    ``_FIT_MAX_ITERATIONS`` iterations; initialization from the window peak
+    (center), half-power width (gamma), peak-minus-median (amplitude), and
+    median (offset).
 
-    ``width_floor_bins`` lower-bounds the fitted width at that fraction of
-    the bin spacing (default 0.25). Widths below the spectral resolution
-    1/T are not identifiable from a periodogram, and an unconstrained
-    least-squares fit of a resolution-limited peak is degenerate: its
-    objective keeps improving as the width collapses toward a one-bin
-    spike with diverging amplitude. The floor turns that degeneracy into
-    a stable estimate at the resolution scale without affecting resolved
-    lines (width >> bin spacing). Pass 0.0 to disable (a tiny positive
-    floor is still applied to keep the model differentiable).
+    The fitted width is bounded below at ``_WIDTH_FLOOR_BINS`` of the bin
+    spacing. Widths below the spectral resolution 1/T are not identifiable
+    from a periodogram, and an unconstrained least-squares fit of a
+    resolution-limited peak is degenerate: its objective keeps improving as
+    the width collapses toward a one-bin spike with diverging amplitude.
+    The floor turns that degeneracy into a stable estimate at the
+    resolution scale without affecting resolved lines (width >> bin
+    spacing).
 
     Raises:
         ValueError: If the window has fewer than 5 bins.
@@ -570,18 +569,14 @@ def fit_lorentzian(
         raise FitError("degenerate fit window: all powers equal", 0, 0.0)
 
     df = spectrum.bin_width_hz
-    if init is None:
-        i_peak = int(np.argmax(y))
-        offset0 = _median(y)
-        amp0 = max(float(y[i_peak]) - offset0, 1e-12 * max(float(y[i_peak]), 1.0))
-        half = offset0 + 0.5 * amp0
-        above = np.nonzero(y >= half)[0]
-        width0 = max(0.5 * df * max(above.max() - above.min(), 1), 0.25 * df)
-        beta = np.array([f[i_peak], width0, amp0, offset0])
-    else:
-        beta = np.asarray(init, dtype=float).copy()
-        if beta.shape != (4,):
-            raise ValueError("init must be (center_hz, width_hz, amplitude, offset)")
+    min_width = _WIDTH_FLOOR_BINS * df
+    i_peak = int(np.argmax(y))
+    offset0 = _median(y)
+    amp0 = max(float(y[i_peak]) - offset0, 1e-12 * max(float(y[i_peak]), 1.0))
+    half = offset0 + 0.5 * amp0
+    above = np.nonzero(y >= half)[0]
+    width0 = max(0.5 * df * max(above.max() - above.min(), 1), min_width)
+    beta = np.array([f[i_peak], width0, amp0, offset0])
 
     def ssr_of(b: np.ndarray) -> tuple[float, np.ndarray]:
         r = y - lorentzian(f, *b)
@@ -607,9 +602,6 @@ def fit_lorentzian(
         out[3] = (ss * ty - s1 * sy) / det
         return out
 
-    check_range(0, width_floor_bins=width_floor_bins)
-    min_width = max(width_floor_bins, 1e-3) * df
-    beta[1] = max(abs(beta[1]), min_width)
     beta = snap_linear(beta)
 
     ssr, resid = ssr_of(beta)
@@ -617,7 +609,7 @@ def fit_lorentzian(
     converged = False
     iterations = 0
     stall_run = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _FIT_MAX_ITERATIONS + 1):
         jac = _lorentzian_jacobian(f, beta[0], beta[1], beta[2])
         jtj = jac.T @ jac
         grad = jac.T @ resid

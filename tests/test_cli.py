@@ -659,6 +659,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "correlation_time_s" in err and "nodes" in err
 
+    def test_fm_correlation_time_whose_square_overflows_exits_2(self, tmp_path, capsys):
+        signal = copy.deepcopy(BASE_CONFIG["signal"])
+        signal["fm"] = {"linewidth_hz": 1.0, "rng_seed": 5, "correlation_time_s": 1e200}
+        path = write_config(tmp_path, {"signal": signal})
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        assert "fm.correlation_time_s = 1e+200 s is too long" in capsys.readouterr().err
+
     def test_numerical_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, seed, out, threads, fmt):
             raise FitError("synthetic non-convergence")

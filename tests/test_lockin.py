@@ -24,6 +24,7 @@ from lockinsim.lockin import (
     two_prod,
     two_sum,
 )
+from lockinsim.sampler import _materialize_paths
 from lockinsim.signal import (
     AcSignal,
     AmModulation,
@@ -302,17 +303,53 @@ class TestPhaseOverFmPath:
             tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.7),),
             fm=self.fm(ratio),
         )
-        self.check(signal, signal, lambda path: path)
+        self.check(signal, signal, lambda path: (path,))
 
     def test_window_past_the_path_end_raises(self):
         signal = AcSignal(tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5),), fm=self.fm(5.0))
         t_a = self.SEQ.sensing_time_s
         path = materialize_fm_noise(signal, 40.0 * t_a, signal.fm.correlation_time_s / 8.0)
         last_start = path.duration_s - t_a
-        phase_closed_form(signal, self.SEQ, last_start, phase_noise=path)
+        phase_closed_form(signal, self.SEQ, last_start, phase_noise=(path,))
         late = np.array([0.0, last_start + 1e-3 * self.SEQ.tau_s])
         with pytest.raises(ValueError, match="outside the materialized range"):
-            phase_closed_form(signal, self.SEQ, late, phase_noise=path)
+            phase_closed_form(signal, self.SEQ, late, phase_noise=(path,))
+
+
+class TestFmPathContract:
+    """Both phase functions take the sampler's paths: one entry per group."""
+
+    SEQ = TestPhaseOverFmPath.SEQ
+    FM_TONE = AcSignal(
+        tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.7),),
+        fm=TestPhaseOverFmPath.fm(5.0),
+    )
+    PLAIN = AcSignal(tones=(Tone(frequency_hz=1.1999e6, amplitude_rad_per_s=3e4, phase_rad=2.0),))
+    SIGNALS = {
+        "fm_tone": FM_TONE,
+        "one_group_composite": CompositeSignal(groups=(FM_TONE,)),
+        "fm_and_plain_groups": CompositeSignal(groups=(FM_TONE, PLAIN)),
+    }
+
+    @pytest.mark.parametrize("name", SIGNALS)
+    def test_sampler_paths_give_the_same_phase_both_ways(self, name):
+        signal = self.SIGNALS[name]
+        t_a = self.SEQ.sensing_time_s
+        starts = np.array([0.0, 0.37, 3.1, 7.5]) * t_a
+        paths = _materialize_paths(signal, float(starts.max()), self.SEQ)
+        exact = phase_closed_form(signal, self.SEQ, starts, phase_noise=paths)
+        quad = phase_by_integration(signal, self.SEQ, starts, phase_noise=paths)
+        np.testing.assert_allclose(exact, quad, rtol=0.0, atol=1e-9 * 1e5 * t_a)
+
+    @pytest.mark.parametrize("phase", [phase_closed_form, phase_by_integration])
+    @pytest.mark.parametrize("name", SIGNALS)
+    def test_a_bare_path_or_a_wrong_count_is_refused(self, name, phase):
+        signal = self.SIGNALS[name]
+        paths = _materialize_paths(signal, 0.0, self.SEQ)
+        with pytest.raises(ValueError, match="one entry per signal group"):
+            phase(signal, self.SEQ, np.zeros(1), phase_noise=paths[0])
+        with pytest.raises(ValueError, match="one per group, got"):
+            phase(signal, self.SEQ, np.zeros(1), phase_noise=paths + (None,))
 
 
 class TestCarrierCycles:
@@ -351,14 +388,11 @@ class TestCarrierCycles:
             tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.7),), fm=fm
         )
         starts = np.linspace(0.0, 200.0 * seq.sensing_time_s, 301)
-        path = None
-        if fm is not None:
-            dt = fm.correlation_time_s / 8.0
-            path = materialize_fm_noise(signal, float(starts.max()) + seq.sensing_time_s + dt, dt)
+        paths = _materialize_paths(signal, float(starts.max()), seq)
         shift = 1e-13 * np.linspace(0.5, 1.0, starts.size)
-        base = phase_closed_form(signal, seq, starts, phase_noise=path)
-        moved = phase_closed_form(signal, seq, starts + shift, phase_noise=path)
-        got = phase_closed_form(signal, seq, starts, t_lo=shift, phase_noise=path)
+        base = phase_closed_form(signal, seq, starts, phase_noise=paths)
+        moved = phase_closed_form(signal, seq, starts + shift, phase_noise=paths)
+        got = phase_closed_form(signal, seq, starts, t_lo=shift, phase_noise=paths)
         tol = 1e-9 * 1e5 * seq.sensing_time_s
         assert np.abs(moved - base).max() > 100.0 * tol
         np.testing.assert_allclose(got, moved, rtol=0.0, atol=tol)

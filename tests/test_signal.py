@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +213,6 @@ class TestFmNoise:
         a = materialize_fm_noise(sig, duration_s=3.0, dt_s=0.5)
         b = materialize_fm_noise(sig, duration_s=3.0, dt_s=0.5)
         np.testing.assert_array_equal(a.psi_rad, b.psi_rad)
-        np.testing.assert_array_equal(a.freq_offset_hz, b.freq_offset_hz)
         other = single_tone(fm=FmNoise(linewidth_hz=1e-3, rng_seed=43))
         c = materialize_fm_noise(other, duration_s=3.0, dt_s=0.5)
         assert not np.array_equal(a.psi_rad, c.psi_rad)
@@ -253,21 +253,45 @@ class TestFmNoise:
         err = np.max(np.abs(_ar1(v, alpha) - expected))
         assert err <= 1e-14 * np.max(np.abs(expected))
 
-    def test_frequency_offsets_are_stationary_with_exponential_memory(self):
-        # One long path: node offsets must show the stationary variance and
-        # the exp(-dt/tau_c) lag-one autocorrelation of the mean-reverting
-        # frequency process.
+    def test_phase_increments_are_stationary_with_exponential_memory(self):
+        # One long path: the psi increments over a step D have the variance
+        # (2 pi sigma_f tau_c)^2 * 2 (D/tau_c - 1 + exp(-D/tau_c)) of the
+        # integrated mean-reverting frequency process, and neighbouring
+        # increments share the covariance (2 pi sigma_f tau_c)^2
+        # (1 - exp(-D/tau_c))^2 of its exponential memory.
         tau_c = 2.0
         fm = FmNoise(linewidth_hz=7.6e-4, rng_seed=9, correlation_time_s=tau_c)
         sig = single_tone(fm=fm)
         dt = tau_c / 4.0
         n_nodes = 200_000
         path = materialize_fm_noise(sig, duration_s=n_nodes * dt, dt_s=dt)
-        x = path.freq_offset_hz
-        var = float(np.var(x))
-        rho = float(np.corrcoef(x[:-1], x[1:])[0, 1])
-        assert var == pytest.approx(fm.frequency_std_hz**2, rel=0.05)
-        assert rho == pytest.approx(math.exp(-dt / tau_c), abs=0.01)
+        d = np.diff(path.psi_rad)
+        d -= d.mean()
+        scale = (2.0 * math.pi * fm.frequency_std_hz * tau_c) ** 2
+        decay = math.exp(-dt / tau_c)
+        assert float(d @ d) / d.size == pytest.approx(
+            scale * 2.0 * (dt / tau_c - 1.0 + decay), rel=0.05
+        )
+        assert float(d[:-1] @ d[1:]) / (d.size - 1) == pytest.approx(
+            scale * (1.0 - decay) ** 2, rel=0.05
+        )
+
+    def test_path_keeps_psi_alone(self):
+        # x_f is needed only while the path is built: what stays is the
+        # 8-byte psi per node, while building holds about six such arrays.
+        sig = single_tone(fm=FmNoise(linewidth_hz=1e-3, rng_seed=2, correlation_time_s=2.0))
+        dt = 0.5
+        n_nodes = 1_000_000
+        materialize_fm_noise(sig, duration_s=10.0, dt_s=dt)  # first-use imports are not the path's
+        tracemalloc.start()
+        try:
+            path = materialize_fm_noise(sig, duration_s=n_nodes * dt, dt_s=dt)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.psi_rad.size >= n_nodes
+        assert kept <= 9 * n_nodes
+        assert peak <= 49 * n_nodes
 
     @pytest.mark.parametrize("steps,dt_fraction", [(5, 0.2), (20, 0.05)])
     def test_accumulated_phase_variance_matches_closed_form(self, steps, dt_fraction):
@@ -303,11 +327,11 @@ class TestFmNoise:
         )
         path = materialize_fm_noise(sig, duration_s=1.0, dt_s=0.25)
         t = np.linspace(0.0, 1.0, 101)
-        with_noise = evaluate(sig, t, phase_noise=path)
+        with_noise = evaluate(sig, t, phase_noise=(path,))
         clean = evaluate(single_tone(frequency_hz=100.0), t)
         assert not np.allclose(with_noise, clean)
         # The frozen path reproduces exactly.
-        np.testing.assert_array_equal(with_noise, evaluate(sig, t, phase_noise=path))
+        np.testing.assert_array_equal(with_noise, evaluate(sig, t, phase_noise=(path,)))
 
 
 class TestFieldConversion:
