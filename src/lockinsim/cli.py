@@ -83,15 +83,28 @@ CommandResult = tuple[dict[str, Any], Sequence[str], Sequence[Any] | None]
 
 
 def _require_finite(value: Any, key: str = "result") -> None:
-    """Raise FitError naming the dotted ``key`` of any non-finite number."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise FitError(f"{key} is non-finite ({value})")
-    if isinstance(value, dict):
+    """Raise FitError naming the dotted ``key`` of any non-finite number.
+
+    A numeric array, or a list or tuple of plain numbers, is checked with
+    one ``np.isfinite``; only its first bad entry gets a key.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise FitError(f"{key} is non-finite ({value})")
+    elif isinstance(value, dict):
         for k, v in value.items():
             _require_finite(v, f"{key}.{k}")
     elif isinstance(value, (list, tuple, np.ndarray)):
-        for i, v in enumerate(value):
-            _require_finite(v, f"{key}.{i}")
+        flat = isinstance(value, np.ndarray) or all(isinstance(v, (int, float)) for v in value)
+        array = np.asarray(value) if flat else None
+        if array is not None and array.dtype.kind in "biuf":
+            finite = np.isfinite(array)
+            if not finite.all():
+                bad = np.unravel_index(np.argmin(finite), array.shape)
+                _require_finite(float(array[bad]), key + "".join(f".{i}" for i in bad))
+        else:
+            for i, v in enumerate(value):
+                _require_finite(v, f"{key}.{i}")
 
 
 def _models(config: RunConfig) -> tuple[AnySignal, CpmgSequence, ReadoutModel]:
@@ -164,7 +177,11 @@ def _emit(
         blocks = csv_blocks(header, csv_columns)
     if out is None:
         sys.stdout.flush()
-        sys.stdout.buffer.writelines(blocks)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text stream, such as io.StringIO
+            sys.stdout.writelines(block.decode() for block in blocks)
+        else:
+            buffer.writelines(blocks)
     else:
         with open(out, "wb") as fh:
             fh.writelines(blocks)
@@ -389,26 +406,30 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command is a positional choice, and every
+    command takes the same five options."""
+    summaries = ((name, (fn.__doc__ or "").partition("\n")[0]) for name, fn in _COMMANDS.items())
+    commands = "\n".join(f"  {name:<12} {summary}" for name, summary in summaries)
     parser = argparse.ArgumentParser(
         prog="lockinsim",
         description="Quantum lock-in sampling simulator and analysis toolkit",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in _COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__ or name)
-        p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument(
-            "--seed", type=int, default=None, help="override the config seed"
-        )
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument(
-            "--threads", type=int, default=1, help="worker threads for trace generation"
-        )
-        p.add_argument(
-            "--format", choices=("csv", "json"), default="json", dest="fmt",
-            help="output format (simulate: csv only)",
-        )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--config", required=True, help="YAML run configuration")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", default=None, help="output path (default: stdout)")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker threads for trace generation"
+    )
+    parser.add_argument(
+        "--format", choices=("csv", "json"), default="json", dest="fmt",
+        help="output format (simulate: csv only)",
+    )
     return parser
 
 

@@ -281,10 +281,9 @@ def _fm_phase(
     tau = seq.tau_s
     t_a = seq.sensing_time_s
     dt = path.dt_s
-    if t_flat.size:  # every window must lie within the path
-        path.segment_at(np.array([t_flat.min(), t_flat.max() + t_a]))
     # A start that floor(t/dt) rounds into the wrong segment fails one of
-    # these comparisons and is cut into pieces instead.
+    # these comparisons and is cut into pieces instead. on_segment and
+    # segment_at refuse a window outside the path's runs.
     j = np.floor(t_flat / dt).astype(np.int64)
     inside = (j * dt <= t_flat) & (t_flat + t_a <= (j + 1) * dt)
     out = np.empty(t_flat.size)
@@ -372,14 +371,14 @@ def phase_closed_form(
             0 takes ``t`` as exact.
         phase_noise: Materialized FM paths, one per group, as
             :func:`lockinsim.signal.group_paths` takes them. Every window
-            must lie within its group's path.
+            must lie within one run of its group's path.
 
     Returns:
         phi(t) in radians, shaped like ``t``.
 
     Raises:
         ValueError: If the paths are not one per group, an FM group has
-            no path, or a window runs past its path.
+            no path, or a window lies outside its path's runs.
     """
     t_arr = np.asarray(t, dtype=float)
     total = np.zeros(t_arr.shape)

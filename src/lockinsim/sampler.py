@@ -23,6 +23,12 @@ an FM group, or a shorter schedule, where the grid's fixed cost does not
 pay, takes :func:`lockinsim.lockin.phase_closed_form` per sample. Either
 way a chunk's temporaries are a few arrays of its 65536 samples, so memory
 peaks at the trace's own arrays plus those of the chunks in flight.
+
+An FM group's phase-noise path is drawn once, before the chunks, and only
+at the grid nodes the sensing windows read (:func:`_materialize_paths`):
+when t_s spans many grid nodes and t_a few, as with tau_c = 50 t_a, that
+is a fraction of the grid; when the windows leave no gap it is the whole
+grid, as before.
 """
 
 from __future__ import annotations
@@ -208,20 +214,40 @@ def undersampled_bin(f_true: float, f_s: float, num_samples: int) -> int:
 
 
 def _materialize_paths(
-    signal: AnySignal, last_time_s: float, seq: CpmgSequence
+    signal: AnySignal, seq: CpmgSequence, starts: np.ndarray, margin_s: float = 0.0
 ) -> tuple[PhaseNoisePath | None, ...]:
     """One FM path per group (None without FM), as
-    :func:`lockinsim.signal.group_paths` takes them, covering every window
-    that starts by ``last_time_s``."""
+    :func:`lockinsim.signal.group_paths` takes them, for sensing windows
+    that start within ``margin_s`` of the non-decreasing times ``starts``.
+
+    Each group's path lies on a grid of tau_c/8 and is drawn only at the
+    grid nodes those windows read: every node of each widened window
+    [t - margin, t + t_a + margin], a spare node either side, and nodes 0 and 1,
+    in runs of consecutive nodes (:func:`lockinsim.signal.materialize_fm_noise`).
+    Where those nodes leave no gap, as when t_s spans a few grid nodes or
+    fewer, the path is the dense one over [0, last start + margin + t_a + 2 dt].
+    """
     paths: list[PhaseNoisePath | None] = []
     for group in signal.groups:
         if group.fm is None:
             paths.append(None)
         else:
             dt = group.fm.correlation_time_s / 8.0
-            duration = last_time_s + seq.sensing_time_s + 2.0 * dt
-            paths.append(materialize_fm_noise(group, duration, dt))
+            duration = starts[-1] + margin_s + seq.sensing_time_s + 2.0 * dt
+            windows = (starts - margin_s, seq.sensing_time_s + 2.0 * margin_s)
+            paths.append(materialize_fm_noise(group, duration, dt, windows))
     return tuple(paths)
+
+
+def _schedule_paths(
+    signal: AnySignal, seq: CpmgSequence, sched: SamplingSchedule, t_s: float, margin_s: float
+) -> tuple[PhaseNoisePath | None, ...]:
+    """:func:`_materialize_paths` for the schedule's windows, whose nominal
+    start times are formed only when a group has FM."""
+    if all(group.fm is None for group in signal.groups):
+        return (None,) * len(signal.groups)
+    starts, _ = _nominal_times(sched.start_time_s, t_s, 0, sched.num_samples)
+    return _materialize_paths(signal, seq, starts, margin_s)
 
 
 def _nominal_times(
@@ -317,9 +343,7 @@ def run_sampling(
     """
     n = sched.num_samples
     t_s = sched.period_s(seq, model)
-    last_nominal = sched.start_time_s + (n - 1) * t_s
-    jitter_margin = 8.0 * sched.clock_jitter_std_s
-    paths = _materialize_paths(signal, last_nominal + jitter_margin, seq)
+    paths = _schedule_paths(signal, seq, sched, t_s, 8.0 * sched.clock_jitter_std_s)
 
     n_chunks = (n + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
     if not isinstance(rng, np.random.SeedSequence):
@@ -384,10 +408,9 @@ def expected_probabilities(
     trace.
     """
     t_s = sched.period_s(seq, model)
-    n = sched.num_samples
-    paths = _materialize_paths(signal, sched.start_time_s + (n - 1) * t_s, seq)
+    paths = _schedule_paths(signal, seq, sched, t_s, 0.0)
     return transition_probability(
-        _nominal_phase(signal, seq, sched.start_time_s, t_s, 0, n, paths)
+        _nominal_phase(signal, seq, sched.start_time_s, t_s, 0, sched.num_samples, paths)
     )
 
 

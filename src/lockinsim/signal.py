@@ -47,10 +47,16 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: Most nodes :func:`materialize_fm_noise` builds: 1 GiB per float64 array,
-#: of which the path keeps one and its construction holds a few more. A
-#: longer path is refused before anything is allocated.
+#: Most nodes :func:`materialize_fm_noise` draws: 1 GiB per float64 array,
+#: of which the path keeps one and its construction holds a few more. The
+#: count is of drawn nodes, not of grid nodes: a path drawn only for sparse
+#: sensing windows may span a longer grid. A path that would draw more is
+#: refused before its node arrays are allocated.
 _MAX_FM_NODES = 2**27
+
+#: Most grid steps a path may span: node indices and their floor(t/dt)
+#: stay exact integers in a float below it.
+_MAX_GRID_STEPS = 2**52
 
 #: Longest OU correlation time whose square, which the path's step
 #: variance needs, is a finite float.
@@ -212,75 +218,154 @@ def max_linewidth_hz(signal: AnySignal) -> float:
 class PhaseNoisePath:
     """A frozen realization of one FM group's carrier-phase offset psi(t).
 
-    Nodes are equally spaced at ``dt_s`` starting at t = 0;
-    ``psi_rad[k]`` = 2 pi * integral_0^{k dt} x_f(t') dt' for the OU
-    frequency offset x_f. Linear interpolation between nodes (exact node
-    statistics; the path is smooth on scales << tau_c). Functions that take
-    paths take one per signal group, as :func:`group_paths` describes.
+    The grid nodes are equally spaced at ``dt_s`` starting at t = 0, and
+    psi at node k is 2 pi * integral_0^{k dt} x_f(t') dt' for the OU
+    frequency offset x_f. The path holds psi at runs of consecutive grid
+    nodes: run r starts at grid node ``run_starts[r]``, and its values are
+    ``psi_rad[run_offsets[r]:run_offsets[r + 1]]`` (the last run reaches the
+    end of ``psi_rad``). A dense path is one run, ``(0,)`` and ``(0,)``,
+    holding every node from 0; a path drawn for sparse sensing windows has
+    one run per window or group of windows, after a first run that holds
+    at least nodes 0 and 1. Every run holds at least one segment. psi is
+    linear between the nodes of a run (exact node statistics; the path is
+    smooth on scales << tau_c) and undefined between runs.
+    Functions that take paths take one per signal group, as
+    :func:`group_paths` describes.
 
     Attributes:
-        dt_s: Node spacing in seconds.
-        psi_rad: Phase offset at the nodes (rad), psi_rad[0] = 0.
+        dt_s: Grid node spacing in seconds.
+        psi_rad: Phase offset at the drawn nodes (rad), psi_rad[0] = 0 at
+            node 0.
+        run_starts: Grid node of each run's first node, increasing, with at
+            least one undrawn node between runs.
+        run_offsets: Index into ``psi_rad`` of each run's first node,
+            increasing from 0.
     """
 
     dt_s: float
     psi_rad: np.ndarray
+    run_starts: np.ndarray = (0,)
+    run_offsets: np.ndarray = (0,)
 
     def __post_init__(self) -> None:
         psi = np.asarray(self.psi_rad, dtype=float)
         if psi.ndim != 1 or psi.size < 2:
             raise ValueError("psi_rad must be a 1-D array with at least two nodes")
-        psi.setflags(write=False)
+        starts = np.asarray(self.run_starts, dtype=np.int64)
+        offsets = np.asarray(self.run_offsets, dtype=np.int64)
+        sizes = np.diff(offsets, append=psi.size)
+        if (
+            starts.ndim != 1
+            or starts.size == 0
+            or starts.shape != offsets.shape
+            or starts[0] != 0
+            or offsets[0] != 0
+            or np.any(sizes < 2)
+            or np.any(starts[1:] <= starts[:-1] + sizes[:-1])
+        ):
+            raise ValueError(
+                "runs must start at node 0 and at psi_rad[0], each hold a segment, "
+                "and leave an undrawn node between them"
+            )
+        for array in (psi, starts, offsets):
+            array.setflags(write=False)
         object.__setattr__(self, "psi_rad", psi)
+        object.__setattr__(self, "run_starts", starts)
+        object.__setattr__(self, "run_offsets", offsets)
+        object.__setattr__(self, "_run_lasts", starts + sizes - 1)
+        object.__setattr__(self, "_run_shifts", starts - offsets)  # grid node - psi index
 
     @property
     def duration_s(self) -> float:
-        """Time of the last node (s); phase_at accepts t in [0, duration_s]."""
-        return (self.psi_rad.size - 1) * self.dt_s
+        """Time of the last node (s); phase_at accepts no later t."""
+        return float(self._run_lasts[-1]) * self.dt_s
+
+    def _outside(self, what: str, values: np.ndarray, bad: np.ndarray) -> ValueError:
+        return ValueError(
+            f"phase_at {what} outside the materialized range: {values[bad].flat[0]} "
+            f"is in no run of drawn nodes (the path's {self.run_starts.size} runs "
+            f"span [0, {self.duration_s}] s)"
+        )
 
     def segment_at(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi(t) (rad) and its slope psi' (rad/s) at times within [0, duration_s].
+        """psi(t) (rad) and its slope psi' (rad/s) at times within the runs.
 
-        The segment [j dt, (j+1) dt] holding t (the last one closed at its
-        right end) is found in O(1) from floor(t/dt), moved by one where
-        rounding put t across a node, so before the last node psi(t) equals
-        ``np.interp`` over the nodes bit for bit.
+        A time's run is found by binary search over the run start times.
+        Within it, the segment [j dt, (j+1) dt] holding t (the run's last
+        one closed at its right end) is found in O(1) from floor(t/dt),
+        moved by one where rounding put t across a node, so before a run's
+        last node psi(t) equals ``np.interp`` over the run's nodes bit for
+        bit.
+
+        Raises:
+            ValueError: If a time lies in no run.
         """
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() > self.duration_s * (1 + 1e-12)):
-            raise ValueError(
-                "phase_at time outside the materialized range "
-                f"[0, {self.duration_s}]: [{t_arr.min()}, {t_arr.max()}]"
-            )
-        last = self.psi_rad.size - 2
-        j = np.clip(np.floor(t_arr / self.dt_s).astype(np.int64), 0, last)
-        j -= (t_arr < j * self.dt_s) & (j > 0)
-        j += (t_arr >= (j + 1) * self.dt_s) & (j < last)
-        return self.on_segment(j, t_arr)
+        dt = self.dt_s
+        r = np.maximum(np.searchsorted(self.run_starts * dt, t_arr, side="right") - 1, 0)
+        first = self.run_starts[r]
+        last = self._run_lasts[r] - 1  # the run's last segment
+        j = np.clip(np.floor(t_arr / dt).astype(np.int64), first, last)
+        j -= (t_arr < j * dt) & (j > first)
+        j += (t_arr >= (j + 1) * dt) & (j < last)
+        # Clipped into its run, j holds t unless t lies outside that run.
+        bad = (t_arr < j * dt) | (t_arr > (j + 1) * dt * (1 + 1e-12))
+        if np.any(bad):
+            raise self._outside("time", t_arr, bad)
+        return self._line(j - self._run_shifts[r], j, t_arr)
 
     def on_segment(self, j: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi(t) (rad) and psi' (rad/s) on segments ``j``, which must hold ``t``."""
+        """psi(t) (rad) and psi' (rad/s) on grid segments ``j``, which must hold ``t``.
+
+        Raises:
+            ValueError: If a segment does not lie within one run.
+        """
+        j = np.asarray(j)
+        r = np.maximum(np.searchsorted(self.run_starts, j, side="right") - 1, 0)
+        bad = (j < self.run_starts[r]) | (j >= self._run_lasts[r])
+        if np.any(bad):
+            raise self._outside("segment", j, bad)
+        return self._line(j - self._run_shifts[r], j, t)
+
+    def _line(self, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """psi and psi' at ``t`` on grid segment ``j``, whose left node is psi_rad[i]."""
         left = j * self.dt_s
-        slope = (self.psi_rad[j + 1] - self.psi_rad[j]) / ((j + 1) * self.dt_s - left)
-        return slope * (t - left) + self.psi_rad[j], slope
+        slope = (self.psi_rad[i + 1] - self.psi_rad[i]) / ((j + 1) * self.dt_s - left)
+        return slope * (t - left) + self.psi_rad[i], slope
 
     def phase_at(self, t: float | np.ndarray) -> np.ndarray:
-        """Interpolate psi(t) (rad) at times ``t`` within [0, duration_s]."""
+        """Interpolate psi(t) (rad) at times ``t`` within the runs."""
         return self.segment_at(t)[0]
 
 
 def materialize_fm_noise(
-    signal: AcSignal, duration_s: float, dt_s: float
+    signal: AcSignal,
+    duration_s: float,
+    dt_s: float,
+    windows: tuple[np.ndarray, float] | None = None,
 ) -> PhaseNoisePath:
     """Draw the frozen FM phase-noise path for one group over [0, duration_s].
 
-    Uses the exact joint discretization of the OU frequency offset x_f and its
-    running integral over each step (both are jointly Gaussian given the
-    previous node; Gillespie 1996, "Exact numerical simulation of the
+    Uses the exact joint step of the OU frequency offset x_f and its running
+    integral (both are jointly Gaussian given the previous node, for any
+    step; Gillespie 1996, "Exact numerical simulation of the
     Ornstein-Uhlenbeck process and its integral"), so node statistics are
-    independent of ``dt_s``. x_f is needed only while the path is built:
-    the path keeps psi alone. The path is reproducible from
-    ``signal.fm.rng_seed`` alone.
+    independent of ``dt_s`` and of which nodes are drawn. x_f is needed
+    only while the path is built: the path keeps psi alone. The path is
+    reproducible from ``signal.fm.rng_seed`` and the drawn nodes alone.
+
+    Without ``windows`` every grid node 0 .. ceil(duration_s/dt_s) + 1 is
+    drawn: one run. With them, only the nodes that the windows read are:
+    for a window [s, s + width], grid nodes floor(s/dt) - 1 through
+    floor((s + width)/dt) + 2, the nodes of every segment it touches plus a
+    spare node either side for floor rounding, so each window adds at most
+    ceil(width/dt) + 4 nodes. Nodes 0 and 1 are always drawn. Windows whose
+    nodes overlap or touch share a run; where they leave no gap, the path
+    is the dense one, with the same nodes and bits as without ``windows``. A gap
+    of g nodes is one exact step over g dt, with one set of step constants
+    per distinct gap. The draw order is the same for any node set: the
+    stationary start, the innovation of each step, then the residual of
+    each step.
 
     Args:
         signal: One group, with ``fm`` configured.
@@ -290,14 +375,19 @@ def materialize_fm_noise(
         dt_s: Node spacing; must satisfy 0 < dt_s <= tau_c / 4 so the process
             is resolved (the carrier itself is evaluated analytically and
             imposes no constraint here).
+        windows: Optional (starts, width): the path need serve only the
+            windows [s, s + width] for s in ``starts`` (s), which must be
+            non-decreasing.
 
     Returns:
-        A :class:`PhaseNoisePath` with nodes at 0, dt, 2 dt, ... >= duration_s.
+        A :class:`PhaseNoisePath` whose runs cover [0, duration_s] without
+        ``windows`` and every window with them.
 
     Raises:
         ValueError: If ``fm`` is absent, the durations are invalid, the
-            path needs more than ``_MAX_FM_NODES`` nodes, or the correlation
-            time is too long for the step variance to be a finite float.
+            window starts decrease, the grid is too fine to index, the path
+            draws more than ``_MAX_FM_NODES`` nodes, or a step's moments
+            are not finite floats.
     """
     if signal.fm is None:
         raise ValueError("materialize_fm_noise requires a signal with fm configured")
@@ -313,76 +403,162 @@ def materialize_fm_noise(
         raise ValueError(f"duration_s ({duration_s}) must be >= dt_s ({dt_s})")
 
     steps = duration_s / dt_s
-    if steps > _MAX_FM_NODES - 2:
+    if steps > _MAX_GRID_STEPS:
         raise ValueError(
-            f"fm.correlation_time_s = {tau_c} s needs {steps + 2.0:.3g} FM path "
+            f"fm.correlation_time_s = {tau_c} s puts {steps:.3g} FM grid steps over "
+            f"{duration_s} s, more than the {_MAX_GRID_STEPS} a node index holds exactly"
+        )
+    n_grid = int(math.ceil(steps)) + 2  # one spare node of margin
+    firsts, lasts = _window_runs(windows, dt_s, n_grid)
+    n_nodes = int(lasts.sum() - firsts.sum()) + firsts.size
+    if n_nodes > _MAX_FM_NODES:
+        raise ValueError(
+            f"fm.correlation_time_s = {tau_c} s needs {n_nodes:.3g} FM path "
             f"nodes over {duration_s} s, more than the {_MAX_FM_NODES} that fit in memory"
         )
-    n_nodes = int(math.ceil(steps)) + 2  # one spare node of margin
+    offsets = np.concatenate(([0], np.cumsum(lasts - firsts + 1)[:-1]))
     sigma_f = fm.frequency_std_hz
     if sigma_f == 0.0:
-        return PhaseNoisePath(dt_s=dt_s, psi_rad=np.zeros(n_nodes))
+        return PhaseNoisePath(dt_s, np.zeros(n_nodes), firsts, offsets)
     if tau_c > _MAX_CORRELATION_TIME_S:
         raise ValueError(f"fm.correlation_time_s = {tau_c} s is too long: its square overflows")
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(fm.rng_seed)))
-    alpha = math.exp(-dt_s / tau_c)
+    # Every step spans one grid node but the step into each later run's
+    # first node, which spans the gap before it: those steps take the
+    # constants of their gap, one set per distinct gap. A dense path has
+    # no such step, and its constants stay scalars.
+    alpha, innovation_std, x_coef, rho, resid_std = _ou_step(fm, dt_s)
+    into = offsets[1:] - 1
+    gaps, which = np.unique(firsts[1:] - lasts[:-1], return_inverse=True)
+    at_gap = np.array([_ou_step(fm, g * dt_s) for g in gaps.tolist()]).reshape(-1, 5)[which].T
+    if into.size:  # _ar1 then takes one coefficient per value
+        alpha = np.full(n_nodes, alpha)
+        alpha[into + 1] = at_gap[0]
 
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(fm.rng_seed)))
     # Stationary AR(1) for the frequency offset x_f at the nodes.
     innovations = np.empty(n_nodes)
     innovations[0] = sigma_f * rng.standard_normal()  # stationary start
-    innovations[1:] = sigma_f * math.sqrt(1.0 - alpha * alpha) * rng.standard_normal(
-        n_nodes - 1
-    )
+    normals = rng.standard_normal(n_nodes - 1)
+    innovations[1:] = innovation_std * normals
+    innovations[into + 1] = at_gap[1] * normals[into]
+    del normals
     x = _ar1(innovations, alpha)
 
     # Exact per-step integral increment, conditioned jointly on (x_k, x_{k+1}):
     # delta_Y = tau_c (1-alpha) x_k + rho * n1 + s * eta, with n1 the AR(1)
     # innovation already drawn above and eta an independent standard normal.
-    var1 = sigma_f**2 * (1.0 - alpha * alpha)
-    var2 = (
-        2.0
-        * sigma_f**2
-        * tau_c**2
-        * (dt_s / tau_c - 2.0 * (1.0 - alpha) + 0.5 * (1.0 - alpha * alpha))
-    )
-    cov12 = sigma_f**2 * tau_c * (1.0 - alpha) ** 2
-    rho = cov12 / var1
-    resid_std = math.sqrt(max(0.0, var2 - cov12 * cov12 / var1))
     n1 = innovations[1:]
     eta = rng.standard_normal(n_nodes - 1)
-    delta_y = tau_c * (1.0 - alpha) * x[:-1] + rho * n1 + resid_std * eta
+    delta_y = x_coef * x[:-1] + rho * n1 + resid_std * eta
+    delta_y[into] = at_gap[2] * x[into] + at_gap[3] * n1[into] + at_gap[4] * eta[into]
 
     psi = np.empty(n_nodes)
     psi[0] = 0.0
     np.cumsum(TWO_PI * delta_y, out=psi[1:])
-    return PhaseNoisePath(dt_s=dt_s, psi_rad=psi)
+    return PhaseNoisePath(dt_s, psi, firsts, offsets)
+
+
+def _window_runs(
+    windows: tuple[np.ndarray, float] | None, dt_s: float, n_grid: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """First and last grid node of each run that :func:`materialize_fm_noise`
+    draws for ``windows`` on a grid of ``n_grid`` nodes, as its docstring
+    describes: nodes 0 and 1 and each window's nodes, merged where they
+    overlap or touch, and every node when that leaves one run."""
+    everything = (np.zeros(1, dtype=np.int64), np.array([n_grid - 1]))
+    if windows is None:
+        return everything
+    starts, width = windows
+    starts = np.asarray(starts, dtype=float)
+    if np.any(starts[1:] < starts[:-1]):
+        raise ValueError("window starts must be non-decreasing")
+    top = n_grid - 1
+    lo = np.clip(np.floor(starts / dt_s) - 1.0, 0, top).astype(np.int64)
+    hi = np.clip(np.floor((starts + width) / dt_s) + 2.0, 0, top).astype(np.int64)
+    lo = np.concatenate(([0], lo))
+    reach = np.maximum.accumulate(np.concatenate(([1], hi)))
+    new = np.flatnonzero(lo[1:] > reach[:-1] + 1) + 1
+    if new.size == 0:
+        return everything
+    return lo[np.concatenate(([0], new))], reach[np.concatenate((new - 1, [-1]))]
+
+
+def _ou_step(fm: FmNoise, delta_s: float) -> tuple[float, float, float, float, float]:
+    """Constants of the exact joint step of (x_f, its integral) over ``delta_s``.
+
+    Returns (alpha, innovation std, x coefficient, rho, residual std): x_f
+    steps as x' = alpha x + n1 with n1 of the innovation std, and the
+    integral by x coefficient * x + rho * n1 + residual std * eta.
+
+    Raises:
+        ValueError: If a moment of the step is not a finite float.
+    """
+    sigma_f = fm.frequency_std_hz
+    tau_c = fm.correlation_time_s
+    alpha = math.exp(-delta_s / tau_c)
+    try:
+        var1 = sigma_f**2 * (1.0 - alpha * alpha)
+        var2 = (
+            2.0
+            * sigma_f**2
+            * tau_c**2
+            * (delta_s / tau_c - 2.0 * (1.0 - alpha) + 0.5 * (1.0 - alpha * alpha))
+        )
+        cov12 = sigma_f**2 * tau_c * (1.0 - alpha) ** 2
+        resid_var = var2 - cov12 * cov12 / var1
+    except OverflowError:
+        resid_var = math.inf
+    if not math.isfinite(resid_var):
+        raise ValueError(
+            f"fm.linewidth_hz = {fm.linewidth_hz} Hz and fm.correlation_time_s = "
+            f"{tau_c} s give FM path steps whose variance is not a finite float"
+        )
+    rho = cov12 / var1
+    return (
+        alpha,
+        sigma_f * math.sqrt(1.0 - alpha * alpha),
+        tau_c * (1.0 - alpha),
+        rho,
+        math.sqrt(max(0.0, resid_var)),
+    )
 
 
 #: Block length of the blocked AR(1) scan in :func:`_ar1`.
 _SCAN_BLOCK = 16
 
 
-def _ar1(v: np.ndarray, alpha: float) -> np.ndarray:
-    """x_k = v_k + alpha * x_(k-1) with x_(-1) = 0, as a blocked scan.
+def _ar1(v: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
+    """x_k = v_k + alpha_k * x_(k-1) with x_(-1) = 0, as a blocked scan.
 
-    The recurrence runs from zero inside every block of ``_SCAN_BLOCK`` values,
-    all blocks at once. The true block end values obey the same recurrence in
-    alpha**b over the local end values, so they come from a recursive call;
-    value j of each block then adds alpha**(j+1) times the true end value of
-    the block before it (the first-order recurrence scan of Blelloch 1990,
-    "Prefix sums and their applications").
+    ``alpha`` is one coefficient for every step or one per value (alpha_0
+    is then unused). The recurrence runs from zero inside every block of
+    ``_SCAN_BLOCK`` values, all blocks at once. The true block end values
+    obey the same recurrence, with the product of each block's
+    coefficients, over the local end values, so they come from a recursive
+    call; value j of each block then adds the product of its block's
+    coefficients 0..j times the true end value of the block before it (the
+    first-order recurrence scan of Blelloch 1990, "Prefix sums and their
+    applications"). A single coefficient takes those products as
+    alpha**(j+1).
     """
     b = _SCAN_BLOCK
     n = v.size
     rows = -(-n // b)
     y = np.zeros((rows, b))
     y.reshape(-1)[:n] = v
+    if np.ndim(alpha):
+        a = np.ones((rows, b))
+        a.reshape(-1)[:n] = alpha
+        carry = np.cumprod(a, axis=1)
+        block_carry, carry = carry[:-1, -1], carry[1:]
+    else:
+        a = np.full((1, b), alpha)
+        block_carry, carry = alpha**b, alpha ** np.arange(1, b + 1)
     for j in range(1, b):
-        y[:, j] += alpha * y[:, j - 1]
+        y[:, j] += a[:, j] * y[:, j - 1]
     if rows > 1:
-        ends = _ar1(y[:-1, -1], alpha**b)
-        y[1:] += np.multiply.outer(ends, alpha ** np.arange(1, b + 1))
+        y[1:] += carry * _ar1(y[:-1, -1], block_carry)[:, None]
     return y.reshape(-1)[:n]
 
 

@@ -189,6 +189,12 @@ def scipy_gram_nnls(a_matrix, b, tol: float = 1e-10) -> tuple[np.ndarray, int, f
     raise AssertionError("scipy Gram NNLS did not converge")
 
 
+def drawn_nodes(path) -> np.ndarray:
+    """Grid index of every node an FM path holds, from its run layout."""
+    sizes = np.diff(path.run_offsets, append=path.psi_rad.size)
+    return np.repeat(path.run_starts - path.run_offsets, sizes) + np.arange(path.psi_rad.size)
+
+
 def short_wideband_config(tmp_path: Path) -> Path:
     """The shipped reconstruction config cut from 2 s to 0.2 s."""
     cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -666,6 +668,21 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
         assert "fm.correlation_time_s = 1e+200 s is too long" in capsys.readouterr().err
 
+    def test_fm_step_moments_that_overflow_exit_2_naming_both_fields(self, tmp_path, capsys):
+        # sigma_f^2 tau_c^2 overflows while tau_c^2 does not: the path used
+        # to lose its residual variance silently and the run exited 0.
+        cfg = yaml.safe_load((REPO_ROOT / "configs" / "broadened_pair.yaml").read_text())
+        fm = cfg["signal"]["groups"][1]["fm"]
+        fm.update(linewidth_hz=1.0e160, correlation_time_s=1.0e154)
+        path = tmp_path / "overflow.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "t.csv"
+        argv = ["simulate", "--config", str(path), "--format", "csv", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fm.linewidth_hz = 1e+160" in err and "fm.correlation_time_s = 1e+154" in err
+        assert not out.exists()
+
     def test_numerical_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         def explode(config, seed, out, threads, fmt):
             raise FitError("synthetic non-convergence")
@@ -722,6 +739,21 @@ class TestExitCodes:
         assert excinfo.value.code == 0
         assert __version__ in capsys.readouterr().out
 
+    def test_help_lists_every_command_with_its_summary(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for name, fn in _COMMANDS.items():
+            assert f"{name:<12} {fn.__doc__.splitlines()[0]}" in out
+
+    @pytest.mark.parametrize("argv", [[], ["--config", "x.yaml"], ["bogus", "--config", "x.yaml"]])
+    def test_missing_or_unknown_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "command" in capsys.readouterr().err
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lockinsim.cli", "--version"],
@@ -745,6 +777,17 @@ class TestCsvOutput:
             csv_columns=([np.float64(0.5)], [np.int64(3)]),
         )
         assert out.read_text().splitlines()[-1] == "0.5,3"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_text_stdout_gets_the_same_text(self, tmp_path, fmt):
+        # io.StringIO has no binary buffer, as under contextlib.redirect_stdout.
+        argv = ["spectrum", "--config", str(write_config(tmp_path)), "--format", fmt]
+        out = tmp_path / f"spectrum.{fmt}"
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == EXIT_OK
+        assert text.getvalue() == out.read_text()
 
     @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
     def test_blocks_join_to_the_whole_text(self, rows):

@@ -336,7 +336,7 @@ class TestFmPathContract:
         signal = self.SIGNALS[name]
         t_a = self.SEQ.sensing_time_s
         starts = np.array([0.0, 0.37, 3.1, 7.5]) * t_a
-        paths = _materialize_paths(signal, float(starts.max()), self.SEQ)
+        paths = _materialize_paths(signal, self.SEQ, starts)
         exact = phase_closed_form(signal, self.SEQ, starts, phase_noise=paths)
         quad = phase_by_integration(signal, self.SEQ, starts, phase_noise=paths)
         np.testing.assert_allclose(exact, quad, rtol=0.0, atol=1e-9 * 1e5 * t_a)
@@ -345,7 +345,7 @@ class TestFmPathContract:
     @pytest.mark.parametrize("name", SIGNALS)
     def test_a_bare_path_or_a_wrong_count_is_refused(self, name, phase):
         signal = self.SIGNALS[name]
-        paths = _materialize_paths(signal, 0.0, self.SEQ)
+        paths = _materialize_paths(signal, self.SEQ, np.zeros(1))
         with pytest.raises(ValueError, match="one entry per signal group"):
             phase(signal, self.SEQ, np.zeros(1), phase_noise=paths[0])
         with pytest.raises(ValueError, match="one per group, got"):
@@ -388,7 +388,7 @@ class TestCarrierCycles:
             tones=(Tone(frequency_hz=1.2e6, amplitude_rad_per_s=1e5, phase_rad=0.7),), fm=fm
         )
         starts = np.linspace(0.0, 200.0 * seq.sensing_time_s, 301)
-        paths = _materialize_paths(signal, float(starts.max()), seq)
+        paths = _materialize_paths(signal, seq, starts)
         shift = 1e-13 * np.linspace(0.5, 1.0, starts.size)
         base = phase_closed_form(signal, seq, starts, phase_noise=paths)
         moved = phase_closed_form(signal, seq, starts + shift, phase_noise=paths)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from hypothesis import given, strategies as st
 
 from lockinsim import sampler as sampler_module
 from lockinsim._io import two_prod, two_sum
+from lockinsim import signal as signal_module
 from lockinsim.lockin import (
     CpmgSequence,
     phase_amplitude,
+    phase_by_integration,
     phase_closed_form,
     transition_probability,
 )
@@ -24,6 +27,7 @@ from lockinsim.sampler import (
     SamplingSchedule,
     TimeTrace,
     _nominal_times,
+    _schedule_paths,
     expected_probabilities,
     read_trace,
     run_sampling,
@@ -31,6 +35,8 @@ from lockinsim.sampler import (
     write_trace,
 )
 from lockinsim.signal import AcSignal, FmNoise, Tone
+
+from .helpers import drawn_nodes
 
 F_CARRIER = 1.2e6
 
@@ -298,6 +304,68 @@ class TestRunSampling:
             a = run_sampling(sig, seq, model, sched, 99, num_threads=1)
             b = run_sampling(sig, seq, model, sched, 99, num_threads=2)
             np.testing.assert_array_equal(a.counts, b.counts)
+
+
+class TestSparseFmPaths:
+    """The sampler draws a fast FM path only at the nodes its windows read."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 2e-6])
+    def test_every_window_has_its_nodes_and_a_spare_either_side(self, jitter):
+        seq, model, sched = make_parts(num_samples=5_000, clock_jitter_std_s=jitter)
+        t_s = sched.period_s(seq, model)
+        margin = 8.0 * jitter
+        (path,) = _schedule_paths(fast_fm_signal(seq), seq, sched, t_s, margin)
+        dt = path.dt_s
+        starts = np.arange(sched.num_samples) * t_s
+        lo = np.floor((starts - margin) / dt) - 1
+        hi = np.floor((starts + seq.sensing_time_s + margin) / dt) + 2
+        nodes = drawn_nodes(path)
+        for k in range(int((hi - lo).max()) + 1):  # node lo + k of every window
+            assert np.isin(np.minimum(np.maximum(lo, 0) + k, hi), nodes).all()
+        assert path.run_starts.size > sched.num_samples // 2
+        width = seq.sensing_time_s + 2.0 * margin
+        assert nodes.size <= sched.num_samples * (math.ceil(width / dt) + 4) + 1
+        assert nodes.size < (starts[-1] + width) / dt / 3.0
+
+    def test_windows_between_runs_are_refused(self):
+        seq, model, sched = make_parts(num_samples=50)
+        t_s = sched.period_s(seq, model)
+        sig = fast_fm_signal(seq)
+        paths = _schedule_paths(sig, seq, sched, t_s, 0.0)
+        between = np.array([10.5 * t_s])
+        for phase in (phase_closed_form, phase_by_integration):
+            phase(sig, seq, between - 0.5 * t_s, phase_noise=paths)
+            with pytest.raises(ValueError, match="outside the materialized range"):
+                phase(sig, seq, between, phase_noise=paths)
+
+    def test_closed_form_and_quadrature_agree_on_a_sparse_path(self):
+        # Starts up to a sensing window either side of the schedule's, so
+        # windows straddle the nodes that bracket them.
+        seq, model, sched = make_parts(num_samples=40)
+        t_s = sched.period_s(seq, model)
+        sig = fast_fm_signal(seq)
+        paths = _schedule_paths(sig, seq, sched, t_s, seq.sensing_time_s)
+        offsets = np.resize([-1.0, -0.4, 0.0, 0.6, 1.0], 40) * seq.sensing_time_s
+        starts = np.arange(40) * t_s + offsets
+        starts = np.maximum(starts, 0.0)
+        exact = phase_closed_form(sig, seq, starts, phase_noise=paths)
+        quad = phase_by_integration(sig, seq, starts, phase_noise=paths)
+        np.testing.assert_allclose(exact, quad, rtol=0.0, atol=1e-9 * 4e4 * seq.sensing_time_s)
+
+    def test_the_node_cap_counts_drawn_nodes(self, monkeypatch):
+        seq, model, sched = make_parts(num_samples=2_000)
+        t_s = sched.period_s(seq, model)
+        sig = fast_fm_signal(seq)
+        (path,) = _schedule_paths(sig, seq, sched, t_s, 0.0)
+        grid = path.duration_s / path.dt_s
+        assert path.psi_rad.size < grid / 3.0
+        monkeypatch.setattr(signal_module, "_MAX_FM_NODES", path.psi_rad.size)
+        (again,) = _schedule_paths(sig, seq, sched, t_s, 0.0)
+        np.testing.assert_array_equal(again.psi_rad, path.psi_rad)
+        monkeypatch.setattr(signal_module, "_MAX_FM_NODES", path.psi_rad.size - 1)
+        message = re.escape(f"needs {path.psi_rad.size:.3g} FM path nodes")
+        with pytest.raises(ValueError, match=message):
+            _schedule_paths(sig, seq, sched, t_s, 0.0)
 
 
 class TestCarrierPhaseAccuracy:

@@ -25,15 +25,16 @@ from lockinsim.signal import (
     strongest_tone,
 )
 
-from .helpers import brute_force_power
+from .helpers import brute_force_power, drawn_nodes
 
 
-def reference_ar1(v: np.ndarray, alpha: float) -> np.ndarray:
-    """x_k = v_k + alpha * x_(k-1) from x_(-1) = 0, one step at a time."""
+def reference_ar1(v: np.ndarray, alpha: float | np.ndarray) -> np.ndarray:
+    """x_k = v_k + alpha_k * x_(k-1) from x_(-1) = 0, one step at a time;
+    a scalar alpha is every alpha_k."""
     x = np.empty(len(v))
     prev = 0.0
-    for k, value in enumerate(v):
-        prev = value + alpha * prev
+    for k, (value, a) in enumerate(zip(v, np.broadcast_to(alpha, len(v)))):
+        prev = value + a * prev
         x[k] = prev
     return x
 
@@ -332,6 +333,132 @@ class TestFmNoise:
         assert not np.allclose(with_noise, clean)
         # The frozen path reproduces exactly.
         np.testing.assert_array_equal(with_noise, evaluate(sig, t, phase_noise=(path,)))
+
+
+def blocked_scan_reference(v: np.ndarray, alpha: float) -> np.ndarray:
+    """The single-coefficient blocked scan written out: blocks of 16 from
+    zero, block ends by recursion in alpha**16, and alpha**(j+1) carries.
+    It pins the bits of the dense path's scan."""
+    n = v.size
+    rows = -(-n // 16)
+    y = np.zeros((rows, 16))
+    y.reshape(-1)[:n] = v
+    for j in range(1, 16):
+        y[:, j] += alpha * y[:, j - 1]
+    if rows > 1:
+        ends = blocked_scan_reference(y[:-1, -1], alpha**16)
+        y[1:] += np.multiply.outer(ends, alpha ** np.arange(1, 17))
+    return y.reshape(-1)[:n]
+
+
+class TestSparseFmPath:
+    """Paths drawn only at the nodes of sparse sensing windows."""
+
+    TAU_C = 2.0
+    DT = TAU_C / 8.0
+    FM = FmNoise(linewidth_hz=7.6e-4, rng_seed=9, correlation_time_s=TAU_C)
+
+    @classmethod
+    def runs_of_four(cls, count):
+        """Windows inside one segment each, 18 or 19 segments apart: runs of
+        4 nodes (unit steps) separated by gaps of 15 and 16 nodes."""
+        segments = 10 + np.cumsum(np.resize([18, 19], count))
+        starts = (segments + 0.5) * cls.DT
+        duration = float(starts[-1]) + 3.0 * cls.DT
+        return materialize_fm_noise(
+            single_tone(fm=cls.FM), duration, cls.DT, (starts, 0.1 * cls.DT)
+        )
+
+    def test_increments_across_gaps_have_the_exact_variance_and_lag_covariance(self):
+        # Over a step D the psi increment has variance
+        # (2 pi sigma_f tau_c)^2 * 2 (D/tau_c - 1 + exp(-D/tau_c)), and two
+        # adjacent increments over D1 then D2 have covariance
+        # (2 pi sigma_f tau_c)^2 (1 - exp(-D1/tau_c)) (1 - exp(-D2/tau_c)).
+        path = self.runs_of_four(60_000)
+        gaps = np.diff(drawn_nodes(path))
+        d = np.diff(path.psi_rad)
+        assert set(np.unique(gaps[2:]).tolist()) == {1, 15, 16}  # after nodes 0 and 1
+        scale = (2.0 * math.pi * self.FM.frequency_std_hz * self.TAU_C) ** 2
+        memory = {g: 1.0 - math.exp(-g * self.DT / self.TAU_C) for g in (1, 15, 16)}
+        for g in (1, 15, 16):
+            ratio = g * self.DT / self.TAU_C
+            picked = d[gaps == g]
+            assert float(picked @ picked) / picked.size == pytest.approx(
+                scale * 2.0 * (ratio - 1.0 + math.exp(-ratio)), rel=0.05
+            )
+        for g1, g2 in ((1, 1), (1, 15), (1, 16), (15, 1), (16, 1)):
+            pair = np.flatnonzero((gaps[:-1] == g1) & (gaps[1:] == g2))
+            assert pair.size > 20_000
+            assert float(d[pair] @ d[pair + 1]) / pair.size == pytest.approx(
+                scale * memory[g1] * memory[g2], rel=0.05
+            )
+
+    def test_runs_hold_each_window_and_nothing_between(self):
+        path = self.runs_of_four(5)
+        nodes = drawn_nodes(path)
+        segments = 10 + np.cumsum(np.resize([18, 19], 5))
+        expected = np.concatenate([[0, 1], *(np.arange(j - 1, j + 3) for j in segments)])
+        np.testing.assert_array_equal(nodes, expected)
+        np.testing.assert_array_equal(path.run_starts, [0, *(segments - 1)])
+        assert path.psi_rad[0] == 0.0
+        assert path.duration_s == (segments[-1] + 2) * self.DT
+        gap_time = (segments[0] + 6.5) * self.DT
+        with pytest.raises(ValueError, match="outside the materialized range"):
+            path.phase_at(gap_time)
+        with pytest.raises(ValueError, match="outside the materialized range"):
+            path.phase_at(5.5 * self.DT)  # between nodes 0 and 1 and the first window
+        with pytest.raises(ValueError, match="outside the materialized range"):
+            path.on_segment(np.array([segments[0] + 2]), np.array([0.0]))  # run end to gap
+        inside = (segments + 0.5) * self.DT
+        np.testing.assert_array_equal(
+            path.phase_at(inside),
+            np.interp(inside, nodes * self.DT, path.psi_rad),
+        )
+
+    def test_windows_that_leave_no_gap_give_the_dense_path(self):
+        sig = single_tone(fm=self.FM)
+        starts = np.arange(0.0, 40.0, 0.3 * self.DT)
+        duration = float(starts[-1]) + 0.01 + 2.0 * self.DT
+        dense = materialize_fm_noise(sig, duration, self.DT)
+        windowed = materialize_fm_noise(sig, duration, self.DT, (starts, 0.01))
+        np.testing.assert_array_equal(windowed.psi_rad, dense.psi_rad)
+        np.testing.assert_array_equal(windowed.run_starts, [0])
+        assert dense.psi_rad.size == math.ceil(duration / self.DT) + 2
+
+    def test_window_starts_must_not_decrease(self):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            materialize_fm_noise(
+                single_tone(fm=self.FM), 10.0, self.DT, (np.array([5.0, 1.0]), 0.01)
+            )
+
+    def test_a_grid_too_fine_to_index_is_refused(self):
+        # One window late in a long grid draws few nodes, but node indices
+        # past 2**52 would not be exact floats.
+        with pytest.raises(ValueError, match="FM grid steps"):
+            materialize_fm_noise(
+                single_tone(fm=self.FM), 1e16 + 1.0, self.DT, (np.array([1e16]), 0.01)
+            )
+
+    @pytest.mark.parametrize("n", [1, 15, 16, 17, 257, 20_800])
+    def test_per_step_scan_matches_the_sequential_recurrence(self, n):
+        rng = np.random.default_rng(n)
+        alpha = rng.choice(np.exp(-np.array([1.0, 15.0, 16.0]) / 8.0), n)
+        v = rng.standard_normal(n)
+        expected = reference_ar1(v, alpha)
+        err = np.max(np.abs(_ar1(v, alpha) - expected))
+        assert err <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [1, 17, 92_481])
+    def test_single_coefficient_scan_keeps_its_bits(self, n):
+        alpha = math.exp(-0.125)
+        v = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_array_equal(_ar1(v, alpha), blocked_scan_reference(v, alpha))
+
+    def test_non_finite_step_moments_are_refused_naming_both_fields(self):
+        # sigma_f^2 tau_c^2 overflows while tau_c^2 does not.
+        fm = FmNoise(linewidth_hz=1e160, rng_seed=1, correlation_time_s=1e154)
+        with pytest.raises(ValueError, match="fm.linewidth_hz.*fm.correlation_time_s"):
+            materialize_fm_noise(single_tone(fm=fm), 1e156, 1e154 / 8.0)
 
 
 class TestFieldConversion:
