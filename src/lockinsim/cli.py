@@ -261,21 +261,20 @@ def cmd_snr_sweep(
     sched = build_schedule(config, seq, base_model)
     f_target = target_frequency_hz(config, signal)
     reported = ("peak_bin", "measured_snr", "predicted_snr_ideal", "predicted_snr_depolarized")
-    result: dict[str, list] = {k: [] for k in ("qnd_repetitions", "sampling_period_s", *reported)}
-    for idx, n in enumerate(config.sweep.qnd_repetitions):
-        # The dead time stays fixed; the readout train sets the period.
+
+    def point(idx: int, n: int) -> tuple:
+        # The dead time stays fixed; the readout train sets the period. This
+        # depth's trace, spectrum and noise band die before the next is drawn.
         model = dataclasses.replace(base_model, qnd_repetitions=n)
-        trace = run_sampling(
-            signal, seq, model, sched,
-            np.random.SeedSequence((seed, idx)), num_threads=threads,
-        )
-        spec = power_spectrum(trace)
-        _, report = _target_snr(config, spec, f_target, signal, seq, model)
-        result["qnd_repetitions"].append(n)
-        result["sampling_period_s"].append(trace.sampling_period_s)
-        for key in reported:
-            result[key].append(getattr(report, key))
-    return result, tuple(result), tuple(result.values())
+        seed_seq = np.random.SeedSequence((seed, idx))
+        trace = run_sampling(signal, seq, model, sched, seed_seq, num_threads=threads)
+        _, report = _target_snr(config, power_spectrum(trace), f_target, signal, seq, model)
+        return n, trace.sampling_period_s, *(getattr(report, key) for key in reported)
+
+    rows = [point(idx, n) for idx, n in enumerate(config.sweep.qnd_repetitions)]
+    keys = ("qnd_repetitions", "sampling_period_s", *reported)
+    result = {key: list(column) for key, column in zip(keys, zip(*rows))}
+    return result, keys, tuple(result.values())
 
 
 def cmd_scaling(

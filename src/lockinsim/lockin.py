@@ -320,7 +320,7 @@ def _fm_phase(
         signed_width = np.where(np.floor(offset / tau) % 2 == 0, width, -width)
         mid, mid_lo = two_sum(start, offset)
         mid_lo += t_lo_flat[block, None]
-        psi, slope = path.segment_at(mid)
+        psi, slope = path.segment_at(mid, run_of=start)
         phi = np.zeros(block.size)
         for tone in tones:
             omega = TWO_PI * tone.frequency_hz

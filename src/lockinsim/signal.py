@@ -287,22 +287,25 @@ class PhaseNoisePath:
             f"span [0, {self.duration_s}] s)"
         )
 
-    def segment_at(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def segment_at(
+        self, t: float | np.ndarray, run_of: float | np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """psi(t) (rad) and its slope psi' (rad/s) at times within the runs.
 
-        A time's run is found by binary search over the run start times.
-        Within it, the segment [j dt, (j+1) dt] holding t (the run's last
-        one closed at its right end) is found in O(1) from floor(t/dt),
-        moved by one where rounding put t across a node, so before a run's
-        last node psi(t) equals ``np.interp`` over the run's nodes bit for
-        bit.
+        A time's run is found by binary search over the run start times, or is
+        ``run_of``'s (broadcast against ``t``, so one search serves a window's
+        pieces). In it, the segment [j dt, (j+1) dt] holding t (the run's last
+        one closed at its right end) is found in O(1) from floor(t/dt), moved by
+        one where rounding put t across a node, so before a run's last node
+        psi(t) equals ``np.interp`` over the run's nodes bit for bit.
 
         Raises:
-            ValueError: If a time lies in no run.
+            ValueError: If a time lies outside its run.
         """
         t_arr = np.asarray(t, dtype=float)
         dt = self.dt_s
-        r = np.maximum(np.searchsorted(self.run_starts * dt, t_arr, side="right") - 1, 0)
+        key = t_arr if run_of is None else run_of
+        r = np.maximum(np.searchsorted(self.run_starts * dt, key, side="right") - 1, 0)
         first = self.run_starts[r]
         last = self._run_lasts[r] - 1  # the run's last segment
         j = np.clip(np.floor(t_arr / dt).astype(np.int64), first, last)

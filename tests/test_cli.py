@@ -370,6 +370,23 @@ class TestSnrSweepCommand:
         assert "qnd_repetitions * gain_slope_photons must be in [0, 4294967296]" in err
         assert simulated == []
 
+    def test_full_sweep_peaks_as_one_depth_does(self, capsys):
+        # Each depth's trace, spectrum and noise band die before the next
+        # depth is sampled, so the six depths need about the memory of one.
+        # A sweep takes at least two depths; `spectrum` does one depth's
+        # work (simulate, FFT, SNR) at the config's own depth.
+        path = str(REPO_ROOT / "configs" / "gain_sweep.yaml")
+
+        def peak_bytes(command):
+            tracemalloc.start()
+            try:
+                run_json([command, "--config", path], capsys)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_bytes("snr-sweep") <= 1.1 * peak_bytes("spectrum")
+
     def test_requires_the_sweep_section(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["snr-sweep", "--config", str(path)]) == EXIT_CONFIG

@@ -11,7 +11,7 @@ from scipy import stats
 
 from lockinsim.lockin import CpmgSequence
 from lockinsim.readout import ReadoutModel, noise_variance
-from lockinsim.sampler import SamplingSchedule, run_sampling, undersampled_bin
+from lockinsim.sampler import SamplingSchedule, TimeTrace, run_sampling, undersampled_bin
 from lockinsim.signal import AcSignal, FmNoise, Tone
 from lockinsim.spectral import (
     FitError,
@@ -21,7 +21,7 @@ from lockinsim.spectral import (
     _lorentzian_jacobian,
     _median,
     _reseed_fm,
-    _rfft,
+    _rfft_power,
     average_spectra,
     default_noise_band,
     find_peak_bin,
@@ -145,25 +145,32 @@ def direct_rfft(values: np.ndarray) -> np.ndarray:
     )
 
 
+def rfft_power(x: np.ndarray) -> np.ndarray:
+    """|X_k|^2 of ``np.fft.rfft(x)`` as re^2 + im^2."""
+    spectrum = np.fft.rfft(x)
+    return spectrum.real**2 + spectrum.imag**2
+
+
 class TestSplitRfft:
-    """``_rfft`` splits N = p q at a large prime factor p; elsewhere it is rfft."""
+    """``_rfft_power`` splits N = p q at a large prime factor p; elsewhere it
+    squares rfft."""
 
     @pytest.mark.parametrize("n", [3 * 1009, 4 * 1009])
     def test_split_and_rfft_match_the_direct_dft(self, n):
         # q = 3 packs one pair of columns and transforms the last alone;
-        # q = 4 packs two pairs.
+        # q = 4 packs two pairs. Bins within eps M of the oracle's, with M its
+        # largest magnitude, have powers within (2 + eps) eps M^2 of its.
         assert _largest_prime_factor(n) > _SPLIT_PRIME
         x = np.random.default_rng(7).poisson(3.0, n).astype(float)
-        oracle = direct_rfft(x)
-        scale = np.abs(oracle).max()
-        for got in (_rfft(x), np.fft.rfft(x)):
-            assert np.abs(got - oracle).max() <= 1e-12 * scale
+        oracle = np.abs(direct_rfft(x)) ** 2
+        for got in (_rfft_power(x), rfft_power(x)):
+            assert np.abs(got - oracle).max() <= (2 + 1e-12) * 1e-12 * oracle.max()
 
     @pytest.mark.parametrize("n", [385_263, 854_798, 757_759, 1009**2])
     def test_split_power_matches_rfft_on_poisson_traces(self, n):
         assert _SPLIT_PRIME < _largest_prime_factor(n) < n
         x = np.random.default_rng(n).poisson(3.0, n).astype(float)
-        got, ref = np.abs(_rfft(x)) ** 2, np.abs(np.fft.rfft(x)) ** 2
+        got, ref = _rfft_power(x), np.abs(np.fft.rfft(x)) ** 2
         # Noise bins within 1e-10 of their median power; the DC bin holds the
         # squared sum of all counts, so it is compared to its own size.
         assert np.abs(got[1:] - ref[1:]).max() <= 1e-10 * np.median(ref[1:])
@@ -174,7 +181,7 @@ class TestSplitRfft:
         p = _largest_prime_factor(n)
         assert p <= _SPLIT_PRIME or p == n
         x = np.random.default_rng(n).poisson(3.0, n).astype(float)
-        assert np.array_equal(_rfft(x), np.fft.rfft(x))
+        assert np.array_equal(_rfft_power(x), rfft_power(x))
 
     @pytest.mark.parametrize("n", [3 * 1009, 385_263, 854_798])
     def test_no_transform_runs_over_the_whole_length(self, n, monkeypatch):
@@ -193,19 +200,20 @@ class TestSplitRfft:
         assert lengths and n not in lengths
         assert max(lengths) <= max(p, n // p)
 
-    def test_split_spectrum_memory_peaks_below_three_inputs(self):
-        # The hour-long AM record: p = 61 057, q = 14. The real-input split
-        # twiddles and transforms half the rows; the full complex split
-        # peaked at 5.1 times the input's bytes.
-        n = 854_798
-        x = np.random.default_rng(5).poisson(3.0, n).astype(float)
+    @pytest.mark.parametrize("n", [385_263, 854_798])
+    def test_split_spectrum_memory_peaks_below_two_and_a_half_counts(self, n):
+        # The sweep record (p = 751, q = 513) and the hour-long AM record
+        # (p = 61 057, q = 14). The counts go in uncopied and each row block
+        # leaves as power, so the peak is the packed columns (the counts'
+        # size), the power (half that) and one block.
+        trace = TimeTrace(np.random.default_rng(5).poisson(3.0, n), 1.0)
         tracemalloc.start()
         try:
-            power_spectrum(x, sample_rate_hz=1.0)
+            power_spectrum(trace)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * x.nbytes
+        assert peak <= 2.5 * trace.counts.nbytes
 
 
 class TestAverageSpectra:
