@@ -61,7 +61,6 @@ from .signal import AnySignal, expanded_tones, max_linewidth_hz
 from .spectral import (
     FitError,
     PowerSpectrum,
-    SnrReport,
     TargetPeak,
     average_spectra,
     default_noise_band,
@@ -69,6 +68,7 @@ from .spectral import (
     locate_target_peak,
     measure_snr,
     power_spectrum,
+    predicted_snr,
     scaling_study,
 )
 
@@ -131,8 +131,9 @@ def _target_snr(
     signal: AnySignal,
     seq: CpmgSequence,
     model: ReadoutModel,
-) -> tuple[TargetPeak, SnrReport]:
-    """Locate the target peak and measure its SNR against the noise band.
+) -> tuple[TargetPeak, dict[str, Any]]:
+    """Locate the target peak, measure its SNR against the noise band and
+    predict it: the report's fields and both predictions, as one dict.
 
     The band is guarded around the peak and around the folded bin of every
     tone of the signal, AM sidebands included, so no other line enters it.
@@ -151,11 +152,13 @@ def _target_snr(
         linewidth_bins=max(1.0, max_linewidth_hz(signal) / spec.bin_width_hz),
         guard_linewidths=config.analysis.noise_guard_linewidths,
     )
-    report = measure_snr(
-        spec, peak.peak_bin, band, model=model,
-        phi_max=abs(phase_amplitude(target_tone, seq)), exact=config.analysis.exact_snr,
+    report = measure_snr(spec, peak.peak_bin, band, exact=config.analysis.exact_snr)
+    phi_max, n = abs(phase_amplitude(target_tone, seq)), spec.num_samples
+    return peak, dict(
+        dataclasses.asdict(report),
+        predicted_snr_ideal=predicted_snr(phi_max, n, model, depolarized=False),
+        predicted_snr_depolarized=predicted_snr(phi_max, n, model, depolarized=True),
     )
-    return peak, report
 
 
 def _emit(
@@ -219,11 +222,9 @@ def cmd_spectrum(
     """Simulate a trace and report its power spectrum and SNR."""
     signal, seq, model, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
-    peak, report = _target_snr(
+    peak, result = _target_snr(
         config, spec, target_frequency_hz(config, signal), signal, seq, model
     )
-    result = dict(vars(report))  # asdict would copy the noise band, N/2 bins
-    result["noise_band_bins"] = int(result.pop("noise_band").size)
     result.update(
         num_samples=spec.num_samples,
         bin_width_hz=spec.bin_width_hz,
@@ -268,8 +269,8 @@ def cmd_snr_sweep(
         model = dataclasses.replace(base_model, qnd_repetitions=n)
         seed_seq = np.random.SeedSequence((seed, idx))
         trace = run_sampling(signal, seq, model, sched, seed_seq, num_threads=threads)
-        _, report = _target_snr(config, power_spectrum(trace), f_target, signal, seq, model)
-        return n, trace.sampling_period_s, *(getattr(report, key) for key in reported)
+        _, snr = _target_snr(config, power_spectrum(trace), f_target, signal, seq, model)
+        return n, trace.sampling_period_s, *(snr[key] for key in reported)
 
     rows = [point(idx, n) for idx, n in enumerate(config.sweep.qnd_repetitions)]
     keys = ("qnd_repetitions", "sampling_period_s", *reported)
@@ -327,9 +328,8 @@ def cmd_reconstruct(
             records.append(power_spectrum(trace))
         spectra.append(average_spectra(records))
         matrices.append(build_sampling_matrix(spectra[-1].sample_rate_hz, n_i, grid, support))
-    floor = None if rcfg.floor_subtraction == "none" else rcfg.floor_subtraction
     spectrum, diag = reconstruct(
-        spectra, matrices, floor_subtraction=floor, tol=rcfg.nnls_tol
+        spectra, matrices, floor_subtraction=rcfg.floor_subtraction, tol=rcfg.nnls_tol
     )
     nonzero = spectrum.components > 0.0
     result = {

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -752,7 +752,7 @@ def reconstruct(
     spectra: Sequence[PowerSpectrum],
     matrices: Sequence[SamplingMatrix],
     *,
-    floor_subtraction: str | None = "median",
+    floor_subtraction: Literal["median", "none"] = "median",
     tol: float = 1e-10,
 ) -> tuple[WidebandSpectrum, ReconstructionDiagnostics]:
     """Recover the sparse wideband spectrum from undersampled records.
@@ -770,7 +770,7 @@ def reconstruct(
     Args:
         spectra: One PowerSpectrum per record (one-sided).
         matrices: Matching sampling matrices (same order, same grid/support).
-        floor_subtraction: "median" (default) or None.
+        floor_subtraction: "median" (default) or "none", the config's values.
         tol: NNLS KKT tolerance (relative).
 
     Returns:
@@ -783,7 +783,7 @@ def reconstruct(
     """
     if len(spectra) != len(matrices) or not spectra:
         raise ValueError("need equally many spectra and matrices (>= 1)")
-    if floor_subtraction not in (None, "median"):
+    if floor_subtraction not in ("median", "none"):
         raise ValueError(f"unknown floor_subtraction {floor_subtraction!r}")
     system, kept = _solved_system(matrices)
     grid, support = matrices[0].grid, matrices[0].support

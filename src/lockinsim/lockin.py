@@ -282,15 +282,15 @@ def _fm_phase(
     t_a = seq.sensing_time_s
     dt = path.dt_s
     # A start that floor(t/dt) rounds into the wrong segment fails one of
-    # these comparisons and is cut into pieces instead. on_segment and
-    # segment_at refuse a window outside the path's runs.
+    # these comparisons and is cut into pieces instead. segment_at refuses a
+    # window outside the path's runs.
     j = np.floor(t_flat / dt).astype(np.int64)
     inside = (j * dt <= t_flat) & (t_flat + t_a <= (j + 1) * dt)
     out = np.empty(t_flat.size)
     if inside.any():
         mid, mid_lo = two_sum(t_flat[inside], 0.5 * t_a)
         mid_lo += t_lo_flat[inside]
-        psi, slope = path.on_segment(j[inside], mid)
+        psi, slope = path.segment_at(mid, run_of=t_flat[inside])
         runs = np.flatnonzero(np.concatenate(([True], slope[1:] != slope[:-1])))
         run_lengths = np.diff(runs, append=slope.size)
         phi = np.zeros(mid.size)

@@ -148,7 +148,8 @@ class TimeTrace:
     """A photon-count time trace with its acquisition record.
 
     Attributes:
-        counts: Length-N non-negative integer counts.
+        counts: Length-N non-negative integer counts, read-only. A read-only
+            int64 array is kept as given; any other is copied.
         sampling_period_s: Nominal t_s.
         start_time_s: Absolute time of sample 0.
         metadata: JSON-serializable record of every parameter and seed.
@@ -166,13 +167,13 @@ class TimeTrace:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or counts.size < 1:
             raise ValueError("counts must be a non-empty 1-D array")
-        if np.issubdtype(counts.dtype, np.integer):
-            if counts.size and counts.min() < 0:
-                raise ValueError("counts must be non-negative")
-            counts = counts.astype(np.int64)
-        else:
+        if not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be integers")
-        counts.setflags(write=False)
+        if counts.min() < 0:
+            raise ValueError("counts must be non-negative")
+        if counts.dtype != np.int64 or counts.flags.writeable:
+            counts = counts.astype(np.int64)  # a copy the caller cannot change
+            counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         check_range(0, strict=True, sampling_period_s=self.sampling_period_s)
         if self.sample_times_s is not None:
@@ -384,6 +385,7 @@ def run_sampling(
         "seed": list(rng.entropy) if isinstance(rng.entropy, (list, tuple)) else rng.entropy,
         "phase_method": "closed_form",
     }
+    counts_out.setflags(write=False)  # the trace keeps it uncopied
     return TimeTrace(
         counts=counts_out,
         sampling_period_s=t_s,
@@ -499,6 +501,7 @@ def read_trace(path: str | Path) -> TimeTrace:
         times[i] = float(fields[1])
 
     jittered = bool(meta_doc.get("jittered", False))
+    counts.setflags(write=False)  # the trace keeps it uncopied
     return TimeTrace(
         counts=counts,
         sampling_period_s=float(meta_doc["sampling_period_s"]),

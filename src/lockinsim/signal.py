@@ -280,13 +280,6 @@ class PhaseNoisePath:
         """Time of the last node (s); phase_at accepts no later t."""
         return float(self._run_lasts[-1]) * self.dt_s
 
-    def _outside(self, what: str, values: np.ndarray, bad: np.ndarray) -> ValueError:
-        return ValueError(
-            f"phase_at {what} outside the materialized range: {values[bad].flat[0]} "
-            f"is in no run of drawn nodes (the path's {self.run_starts.size} runs "
-            f"span [0, {self.duration_s}] s)"
-        )
-
     def segment_at(
         self, t: float | np.ndarray, run_of: float | np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,27 +307,15 @@ class PhaseNoisePath:
         # Clipped into its run, j holds t unless t lies outside that run.
         bad = (t_arr < j * dt) | (t_arr > (j + 1) * dt * (1 + 1e-12))
         if np.any(bad):
-            raise self._outside("time", t_arr, bad)
-        return self._line(j - self._run_shifts[r], j, t_arr)
-
-    def on_segment(self, j: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi(t) (rad) and psi' (rad/s) on grid segments ``j``, which must hold ``t``.
-
-        Raises:
-            ValueError: If a segment does not lie within one run.
-        """
-        j = np.asarray(j)
-        r = np.maximum(np.searchsorted(self.run_starts, j, side="right") - 1, 0)
-        bad = (j < self.run_starts[r]) | (j >= self._run_lasts[r])
-        if np.any(bad):
-            raise self._outside("segment", j, bad)
-        return self._line(j - self._run_shifts[r], j, t)
-
-    def _line(self, i: np.ndarray, j: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """psi and psi' at ``t`` on grid segment ``j``, whose left node is psi_rad[i]."""
-        left = j * self.dt_s
-        slope = (self.psi_rad[i + 1] - self.psi_rad[i]) / ((j + 1) * self.dt_s - left)
-        return slope * (t - left) + self.psi_rad[i], slope
+            raise ValueError(
+                f"phase_at time outside the materialized range: {t_arr[bad].flat[0]} "
+                f"is in no run of drawn nodes (the path's {self.run_starts.size} runs "
+                f"span [0, {self.duration_s}] s)"
+            )
+        i = j - self._run_shifts[r]  # psi_rad index of the segment's left node
+        left = j * dt
+        slope = (self.psi_rad[i + 1] - self.psi_rad[i]) / ((j + 1) * dt - left)
+        return slope * (t_arr - left) + self.psi_rad[i], slope
 
     def phase_at(self, t: float | np.ndarray) -> np.ndarray:
         """Interpolate psi(t) (rad) at times ``t`` within the runs."""

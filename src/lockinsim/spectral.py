@@ -282,29 +282,24 @@ def predicted_snr(
 
 @dataclass(frozen=True)
 class SnrReport:
-    """Measured and predicted power SNR of one spectral peak.
+    """Measured power SNR of one spectral peak.
 
     Attributes:
         measured_snr: Y_peak / std(noise band) (minus 1 when ``exact``).
-        predicted_snr_ideal: Model prediction without depolarization
-            (NaN when no model was supplied).
-        predicted_snr_depolarized: Prediction including e^{-2 Gamma n}.
         peak_bin: The evaluated signal bin.
         peak_power: Y at ``peak_bin``.
         noise_mean: Mean of the noise band.
         noise_std: Standard deviation of the noise band (ddof=1).
-        noise_band: The noise-band bin indices used.
+        noise_band_bins: Number of bins in the noise band.
         exact: Whether the mean-corrected form (ratio - 1) was returned.
     """
 
     measured_snr: float
-    predicted_snr_ideal: float
-    predicted_snr_depolarized: float
     peak_bin: int
     peak_power: float
     noise_mean: float
     noise_std: float
-    noise_band: np.ndarray
+    noise_band_bins: int
     exact: bool
 
 
@@ -315,7 +310,8 @@ def default_noise_band(
     linewidth_bins: float = 1.0,
     guard_linewidths: float = 10.0,
 ) -> np.ndarray:
-    """Bins >= ``guard_linewidths`` linewidths from every signal bin.
+    """Mask over bins 0..N/2, True for bins >= ``guard_linewidths``
+    linewidths from every signal bin.
 
     DC and the Nyquist bin (even N) are always excluded. The line width
     defaults to one bin (Fourier-limited tone).
@@ -330,7 +326,7 @@ def default_noise_band(
         lo = max(0, int(b) - guard)
         hi = min(n_bins, int(b) + guard + 1)
         mask[lo:hi] = False
-    return np.nonzero(mask)[0]
+    return mask
 
 
 def find_peak_bin(
@@ -389,10 +385,8 @@ def locate_target_peak(
 def measure_snr(
     spectrum: PowerSpectrum,
     peak_bin: int,
-    noise_band: Sequence[int] | np.ndarray,
+    noise_band: np.ndarray,
     *,
-    model: ReadoutModel | None = None,
-    phi_max: float | None = None,
     exact: bool = False,
 ) -> SnrReport:
     """Measure the power SNR of ``peak_bin`` against a noise band.
@@ -400,55 +394,46 @@ def measure_snr(
     Args:
         spectrum: The spectrum.
         peak_bin: Signal bin (not in the noise band, not DC).
-        noise_band: Bin indices with no signal content; must exclude
-            ``peak_bin`` and DC.
-        model: Optional readout model to fill the predicted fields.
-        phi_max: Peak phase for the prediction (required with ``model``).
+        noise_band: Boolean mask over the spectrum's bins, True for a bin
+            with no signal content, as :func:`default_noise_band` gives it;
+            must exclude ``peak_bin`` and DC.
         exact: Return Y_peak/std - 1 (the mean-corrected form) instead of the
             large-SNR ratio.
 
     Raises:
-        ValueError: If the noise band overlaps the peak or DC, or is too
-            small to estimate a standard deviation.
+        ValueError: If the mask does not match the spectrum's bins, the noise
+            band overlaps the peak or DC, or is too small to estimate a
+            standard deviation.
     """
-    band = np.asarray(noise_band, dtype=np.int64)
-    if band.ndim != 1 or band.size < 2:
+    mask = np.asarray(noise_band)
+    if mask.dtype != bool or mask.shape != (spectrum.num_bins,):
+        raise ValueError(
+            f"noise_band must be a boolean mask of {spectrum.num_bins} bins, "
+            f"got {mask.dtype} {mask.shape}"
+        )
+    band_bins = int(np.count_nonzero(mask))
+    if band_bins < 2:
         raise ValueError("noise_band must contain at least two bins")
-    if band.min() < 0 or band.max() >= spectrum.num_bins:
-        raise ValueError("noise_band indices out of range")
     if not (0 <= peak_bin < spectrum.num_bins):
         raise ValueError(f"peak_bin {peak_bin} out of range")
-    if np.any(band == peak_bin):
+    if mask[peak_bin]:
         raise ValueError("noise_band overlaps the signal peak")
-    if np.any(band == 0):
+    if mask[0]:
         raise ValueError("noise_band must exclude the DC bin")
 
-    noise = spectrum.power[band]
+    noise = spectrum.power[mask]
     noise_std = float(noise.std(ddof=1))
     if noise_std == 0.0:
         raise ValueError("noise band has zero variance; cannot form an SNR")
     peak_power = float(spectrum.power[peak_bin])
     ratio = peak_power / noise_std
-    measured = ratio - 1.0 if exact else ratio
-
-    if model is not None:
-        if phi_max is None:
-            raise ValueError("phi_max is required to compute predicted SNR")
-        ideal = predicted_snr(phi_max, spectrum.num_samples, model, depolarized=False)
-        depol = predicted_snr(phi_max, spectrum.num_samples, model, depolarized=True)
-    else:
-        ideal = math.nan
-        depol = math.nan
-
     return SnrReport(
-        measured_snr=measured,
-        predicted_snr_ideal=ideal,
-        predicted_snr_depolarized=depol,
+        measured_snr=ratio - 1.0 if exact else ratio,
         peak_bin=int(peak_bin),
         peak_power=peak_power,
         noise_mean=float(noise.mean()),
         noise_std=noise_std,
-        noise_band=band,
+        noise_band_bins=band_bins,
         exact=exact,
     )
 

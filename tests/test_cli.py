@@ -240,6 +240,15 @@ class TestSpectrumCommand:
         assert result["predicted_snr_ideal"] > 10.0
         assert result["noise_band_bins"] > 100
 
+    def test_result_keys(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        result = run_json(["spectrum", "--config", str(path)], capsys)["result"]
+        assert set(result) == {
+            "measured_snr", "predicted_snr_ideal", "predicted_snr_depolarized",
+            "peak_bin", "peak_power", "noise_mean", "noise_std", "noise_band_bins",
+            "exact", "num_samples", "bin_width_hz", "sample_rate_hz", "expected_bin",
+        }
+
     def test_noise_band_excludes_a_second_tone_outside_the_peak_guard(self, tmp_path, capsys):
         # Left in the band, the second tone's line would inflate the spread
         # of the exponential floor (std/mean = 1).
@@ -341,6 +350,18 @@ class TestSnrSweepCommand:
         assert periods[1] - periods[0] == pytest.approx(130 * 2.32e-6, rel=1e-9)
         assert all(s > 0.0 for s in result["measured_snr"])
         assert len(result["peak_bin"]) == 2
+
+    def test_result_keys_and_csv_header(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"sweep": {"qnd_repetitions": [130, 260]}})
+        keys = [
+            "qnd_repetitions", "sampling_period_s", "peak_bin", "measured_snr",
+            "predicted_snr_ideal", "predicted_snr_depolarized",
+        ]
+        result = run_json(["snr-sweep", "--config", str(path)], capsys)["result"]
+        assert sorted(result) == sorted(keys)
+        out = tmp_path / "sweep.csv"
+        assert main(["snr-sweep", "--config", str(path), "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[3] == ",".join(keys)
 
     def test_sampling_period_fixes_the_dead_time_at_the_base_depth(self, tmp_path, capsys):
         path = write_config(

@@ -637,7 +637,7 @@ class TestReconstruct:
         mat = build_sampling_matrix(64.0, 64, grid)
         values = cosine_record(9.0, 3.0, 64.0, 64, 0.4)
         spec = power_spectrum(values, sample_rate_hz=64.0)
-        recovered, diag = reconstruct([spec], [mat], floor_subtraction=None)
+        recovered, diag = reconstruct([spec], [mat], floor_subtraction="none")
         assert diag.converged
         assert recovered.value_at_bin(9) == pytest.approx(9.0, rel=1e-9)
         assert recovered.value_at_bin(grid.conjugate_bin(9)) == pytest.approx(9.0, rel=1e-9)
@@ -664,7 +664,7 @@ class TestReconstruct:
             )
             for rate, num in [(12.0, 12), (15.0, 15)]
         ]
-        recovered, diag = reconstruct(specs, mats, floor_subtraction=None)
+        recovered, diag = reconstruct(specs, mats, floor_subtraction="none")
         assert diag.converged
         assert recovered.value_at_bin(7) == pytest.approx(4.0, abs=1e-8)
         assert recovered.value_at_bin(11) == pytest.approx(2.25, abs=1e-8)
@@ -691,7 +691,7 @@ class TestReconstruct:
             )
             for n in rates
         ]
-        recovered, diag = reconstruct(specs, mats, floor_subtraction=None, tol=1e-12)
+        recovered, diag = reconstruct(specs, mats, floor_subtraction="none", tol=1e-12)
         nonzero = recovered.components > 0.0
         assert recovered.support[nonzero].tolist() == [27, 32, 37]
         np.testing.assert_allclose(
@@ -716,8 +716,9 @@ class TestReconstruct:
         spec = power_spectrum(values, sample_rate_hz=64.0)
         with pytest.raises(ValueError, match="equally many"):
             reconstruct([spec, spec], [mat])
-        with pytest.raises(ValueError, match="floor_subtraction"):
-            reconstruct([spec], [mat], floor_subtraction="mean")
+        for unknown in ("mean", None):  # "none" is the one spelling of no floor
+            with pytest.raises(ValueError, match="floor_subtraction"):
+                reconstruct([spec], [mat], floor_subtraction=unknown)
         short = power_spectrum(values[:32], sample_rate_hz=64.0)
         with pytest.raises(ValueError, match="N="):
             reconstruct([short], [mat])

@@ -125,6 +125,22 @@ class TestTimeTrace:
         with pytest.raises(ValueError):
             TimeTrace(counts=np.array([], dtype=int), sampling_period_s=1e-3)
 
+    def test_a_frozen_int64_array_is_kept_uncopied(self):
+        counts = np.arange(5, dtype=np.int64)
+        counts.setflags(write=False)
+        trace = TimeTrace(counts=counts, sampling_period_s=1e-3)
+        assert trace.counts is counts
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_a_writable_or_narrower_array_is_copied_and_frozen(self, dtype):
+        counts = np.arange(5, dtype=dtype)
+        trace = TimeTrace(counts=counts, sampling_period_s=1e-3)
+        counts[0] = 9
+        assert trace.counts.dtype == np.int64
+        assert trace.counts[0] == 0
+        assert not trace.counts.flags.writeable
+        assert counts.flags.writeable
+
     def test_nominal_times_follow_the_grid(self):
         trace = TimeTrace(
             counts=np.arange(5), sampling_period_s=2e-3, start_time_s=1.0

@@ -408,7 +408,8 @@ class TestSparseFmPath:
         with pytest.raises(ValueError, match="outside the materialized range"):
             path.phase_at(5.5 * self.DT)  # between nodes 0 and 1 and the first window
         with pytest.raises(ValueError, match="outside the materialized range"):
-            path.on_segment(np.array([segments[0] + 2]), np.array([0.0]))  # run end to gap
+            # past the end of the run that holds the window start
+            path.segment_at((segments[0] + 2.5) * self.DT, run_of=segments[0] * self.DT)
         inside = (segments + 0.5) * self.DT
         np.testing.assert_array_equal(
             path.phase_at(inside),

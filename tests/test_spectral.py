@@ -52,6 +52,13 @@ def synthetic_spectrum(power: np.ndarray, bin_width_hz: float = 1.0) -> PowerSpe
     )
 
 
+def band_mask(spectrum: PowerSpectrum, bins: list[int]) -> np.ndarray:
+    """The noise-band mask that holds exactly ``bins``."""
+    mask = np.zeros(spectrum.num_bins, dtype=bool)
+    mask[bins] = True
+    return mask
+
+
 def zero_signal_trace(num_samples: int, seed: int):
     f_ac = 1.2e6
     seq = CpmgSequence(pulse_count=16, tau_s=1.0 / (2.0 * f_ac))
@@ -264,27 +271,40 @@ class TestSnrMeasurement:
     def test_band_validation(self):
         spec = synthetic_spectrum(np.arange(1.0, 32.0))
         with pytest.raises(ValueError, match="overlaps"):
-            measure_snr(spec, 10, [8, 9, 10, 11])
+            measure_snr(spec, 10, band_mask(spec, [8, 9, 10, 11]))
         with pytest.raises(ValueError, match="DC"):
-            measure_snr(spec, 10, [0, 1, 2])
+            measure_snr(spec, 10, band_mask(spec, [0, 1, 2]))
         with pytest.raises(ValueError, match="two bins"):
-            measure_snr(spec, 10, [5])
+            measure_snr(spec, 10, band_mask(spec, [5]))
+        with pytest.raises(ValueError, match="out of range"):
+            measure_snr(spec, spec.num_bins, band_mask(spec, [4, 5, 6]))
         with pytest.raises(ValueError, match="zero variance"):
-            measure_snr(synthetic_spectrum(np.full(32, 3.0)), 10, [4, 5, 6])
+            flat = synthetic_spectrum(np.full(32, 3.0))
+            measure_snr(flat, 10, band_mask(flat, [4, 5, 6]))
+
+    def test_band_must_be_a_mask_over_the_bins(self):
+        spec = synthetic_spectrum(np.arange(1.0, 32.0))
+        good = band_mask(spec, [4, 5, 6])
+        for wrong in (good[:-1], np.append(good, False), good[None, :], [4, 5, 6],
+                      good.astype(int)):
+            with pytest.raises(ValueError, match="boolean mask of 31 bins"):
+                measure_snr(spec, 10, wrong)
+
+    def test_report_counts_the_band_and_reads_it_in_bin_order(self):
+        spec = synthetic_spectrum(np.array([0.0, 4.0, 6.0, 100.0, 5.0, 3.0, 6.0]))
+        report = measure_snr(spec, 3, band_mask(spec, [1, 2, 4, 5, 6]))
+        noise = np.array([4.0, 6.0, 5.0, 3.0, 6.0])
+        assert report.noise_band_bins == 5
+        assert report.noise_mean == float(noise.mean())
+        assert report.noise_std == float(noise.std(ddof=1))
+        assert report.measured_snr == 100.0 / float(noise.std(ddof=1))
 
     def test_exact_mode_subtracts_the_noise_power_bias(self):
         spec = synthetic_spectrum(np.array([0.0, 4.0, 6.0, 100.0, 5.0, 3.0, 6.0]))
-        band = [1, 2, 4, 5, 6]
+        band = band_mask(spec, [1, 2, 4, 5, 6])
         plain = measure_snr(spec, 3, band)
         exact = measure_snr(spec, 3, band, exact=True)
         assert exact.measured_snr == pytest.approx(plain.measured_snr - 1.0, rel=1e-12)
-
-    def test_predictions_require_the_model(self):
-        spec = synthetic_spectrum(np.array([0.0, 4.0, 6.0, 100.0, 5.0, 3.0, 6.0]))
-        report = measure_snr(spec, 3, [1, 2, 4, 5])
-        assert math.isnan(report.predicted_snr_ideal)
-        with pytest.raises(ValueError):
-            measure_snr(spec, 3, [1, 2, 4, 5], model=REFERENCE_MODEL)
 
     def test_reference_prediction_value(self):
         assert predicted_snr(0.5, 10_000, REFERENCE_MODEL) == pytest.approx(
@@ -346,8 +366,10 @@ class TestSnrMeasurement:
         found = find_peak_bin(spec)
         assert found == peak
         band = default_noise_band(spec, [peak])
-        report = measure_snr(spec, peak, band, model=REFERENCE_MODEL, phi_max=0.5)
-        assert report.measured_snr == pytest.approx(report.predicted_snr_ideal, rel=0.2)
+        report = measure_snr(spec, peak, band)
+        assert report.measured_snr == pytest.approx(
+            predicted_snr(0.5, num, REFERENCE_MODEL), rel=0.2
+        )
 
     def test_find_peak_ties_resolve_to_the_lowest_bin(self):
         power = np.ones(33)
@@ -359,11 +381,14 @@ class TestSnrMeasurement:
     def test_default_noise_band_guards_signal_dc_and_nyquist(self):
         spec = synthetic_spectrum(np.ones(201))
         band = default_noise_band(spec, [100], linewidth_bins=1.0, guard_linewidths=10.0)
-        assert 0 not in band
-        assert 200 not in band
-        assert np.all(np.abs(band - 100) > 9)
+        assert band.dtype == bool and band.shape == (spec.num_bins,)
+        assert not band[0]
+        assert not band[200]
+        np.testing.assert_array_equal(np.flatnonzero(~band[1:200]) + 1, np.arange(90, 111))
         sub_bin = default_noise_band(spec, [100], linewidth_bins=0.2)
         np.testing.assert_array_equal(band, sub_bin)  # linewidth floors at one bin
+        odd = PowerSpectrum(np.ones(201), bin_width_hz=1.0, sample_rate_hz=401.0, num_samples=401)
+        assert default_noise_band(odd, [100])[200]  # bin 200 is no Nyquist bin at N = 401
 
 
 def spiked_spectrum(spikes: dict[int, float]) -> PowerSpectrum:
