@@ -5,7 +5,7 @@ The package simulates a spin-qubit lock-in amplifier end to end:
 * :mod:`lockinsim.signal` — deterministic and stochastic a.c. signal models
   (tone sums with optional amplitude modulation and Ornstein-Uhlenbeck
   frequency noise).
-* :mod:`lockinsim.lockin` — CPMG modulation function, accumulated quantum
+* :mod:`lockinsim.lockin` — CPMG sequence, accumulated quantum
   phase (closed form and quadrature oracle), transition probability, and the
   Bessel-harmonic response of the nonlinear phase-to-probability map.
 * :mod:`lockinsim.readout` — stochastic photon-count readout with adjustable

@@ -1,6 +1,7 @@
 """Helpers shared by every layer of the library and the CLI: deterministic
 serialization, :func:`check_range`, the one range check of numeric inputs,
-and the error-free products and sums of double-double arithmetic.
+:func:`frozen`, the one rule by which a frozen record owns its arrays, and
+the error-free products and sums of double-double arithmetic.
 
 A CSV cell is Python's ``str`` of its value. For a float that is the
 shortest round-trip repr: the fewest significant digits that read back as
@@ -63,6 +64,7 @@ __all__ = [
     "canonical_json",
     "check_range",
     "csv_blocks",
+    "frozen",
     "sha256_hex",
     "split",
     "two_prod",
@@ -114,6 +116,22 @@ def check_range(
             else:
                 continue
             raise ValueError(f"{prefix}{name} must be {fault}, got {v}")
+
+
+def frozen(values: Any, dtype: Any) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` that no caller can change.
+
+    A read-only ndarray of ``dtype`` is returned as given, so a producer
+    that marks its fresh array read-only hands it to a record uncopied; it
+    must then write to it through no other view. Anything else (a writable
+    array, another dtype, a sequence) becomes a read-only copy, so a record
+    keeps holding what it validated.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 def _jsonable(obj: Any) -> Any:

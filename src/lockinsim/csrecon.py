@@ -42,7 +42,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from ._io import check_range, csv_blocks
+from ._io import check_range, csv_blocks, frozen
 from .spectral import PowerSpectrum, _median
 
 __all__ = [
@@ -514,12 +514,12 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
 
 @dataclass(frozen=True)
 class NnlsInfo:
-    """Termination record of the active-set NNLS solve."""
+    """Termination record of an active-set NNLS solve that met the KKT
+    tolerance (one that stops short raises :class:`NnlsError`)."""
 
     iterations: int
     residual_norm: float
     kkt_max: float
-    converged: bool
 
 
 class NnlsError(RuntimeError):
@@ -588,7 +588,7 @@ def nnls_active_set(
     x = np.zeros(n_cols)
     w_scale = float(np.max(np.abs(c))) if n_cols else 0.0
     if w_scale == 0.0:
-        return x, NnlsInfo(0, float(np.linalg.norm(b)), 0.0, True)
+        return x, NnlsInfo(0, float(np.linalg.norm(b)), 0.0)
     threshold = tol * w_scale
     passive = np.empty(0, dtype=np.int64)
     passive_mask = np.zeros(n_cols, dtype=bool)
@@ -601,7 +601,6 @@ def nnls_active_set(
     inv_chol = np.zeros((64, 64))
 
     iterations = 0
-    kkt_max = math.inf
     while iterations < max_iterations:
         iterations += 1
         k = passive.size
@@ -610,7 +609,7 @@ def nnls_active_set(
         j = int(np.argmax(w))
         kkt_max = float(w[j])
         if kkt_max <= threshold:
-            return x, NnlsInfo(iterations, residual_norm(), kkt_max, True)
+            return x, NnlsInfo(iterations, residual_norm(), kkt_max)
 
         gram_row = a.gram_rows(j, j + 1)[0]
         r_block = inv_chol[:k, :k]
@@ -686,8 +685,9 @@ class WidebandSpectrum:
 
     Attributes:
         grid: The wideband grid (M = T * f_nyq bins, resolution 1/T).
-        support: Wideband bin indices carrying values.
-        components: X values on ``support`` (>= 0).
+        support: Wideband bin indices carrying values, as int64.
+        components: X values on ``support`` (>= 0). Both arrays are held as
+            :func:`frozen` holds them.
     """
 
     grid: WidebandGrid
@@ -695,14 +695,12 @@ class WidebandSpectrum:
     components: np.ndarray
 
     def __post_init__(self) -> None:
-        support = np.asarray(self.support, dtype=np.int64)
-        comps = np.asarray(self.components, dtype=float)
+        support = frozen(self.support, np.int64)
+        comps = frozen(self.components, float)
         if support.shape != comps.shape or support.ndim != 1:
             raise ValueError("support and components must be matching 1-D arrays")
         if comps.size and comps.min() < 0.0:
             raise ValueError("components must be non-negative")
-        support.setflags(write=False)
-        comps.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "components", comps)
 
@@ -742,7 +740,6 @@ class ReconstructionDiagnostics:
     iterations: int
     residual_norm: float
     kkt_max: float
-    converged: bool
     rows_used: int
     floor_estimates: np.ndarray
     num_dc_coupled_columns: int
@@ -822,7 +819,6 @@ def reconstruct(
         iterations=info.iterations,
         residual_norm=math.sqrt(2.0) * info.residual_norm,
         kkt_max=info.kkt_max,
-        converged=info.converged,
         rows_used=system.shape[0],
         floor_estimates=floors,
         num_dc_coupled_columns=int(np.sum(np.where(paired, 2, 1)[dc_coupled])),

@@ -36,7 +36,6 @@ from .signal import AnySignal, PhaseNoisePath, Tone, evaluate, expand_am, group_
 __all__ = [
     "CpmgSequence",
     "HarmonicLine",
-    "modulation_function",
     "phase_closed_form",
     "phase_on_grid",
     "phase_amplitude",
@@ -106,33 +105,6 @@ class CpmgSequence:
             tau_s=harmonic / (2.0 * frequency_hz),
             harmonic=harmonic,
         )
-
-
-def modulation_function(
-    t_prime: float | np.ndarray, tau: float, pulse_count: int
-) -> np.ndarray:
-    """The CPMG modulation function g(t') = (-1)^floor(t'/tau).
-
-    Args:
-        t_prime: Offset(s) within the sensing window, 0 <= t' < pulse_count*tau.
-        tau: Inter-pulse delay (s), > 0.
-        pulse_count: Number of pulses K defining the window length.
-
-    Returns:
-        Array of +1/-1 values shaped like ``t_prime``.
-
-    Raises:
-        ValueError: If any t' lies outside [0, K tau).
-    """
-    check_range(0, strict=True, tau=tau)
-    t_arr = np.asarray(t_prime, dtype=float)
-    if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() >= pulse_count * tau):
-        raise ValueError(
-            f"t_prime must lie in [0, K*tau) = [0, {pulse_count * tau}), "
-            f"got range [{t_arr.min()}, {t_arr.max()}]"
-        )
-    k = np.floor(t_arr / tau).astype(np.int64)
-    return np.where(k % 2 == 0, 1, -1)
 
 
 def _bandpass_kernel(u: np.ndarray, pulse_count: int) -> np.ndarray:

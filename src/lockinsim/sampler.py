@@ -58,7 +58,9 @@ from .signal import (
     PhaseNoisePath,
     materialize_fm_noise,
 )
-from ._io import canonical_json, check_range, csv_blocks, sha256_hex, split, two_prod, two_sum
+from ._io import (
+    canonical_json, check_range, csv_blocks, frozen, sha256_hex, split, two_prod, two_sum,
+)
 
 __all__ = [
     "CHUNK_SAMPLES",
@@ -148,13 +150,12 @@ class TimeTrace:
     """A photon-count time trace with its acquisition record.
 
     Attributes:
-        counts: Length-N non-negative integer counts, read-only. A read-only
-            int64 array is kept as given; any other is copied.
+        counts: Length-N non-negative integer counts as int64. Both arrays are
+            held as :func:`frozen` holds them.
         sampling_period_s: Nominal t_s.
         start_time_s: Absolute time of sample 0.
         metadata: JSON-serializable record of every parameter and seed.
-        sample_times_s: Actual (jittered) sample times; None on the nominal
-            grid.
+        sample_times_s: Actual (jittered) sample times; None on the nominal grid.
     """
 
     counts: np.ndarray
@@ -171,16 +172,13 @@ class TimeTrace:
             raise ValueError("counts must be integers")
         if counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        if counts.dtype != np.int64 or counts.flags.writeable:
-            counts = counts.astype(np.int64)  # a copy the caller cannot change
-            counts.setflags(write=False)
+        counts = frozen(counts, np.int64)
         object.__setattr__(self, "counts", counts)
         check_range(0, strict=True, sampling_period_s=self.sampling_period_s)
         if self.sample_times_s is not None:
-            times = np.asarray(self.sample_times_s, dtype=float)
+            times = frozen(self.sample_times_s, float)
             if times.shape != counts.shape:
                 raise ValueError("sample_times_s must match counts in length")
-            times.setflags(write=False)
             object.__setattr__(self, "sample_times_s", times)
 
     @property
@@ -333,8 +331,9 @@ def run_sampling(
         seq: CPMG sequence; sets t_a.
         model: Readout model; sets t_r.
         sched: Sampling schedule; sets t_d, N, the start and the jitter.
-        rng: Seed or SeedSequence. Chunk streams are spawned from it; the
-            result is bit-identical for any ``num_threads``.
+        rng: Seed or SeedSequence. Chunk streams are spawned from a copy of
+            it, so one sequence gives one trace on every call, bit-identical
+            for any ``num_threads``.
         num_threads: Worker threads for chunk generation.
 
     Returns:
@@ -347,7 +346,10 @@ def run_sampling(
     paths = _schedule_paths(signal, seq, sched, t_s, 8.0 * sched.clock_jitter_std_s)
 
     n_chunks = (n + CHUNK_SAMPLES - 1) // CHUNK_SAMPLES
-    if not isinstance(rng, np.random.SeedSequence):
+    if isinstance(rng, np.random.SeedSequence):
+        # spawn() counts children on the sequence: spawn from a copy.
+        rng = np.random.SeedSequence(rng.entropy, spawn_key=rng.spawn_key, pool_size=rng.pool_size)
+    else:
         rng = np.random.SeedSequence(int(rng))
     chunk_rngs = [np.random.Generator(np.random.PCG64(c)) for c in rng.spawn(n_chunks)]
 
@@ -385,7 +387,9 @@ def run_sampling(
         "seed": list(rng.entropy) if isinstance(rng.entropy, (list, tuple)) else rng.entropy,
         "phase_method": "closed_form",
     }
-    counts_out.setflags(write=False)  # the trace keeps it uncopied
+    for array in (counts_out, times_out):
+        if array is not None:
+            array.setflags(write=False)  # the trace keeps it uncopied
     return TimeTrace(
         counts=counts_out,
         sampling_period_s=t_s,
@@ -501,7 +505,8 @@ def read_trace(path: str | Path) -> TimeTrace:
         times[i] = float(fields[1])
 
     jittered = bool(meta_doc.get("jittered", False))
-    counts.setflags(write=False)  # the trace keeps it uncopied
+    for array in (counts, times):
+        array.setflags(write=False)  # the trace keeps it uncopied
     return TimeTrace(
         counts=counts,
         sampling_period_s=float(meta_doc["sampling_period_s"]),

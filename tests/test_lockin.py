@@ -14,7 +14,6 @@ from scipy import special
 from lockinsim.lockin import (
     CpmgSequence,
     carrier_cycles,
-    modulation_function,
     nonlinear_spectrum_prediction,
     phase_amplitude,
     phase_by_integration,
@@ -74,33 +73,6 @@ class TestCpmgSequence:
         assert seq.lockin_frequency_hz == pytest.approx(601.2547e3, rel=1e-12)
         seq3 = CpmgSequence.for_frequency(1.2e6, 16, harmonic=3)
         assert seq3.lockin_frequency_hz == pytest.approx(1.2e6, rel=1e-12)
-
-
-class TestModulationFunction:
-    def test_alternates_sign_on_each_delay_segment(self):
-        tau, pulses = 1.0, 6
-        mids = np.arange(pulses) + 0.5
-        np.testing.assert_array_equal(
-            modulation_function(mids, tau, pulses), (-1.0) ** np.arange(pulses)
-        )
-
-    def test_starts_positive_and_flips_at_segment_boundaries(self):
-        tau, pulses = 0.5, 4
-        eps = 1e-12
-        assert modulation_function(0.0, tau, pulses) == 1
-        assert modulation_function(tau - eps, tau, pulses) == 1
-        assert modulation_function(tau + eps, tau, pulses) == -1
-
-    def test_rejects_times_outside_the_sequence(self):
-        with pytest.raises(ValueError):
-            modulation_function(-1e-9, 1.0, 4)
-        with pytest.raises(ValueError):
-            modulation_function(4.0, 1.0, 4)
-
-    def test_even_pulse_count_gives_zero_mean(self):
-        tau, pulses = 0.25, 8
-        grid = np.linspace(0.0, pulses * tau, 8000, endpoint=False)
-        assert abs(float(np.mean(modulation_function(grid, tau, pulses)))) < 1e-12
 
 
 class TestPhaseClosedForm:

@@ -46,7 +46,6 @@ def synthetic_spectrum(power: np.ndarray, bin_width_hz: float = 1.0) -> PowerSpe
     num_samples = 2 * (n_bins - 1)
     return PowerSpectrum(
         power=np.asarray(power, dtype=float),
-        bin_width_hz=bin_width_hz,
         sample_rate_hz=bin_width_hz * num_samples,
         num_samples=num_samples,
     )
@@ -119,6 +118,9 @@ class TestPowerSpectrum:
             spec.frequencies_hz, 2.0 * np.arange(51), rtol=1e-15
         )
         assert spec.num_bins == 51
+
+    def test_bin_width_is_the_rate_over_the_length(self):
+        assert PowerSpectrum(np.ones(5), sample_rate_hz=3.0, num_samples=8).bin_width_hz == 3.0 / 8
 
     def test_hour_long_reference_trace_resolves_sub_millihertz(self):
         # One hour at the reference 4.21152 ms period: bin width 278 uHz.
@@ -387,7 +389,7 @@ class TestSnrMeasurement:
         np.testing.assert_array_equal(np.flatnonzero(~band[1:200]) + 1, np.arange(90, 111))
         sub_bin = default_noise_band(spec, [100], linewidth_bins=0.2)
         np.testing.assert_array_equal(band, sub_bin)  # linewidth floors at one bin
-        odd = PowerSpectrum(np.ones(201), bin_width_hz=1.0, sample_rate_hz=401.0, num_samples=401)
+        odd = PowerSpectrum(np.ones(201), sample_rate_hz=401.0, num_samples=401)
         assert default_noise_band(odd, [100])[200]  # bin 200 is no Nyquist bin at N = 401
 
 
