@@ -1,5 +1,6 @@
 """Helpers shared by every layer of the library and the CLI: deterministic
-serialization, :func:`check_range`, the one range check of numeric inputs,
+serialization, :func:`check_range`, the one range check of numeric inputs
+(an array's through its least and greatest entries, so NaN fails),
 :func:`frozen`, the one rule by which a frozen record owns its arrays, and
 the error-free products and sums of double-double arithmetic.
 
@@ -87,10 +88,13 @@ def check_range(
     The range is ``>= low`` (``> low`` when ``strict``); with ``high`` it is
     [low, high] ((low, high) when ``strict``); ``low`` None asks for
     finiteness alone. ``integer`` also asks for a Python or numpy integer.
-    A None value is skipped and each entry of a list value is checked, as
-    for the optional and list fields of a config section. The message names
-    the keyword after ``prefix``: ``<name> must be <bound>, got <value>``,
-    and ``<name> must be finite, got <value>`` for NaN or +-inf.
+    A None value is skipped, each entry of a list value is checked, as for
+    the optional and list fields of a config section, and an ndarray value
+    as the list of its least and greatest entries (none if it is empty):
+    NaN propagates into both, an integer array satisfies ``integer`` and a
+    float array does not. The message names the keyword after ``prefix``:
+    ``<name> must be <bound>, got <value>``, and
+    ``<name> must be finite, got <value>`` for NaN or +-inf.
     """
     if low is None:
         bound = "finite"
@@ -101,6 +105,8 @@ def check_range(
     if integer:
         bound = f"an integer {bound}"
     for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value = [value.min(), value.max()] if value.size else []
         for v in value if isinstance(value, list) else [value]:
             if v is None:
                 continue

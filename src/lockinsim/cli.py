@@ -149,7 +149,7 @@ def _target_snr(
     band = default_noise_band(
         spec,
         [peak.peak_bin, *tone_bins],
-        linewidth_bins=max(1.0, max_linewidth_hz(signal) / spec.bin_width_hz),
+        linewidth_bins=max_linewidth_hz(signal) / spec.bin_width_hz,
         guard_linewidths=config.analysis.noise_guard_linewidths,
     )
     report = measure_snr(spec, peak.peak_bin, band, exact=config.analysis.exact_snr)
@@ -233,8 +233,7 @@ def cmd_spectrum(
     )
     columns = None
     if fmt == "csv":
-        bins = np.arange(spec.num_bins)
-        columns = (bins, bins * spec.bin_width_hz, spec.power)
+        columns = (np.arange(spec.num_bins), spec.frequencies_hz, spec.power)
     return result, ("bin", "frequency_hz", "power"), columns
 
 

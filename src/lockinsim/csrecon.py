@@ -361,9 +361,8 @@ def build_sampling_matrix(
     if support is None:
         support_arr = np.arange(m_total // 2 + 1, dtype=np.int64)
     else:
+        check_range(0, high=m_total / 2, integer=True, support=np.asarray(support))
         support_arr = _unique(np.asarray(support, dtype=np.int64))
-        if support_arr.size and (support_arr[0] < 0 or 2 * support_arr[-1] > m_total):
-            raise ValueError("support bins out of [0, M/2]")
 
     n_i = int(num_record_bins)
     t_i = n_i / sample_rate_hz
@@ -565,6 +564,7 @@ def nnls_active_set(
         a_matrix: A, as a :class:`CooMatrix` or a dense 2-D array.
 
     Raises:
+        ValueError: If ``b`` is not a finite vector of one entry per row.
         NnlsError: After ``max_iterations`` (default max(3 * column count,
             30), the scipy.optimize.nnls cap), or when an entering column is
             numerically dependent on P (its Cholesky pivot is not positive;
@@ -578,6 +578,7 @@ def nnls_active_set(
     n_rows, n_cols = a.shape
     if b.shape != (n_rows,):
         raise ValueError(f"b must have shape ({n_rows},), got {b.shape}")
+    check_range(None, b=b)
     if max_iterations is None:
         max_iterations = max(3 * n_cols, 30)
 
@@ -699,8 +700,7 @@ class WidebandSpectrum:
         comps = frozen(self.components, float)
         if support.shape != comps.shape or support.ndim != 1:
             raise ValueError("support and components must be matching 1-D arrays")
-        if comps.size and comps.min() < 0.0:
-            raise ValueError("components must be non-negative")
+        check_range(0, components=comps)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "components", comps)
 

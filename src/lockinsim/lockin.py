@@ -42,8 +42,6 @@ __all__ = [
     "phase_by_integration",
     "transition_probability",
     "nonlinear_spectrum_prediction",
-    "two_prod",
-    "two_sum",
     "carrier_cycles",
 ]
 

@@ -201,8 +201,7 @@ def sample_counts(
         Non-negative integer counts shaped like ``p``.
     """
     p_arr = np.asarray(p, dtype=float)
-    if p_arr.size and (p_arr.min() < 0.0 or p_arr.max() > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
+    check_range(0, high=1, probabilities=p_arr)
 
     state = np.ravel(rng.random(p_arr.shape) < _effective_probability(model, p_arr))
     u = rng.random(p_arr.size)

@@ -155,7 +155,8 @@ class TimeTrace:
         sampling_period_s: Nominal t_s.
         start_time_s: Absolute time of sample 0.
         metadata: JSON-serializable record of every parameter and seed.
-        sample_times_s: Actual (jittered) sample times; None on the nominal grid.
+        sample_times_s: Actual (jittered) sample times, finite and >= 0; None
+            on the nominal grid.
     """
 
     counts: np.ndarray
@@ -170,15 +171,15 @@ class TimeTrace:
             raise ValueError("counts must be a non-empty 1-D array")
         if not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("counts must be integers")
-        if counts.min() < 0:
-            raise ValueError("counts must be non-negative")
         counts = frozen(counts, np.int64)
+        check_range(0, counts=counts)
         object.__setattr__(self, "counts", counts)
         check_range(0, strict=True, sampling_period_s=self.sampling_period_s)
         if self.sample_times_s is not None:
             times = frozen(self.sample_times_s, float)
             if times.shape != counts.shape:
                 raise ValueError("sample_times_s must match counts in length")
+            check_range(0, sample_times_s=times)
             object.__setattr__(self, "sample_times_s", times)
 
     @property

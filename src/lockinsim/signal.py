@@ -359,15 +359,15 @@ def materialize_fm_noise(
             imposes no constraint here).
         windows: Optional (starts, width): the path need serve only the
             windows [s, s + width] for s in ``starts`` (s), which must be
-            non-decreasing.
+            finite and non-decreasing, with a width >= 0.
 
     Returns:
         A :class:`PhaseNoisePath` whose runs cover [0, duration_s] without
         ``windows`` and every window with them.
 
     Raises:
-        ValueError: If ``fm`` is absent, the durations are invalid, the
-            window starts decrease, the grid is too fine to index, the path
+        ValueError: If ``fm`` is absent, the durations or windows are
+            invalid (see ``windows``), the grid is too fine to index, the path
             draws more than ``_MAX_FM_NODES`` nodes, or a step's moments
             are not finite floats.
     """
@@ -458,6 +458,8 @@ def _window_runs(
         return everything
     starts, width = windows
     starts = np.asarray(starts, dtype=float)
+    check_range(None, window_starts=starts)
+    check_range(0, window_width=width)
     if np.any(starts[1:] < starts[:-1]):
         raise ValueError("window starts must be non-decreasing")
     top = n_grid - 1
@@ -633,7 +635,7 @@ def evaluate(
 
     Args:
         signal: Tone-sum signal (or a :class:`CompositeSignal` of groups).
-        t: Time(s) in seconds, all >= 0.
+        t: Time(s) in seconds, all finite and >= 0.
         phase_noise: Materialized FM paths, one per group, as
             :func:`group_paths` takes them; needed when a group has ``fm``.
 
@@ -641,11 +643,10 @@ def evaluate(
         x(t) as a float array broadcast like ``t`` (0-d for scalar input).
 
     Raises:
-        ValueError: For negative times or a missing phase-noise path.
+        ValueError: For negative or non-finite times or a missing phase-noise path.
     """
     t_arr = np.asarray(t, dtype=float)
-    if t_arr.size and t_arr.min() < 0.0:
-        raise ValueError("evaluate requires t >= 0")
+    check_range(0, t=t_arr)
     total = np.zeros_like(t_arr)
     for group, path in zip(signal.groups, group_paths(signal, phase_noise)):
         psi = 0.0 if group.fm is None else path.phase_at(t_arr)

@@ -72,8 +72,7 @@ class PowerSpectrum:
                 f"power must have floor(N/2)+1 = {self.num_samples // 2 + 1} bins, "
                 f"got {power.shape}"
             )
-        if power.size and power.min() < 0.0:
-            raise ValueError("power must be non-negative")
+        check_range(0, power=power)
         object.__setattr__(self, "power", power)
 
     @property

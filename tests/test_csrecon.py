@@ -285,6 +285,8 @@ class TestBuildSamplingMatrix:
             build_sampling_matrix(128.0, 16, grid)
         with pytest.raises(ValueError, match="support"):
             build_sampling_matrix(16.0, 16, grid, support=[33])
+        with pytest.raises(ValueError, match=r"^support must be an integer in \[0, 32.0\], got 2.7$"):
+            build_sampling_matrix(16.0, 16, grid, support=[2.7])
 
 
 class TestCooMatrix:
@@ -616,6 +618,10 @@ class TestWidebandSpectrum:
         grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=16.0)
         with pytest.raises(ValueError):
             WidebandSpectrum(grid=grid, support=np.array([3]), components=np.array([-1.0]))
+        with pytest.raises(ValueError, match=r"^components must be finite, got nan$"):
+            WidebandSpectrum(
+                grid=grid, support=np.array([3, 4]), components=np.array([1.0, math.nan])
+            )
         with pytest.raises(ValueError):
             WidebandSpectrum(
                 grid=grid, support=np.array([3, 4]), components=np.array([1.0])

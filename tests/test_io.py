@@ -12,11 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lockinsim._io import CSV_BLOCK_ROWS, check_range, csv_blocks
-from lockinsim.csrecon import WidebandGrid, WidebandSpectrum, design_rates
+from lockinsim.csrecon import WidebandGrid, WidebandSpectrum, design_rates, nnls_active_set
 from lockinsim.lockin import nonlinear_spectrum_prediction
 from lockinsim.readout import ReadoutModel
 from lockinsim.sampler import SamplingSchedule, TimeTrace, undersampled_bin
-from lockinsim.signal import PhaseNoisePath
+from lockinsim.signal import AcSignal, FmNoise, PhaseNoisePath, Tone, materialize_fm_noise
 from lockinsim.spectral import PowerSpectrum
 
 from .helpers import str_csv_bytes
@@ -70,6 +70,27 @@ class TestCheckRange:
         with pytest.raises(ValueError, match=r"^xs must be finite, got nan$"):
             check_range(1, xs=[3, math.nan])
 
+    @pytest.mark.parametrize(
+        "low, options, values, text, extreme",
+        [
+            (None, {}, [1.0, math.nan, -2.0], "finite", "nan"),
+            (0, {}, [3.0, math.inf], "finite", "inf"),
+            (0, {"high": 1}, [-math.inf, 0.5], "finite", "-inf"),
+            (0, {}, [2.0, -0.5, -3.0], ">= 0", "-3.0"),
+            (0, {"high": 1}, [0.5, 1.5, 2.5], "in [0, 1]", "2.5"),
+            (0, {"integer": True}, [1.0, 2.0], "an integer >= 0", "1.0"),
+        ],
+        ids=["nan", "inf", "-inf", "below", "above", "float-as-integer"],
+    )
+    def test_an_array_fails_at_its_extreme_entry(self, low, options, values, text, extreme):
+        assert message(low, np.array(values), **options) == f"x must be {text}, got {extreme}"
+
+    def test_an_empty_0_d_or_integer_array_in_range_passes(self):
+        for options in ({}, {"strict": True, "high": 1, "integer": True}):
+            check_range(0, x=np.array([]), y=np.empty((0, 3), dtype=np.int64), **options)
+        check_range(0, high=1, x=np.array(0.5), y=np.array([[0.0, 1.0], [0.25, 0.75]]))
+        check_range(0, integer=True, x=np.array([3, 0, 2**62]), y=np.array(7, dtype=np.uint8))
+
     def test_names_the_first_failing_keyword_after_the_prefix(self):
         with pytest.raises(ValueError) as excinfo:
             check_range(0, strict=True, prefix="fm.", a=1.0, b=-2.0, c=-3.0)
@@ -77,9 +98,10 @@ class TestCheckRange:
 
 
 SCHEDULE = {"dead_time_s": 5.0e-4, "num_samples": 10}
+FM_TONE = AcSignal(tones=(Tone(50.0, 1.0),), fm=FmNoise(linewidth_hz=1.0, rng_seed=0))
 READOUT = {"qnd_repetitions": 260, "contrast": 0.35}
 
-#: (field, call) pairs: each call passes NaN, inf, 0, a fraction or an
+#: (field, call) pairs: each call passes NaN, inf, 0, a negative, a fraction or an
 #: overflowing value where the field forbids it, and must be refused by name.
 REFUSED = [
     ("dead_time_s", lambda: SamplingSchedule(**{**SCHEDULE, "dead_time_s": math.inf})),
@@ -104,6 +126,12 @@ REFUSED = [
         "max_extra_s / time_grid_s",
         lambda: design_rates(3, 1e-3, 1.0e10, seed=0, time_grid_s=1.0e-10),
     ),
+    ("b", lambda: nnls_active_set(np.eye(3), np.array([1.0, math.nan, 0.0]))),
+    (
+        "window_starts",
+        lambda: materialize_fm_noise(FM_TONE, 10.0, 0.01, (np.array([1.0, math.nan]), 0.1)),
+    ),
+    ("window_width", lambda: materialize_fm_noise(FM_TONE, 10.0, 0.01, (np.array([1.0]), -0.1))),
     ("phi_max", lambda: nonlinear_spectrum_prediction(math.nan, 1.0e6)),
     ("k_max", lambda: nonlinear_spectrum_prediction(1.0, 1.0, k_max=2.5)),
 ]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special
 
+from lockinsim._io import two_prod, two_sum
 from lockinsim.lockin import (
     CpmgSequence,
     carrier_cycles,
@@ -20,8 +21,6 @@ from lockinsim.lockin import (
     phase_closed_form,
     phase_on_grid,
     transition_probability,
-    two_prod,
-    two_sum,
 )
 from lockinsim.sampler import _materialize_paths
 from lockinsim.signal import (

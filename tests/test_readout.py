@@ -175,6 +175,8 @@ class TestSampleCounts:
             sample_counts(model, np.array([-0.01]), rng)
         with pytest.raises(ValueError):
             sample_counts(model, np.array([0.2, 1.01]), rng)
+        with pytest.raises(ValueError, match=r"^probabilities must be finite, got nan$"):
+            sample_counts(model, np.array([math.nan, math.nan, 0.5]), rng)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=32))
     def test_counts_are_nonnegative_integers(self, probs):

@@ -124,6 +124,14 @@ class TestTimeTrace:
             TimeTrace(counts=np.array([[1, 2], [3, 4]]), sampling_period_s=1e-3)
         with pytest.raises(ValueError):
             TimeTrace(counts=np.array([], dtype=int), sampling_period_s=1e-3)
+        # 2^63 does not fit int64: the held array's sign refuses it.
+        with pytest.raises(ValueError, match=r"^counts must be >= 0, got -9223372036854775808$"):
+            TimeTrace(counts=np.array([2**63], dtype=np.uint64), sampling_period_s=1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+    def test_rejects_non_finite_or_negative_sample_times(self, bad):
+        with pytest.raises(ValueError, match=r"^sample_times_s must be "):
+            TimeTrace(np.arange(3), 1e-3, sample_times_s=np.array([0.0, bad, 2e-3]))
 
     def test_nominal_times_follow_the_grid(self):
         trace = TimeTrace(
@@ -566,6 +574,17 @@ class TestTraceIO:
         meta_path = tmp_path / "trace.meta.json"
         meta_path.write_text(meta_path.read_text().replace('"num_samples":200', '"num_samples":100'))
         with pytest.raises(ValueError, match="trace.meta.json does not match"):
+            read_trace(str(path))
+
+    def test_read_rejects_a_non_finite_sample_time(self, tmp_path):
+        seq, model, sched = make_parts(num_samples=8, clock_jitter_std_s=1e-8)
+        path = tmp_path / "trace.csv"
+        write_trace(run_sampling(tone_signal(), seq, model, sched, 8), str(path))
+        lines = path.read_text().splitlines()
+        k, _, counts = lines[-1].split(",")
+        lines[-1] = f"{k},nan,{counts}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"^sample_times_s must be finite, got nan$"):
             read_trace(str(path))
 
     def test_read_rejects_malformed_sample_line(self, tmp_path):

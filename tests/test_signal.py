@@ -125,6 +125,11 @@ class TestEvaluate:
             evaluate(comp, t), evaluate(g1, t) + evaluate(g2, t), rtol=1e-14
         )
 
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match=r"^t must be "):
+            evaluate(single_tone(), np.array([0.0, bad]))
+
     def test_fm_signal_requires_phase_noise_path(self):
         sig = single_tone(fm=FmNoise(linewidth_hz=1e-3, rng_seed=0))
         with pytest.raises(ValueError):

@@ -135,6 +135,20 @@ class TestPowerSpectrum:
         with pytest.raises(ValueError):
             power_spectrum(np.arange(8, dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "power, fault",
+        [([-1.0, 1.0], ">= 0, got -1.0"), ([math.nan, 1.0], "finite, got nan"),
+         ([math.inf, 1.0], "finite, got inf")],
+        ids=["negative", "nan", "inf"],
+    )
+    def test_rejects_negative_or_non_finite_power(self, power, fault):
+        with pytest.raises(ValueError, match=rf"^power must be {fault}$"):
+            PowerSpectrum(np.array(power), sample_rate_hz=1.0, num_samples=2)
+
+    def test_samples_holding_nan_are_refused(self):
+        with pytest.raises(ValueError, match=r"^power must be finite, got nan$"):
+            power_spectrum(np.array([1.0, 2.0, math.nan, 4.0]), sample_rate_hz=1.0)
+
     def test_accepts_time_trace_objects(self):
         trace = zero_signal_trace(64, 5)
         spec = power_spectrum(trace)
