@@ -549,16 +549,24 @@ def nnls_active_set(
     inside the loop. With c = A^T b and G = A^T A, the gradient is
     w = c - x_P G_P, where G_P holds the Gram rows A^T a_j of the passive
     columns, each formed once, as j enters, by :meth:`CooMatrix.gram_rows`
-    (a sparse solution enters few columns, so G is never formed whole). They
-    live row by row in a buffer that doubles when full. The unconstrained
-    subproblem on P is G_PP z = c_P. The solver keeps R = L^-1, the inverse
-    of the lower Cholesky factor L of G_PP, so that z = R^T (R c_P) takes two
-    mat-vecs and no triangular solve. An entering column j appends one row
-    to R, [-(l^T R) / d, 1 / d] with l = R G_Pj and d = sqrt(G_jj - l.l).
-    When columns leave P, G_PP is read from the buffer and refactored, and
-    R recomputed as the inverse of its Cholesky factor. The residual
-    b - A x is formed once, on exit. Terminates when max(w over active
-    columns) <= tol * ||A^T b||_inf (KKT).
+    (a sparse solution enters few columns, so G is never formed whole).
+    Only the nonzeros of each row are kept: their columns and values in two
+    flat arrays, row after row in passive order, and each row's count, in
+    buffers that double when full. The gradient is one repeat of x_P, one
+    product and one bincount over them, and memory is O(k r + k^2) for k
+    passive columns of r nonzero Gram entries each; no (k x columns) array
+    is formed. The unconstrained subproblem on P is G_PP z = c_P. The solver
+    keeps R = L^-1, the inverse of the lower Cholesky factor L of G_PP, so
+    that z = R^T (R c_P) takes two mat-vecs and no triangular solve. An
+    entering column j appends one row to R, [-(l^T R) / d, 1 / d] with
+    l = R G_Pj and d = sqrt(G_jj - l.l). When columns leave P, their
+    entries are dropped, G_PP is rebuilt from the entries whose column is
+    passive and refactored, and R recomputed as the inverse of its Cholesky
+    factor. x depends only on the order in which columns enter, on R and on
+    c, none of which reads w, so the summation order of the gradient moves
+    only its last bits (``kkt_max``), and x moves only if such a bit changes
+    which column enters. The residual b - A x is formed once, on exit.
+    Terminates when max(w over active columns) <= tol * ||A^T b||_inf (KKT).
 
     Args:
         a_matrix: A, as a :class:`CooMatrix` or a dense 2-D array.
@@ -591,21 +599,28 @@ def nnls_active_set(
     if w_scale == 0.0:
         return x, NnlsInfo(0, float(np.linalg.norm(b)), 0.0)
     threshold = tol * w_scale
-    passive = np.empty(0, dtype=np.int64)
+    # P is passive_buf[:k], in the order its columns entered, and x is zero
+    # off P. The Gram row of the p-th passive column is held as its
+    # row_nnz[p] nonzeros, G_P[p, cols[e]] = values[e], and the rows follow
+    # one another in passive order in the first n_entries slots of ``cols``
+    # and ``values``. R = L^-1 for the lower Cholesky factor L of G_PP is the
+    # leading k x k block of ``inv_chol``. R is lower triangular and the
+    # mat-vecs read the whole block, so ``inv_chol`` is kept zero above its
+    # diagonal.
+    passive_buf = np.empty(64, dtype=np.int64)
+    row_nnz = np.empty(64, dtype=np.int64)
     passive_mask = np.zeros(n_cols, dtype=bool)
-    # Row p of ``gram`` is A^T a_j for j = passive[p], and R = L^-1 for the
-    # lower Cholesky factor L of G_PP is the leading k x k block of
-    # ``inv_chol``. Both buffers double when full. R is lower triangular and
-    # the mat-vecs read the whole block, so ``inv_chol`` is kept zero above
-    # its diagonal.
-    gram = np.zeros((64, n_cols))
+    cols = np.empty(1024, dtype=np.int64)
+    values = np.empty(1024)
     inv_chol = np.zeros((64, 64))
+    k = n_entries = 0
+    passive = passive_buf[:k]
 
     iterations = 0
     while iterations < max_iterations:
         iterations += 1
-        k = passive.size
-        w = c - x[passive] @ gram[:k]
+        products = values[:n_entries] * np.repeat(x[passive], row_nnz[:k])
+        w = c - np.bincount(cols[:n_entries], weights=products, minlength=n_cols)
         w[passive_mask] = -np.inf
         j = int(np.argmax(w))
         kkt_max = float(w[j])
@@ -628,18 +643,27 @@ def nnls_active_set(
             grown = np.zeros((2 * k, 2 * k))
             grown[:k, :k] = inv_chol
             inv_chol = grown
-            gram = np.concatenate([gram, np.zeros_like(gram)])
+            passive_buf, row_nnz = np.resize(passive_buf, 2 * k), np.resize(row_nnz, 2 * k)
         inv_chol[k, :k] = (l_row @ r_block) / -pivot
         inv_chol[k, k] = 1.0 / pivot
-        gram[k] = gram_row
-        passive = np.append(passive, j)
+        nonzero = np.flatnonzero(gram_row)
+        end = n_entries + nonzero.size
+        if end > values.size:
+            size = max(2 * values.size, end)
+            cols, values = np.resize(cols, size), np.resize(values, size)
+        cols[n_entries:end] = nonzero
+        values[n_entries:end] = gram_row[nonzero]
+        n_entries = end
+        passive_buf[k] = j
+        row_nnz[k] = nonzero.size
+        k += 1
+        passive = passive_buf[:k]
         passive_mask[j] = True
 
         while True:
-            r_block = inv_chol[: passive.size, : passive.size]
+            r_block = inv_chol[:k, :k]
             z = r_block.T @ (r_block @ c[passive])
             if np.all(z > 0.0):
-                x[:] = 0.0
                 x[passive] = z
                 break
             xp = x[passive]
@@ -647,17 +671,32 @@ def nnls_active_set(
                 steps = np.where(z <= 0.0, xp / (xp - z), np.inf)
             alpha = float(np.min(steps))
             xp = xp + alpha * (z - xp)
-            x[:] = 0.0
             x[passive] = np.maximum(xp, 0.0)
             kept = x[passive] > 0.0
-            passive_mask[passive[~kept]] = False
-            gram[: np.count_nonzero(kept)] = gram[: passive.size][kept]
-            passive = passive[kept]
-            if not passive.size:
+            left = passive[~kept]
+            x[left] = 0.0
+            passive_mask[left] = False
+            owned = np.repeat(kept, row_nnz[:k])
+            n_entries = np.count_nonzero(owned)
+            cols[:n_entries] = cols[: owned.size][owned]
+            values[:n_entries] = values[: owned.size][owned]
+            k = np.count_nonzero(kept)
+            passive_buf[:k] = passive[kept]
+            row_nnz[:k] = row_nnz[: kept.size][kept]
+            passive = passive_buf[:k]
+            if not k:
                 break
-            k = passive.size
+            # G_PP from the entries whose column is passive.
+            position = np.zeros(n_cols, dtype=np.int64)
+            position[passive] = np.arange(k)
+            in_block = passive_mask[cols[:n_entries]]
+            gram_pp = np.zeros((k, k))
+            gram_pp[
+                np.repeat(np.arange(k), row_nnz[:k])[in_block],
+                position[cols[:n_entries][in_block]],
+            ] = values[:n_entries][in_block]
             try:
-                factor = np.linalg.cholesky(gram[:k, passive])
+                factor = np.linalg.cholesky(gram_pp)
             except np.linalg.LinAlgError as exc:
                 raise NnlsError(
                     f"passive Gram block is not positive definite ({exc})",

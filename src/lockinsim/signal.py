@@ -251,6 +251,9 @@ class PhaseNoisePath:
         psi = frozen(self.psi_rad, float)
         if psi.ndim != 1 or psi.size < 2:
             raise ValueError("psi_rad must be a 1-D array with at least two nodes")
+        check_range(None, psi_rad=psi)
+        if psi[0] != 0.0:
+            raise ValueError(f"psi_rad must be 0 at node 0, got {psi[0]}")
         starts = frozen(self.run_starts, np.int64)
         offsets = frozen(self.run_offsets, np.int64)
         sizes = np.diff(offsets, append=psi.size)

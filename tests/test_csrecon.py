@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ def capture_nnls_problems(monkeypatch):
 
     monkeypatch.setattr(csrecon, "nnls_active_set", recording)
     return problems
+
+
+@pytest.fixture(scope="module")
+def shipped_problem(tmp_path_factory):
+    """(A, b, tol) of the solve ``reconstruct`` makes on the shipped config."""
+    config = REPO_ROOT / "configs" / "wideband_recovery.yaml"
+    out = tmp_path_factory.mktemp("shipped") / "out.json"
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        problems = capture_nnls_problems(monkeypatch)
+        assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    (problem,) = problems
+    assert problem[0].shape == (5229, 3602)
+    return problem
 
 
 
@@ -511,6 +525,17 @@ class TestNnls:
         assert excinfo.value.iterations == 1
         assert excinfo.value.residual_norm > 0.0
 
+    def test_shipped_solve_holds_the_gram_rows_sparse(self, shipped_problem):
+        # Dense (k x columns) Gram rows peak at 32 MB on the shipped design.
+        a_matrix, b, tol = shipped_problem
+        tracemalloc.start()
+        try:
+            nnls_active_set(a_matrix, b, tol=tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             nnls_active_set(np.eye(4), np.zeros(5))
@@ -592,13 +617,15 @@ class TestNnlsMatchesScipyGramSolver:
         for a_matrix, b, tol in problems:
             self.assert_identical(a_matrix, b, tol)
 
-    def test_wideband_recovery_problem(self, tmp_path, monkeypatch):
+    def test_wideband_recovery_problem(self, tmp_path, monkeypatch, shipped_problem):
         problems = capture_nnls_problems(monkeypatch)
         out = tmp_path / "out.json"
         path = str(short_wideband_config(tmp_path))
         assert main(["reconstruct", "--config", path, "--out", str(out)]) == EXIT_OK
-        ((a_matrix, b, tol),) = problems
-        self.assert_identical(a_matrix, b, tol)
+        (short_problem,) = problems
+        assert short_problem[0].shape == (520, 362)
+        for a_matrix, b, tol in (short_problem, shipped_problem):
+            self.assert_identical(a_matrix, b, tol)
 
 
 class TestWidebandSpectrum:

@@ -134,6 +134,10 @@ REFUSED = [
     ("window_width", lambda: materialize_fm_noise(FM_TONE, 10.0, 0.01, (np.array([1.0]), -0.1))),
     ("phi_max", lambda: nonlinear_spectrum_prediction(math.nan, 1.0e6)),
     ("k_max", lambda: nonlinear_spectrum_prediction(1.0, 1.0, k_max=2.5)),
+    ("psi_rad", lambda: PhaseNoisePath(0.1, np.array([math.nan, 1.0, 2.0]))),
+    ("psi_rad", lambda: PhaseNoisePath(0.1, np.array([0.0, math.inf, 2.0]))),
+    # psi is the phase offset accumulated from node 0, so it starts at 0.
+    ("psi_rad", lambda: PhaseNoisePath(0.1, np.array([3.0, 1.0, 2.0]))),
 ]
 
 
@@ -144,6 +148,7 @@ def test_non_finite_or_zero_input_is_refused_by_name(field, call):
 
 
 GRID = WidebandGrid(duration_s=1.0, nyquist_rate_hz=16.0)
+PSI = np.r_[0.0, np.ones(5)]  # psi_rad of a path of two runs of three nodes
 
 #: (field, a valid value of it, the record built around a given array).
 RECORD_ARRAYS = [
@@ -153,8 +158,8 @@ RECORD_ARRAYS = [
     ("support", np.array([1, 3]), lambda a: WidebandSpectrum(GRID, a, np.ones(2))),
     ("components", np.array([1.0, 2.0]), lambda a: WidebandSpectrum(GRID, np.array([1, 3]), a)),
     ("psi_rad", np.arange(4.0), lambda a: PhaseNoisePath(0.1, a)),
-    ("run_starts", np.array([0, 4]), lambda a: PhaseNoisePath(0.1, np.ones(6), a, [0, 3])),
-    ("run_offsets", np.array([0, 3]), lambda a: PhaseNoisePath(0.1, np.ones(6), [0, 4], a)),
+    ("run_starts", np.array([0, 4]), lambda a: PhaseNoisePath(0.1, PSI, a, [0, 3])),
+    ("run_offsets", np.array([0, 3]), lambda a: PhaseNoisePath(0.1, PSI, [0, 4], a)),
 ]
 
 
