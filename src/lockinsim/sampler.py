@@ -59,7 +59,7 @@ from .signal import (
     materialize_fm_noise,
 )
 from ._io import (
-    canonical_json, check_range, csv_blocks, frozen, sha256_hex, split, two_prod, two_sum,
+    canonical_json, check_range, csv_blocks, frozen, sha256_hex, two_prod, two_sum,
 )
 
 __all__ = [
@@ -257,21 +257,11 @@ def _nominal_times(
     error of each.
 
     The times are the rounded floats of the nominal grid; the errors come
-    from an exact two-product and two-sum, so t_k + error is start + k t_s
-    up to the rounding of the error itself (~1e-29 s at an hour). Below
-    2**26 an index k splits exactly as (k, 0), so only t_s is split, and
-    the two-sum is skipped at start 0, where it adds an exact 0: the same
-    bits as the general path, for a fraction of the work.
+    from an exact two-product and two-sum, for every k and every start, so
+    t_k + error is start + k t_s up to the rounding of the error itself
+    (~1e-29 s at an hour).
     """
-    k = np.arange(lo, hi, step, dtype=float)
-    if hi <= 1 << 26:
-        t_s_hi, t_s_lo = split(t_s)
-        k_t_s = k * t_s
-        product_error = (k * t_s_hi - k_t_s) + k * t_s_lo
-    else:
-        k_t_s, product_error = two_prod(k, t_s)
-    if start_time_s == 0.0:
-        return k_t_s, product_error
+    k_t_s, product_error = two_prod(np.arange(lo, hi, step, dtype=float), t_s)
     t_k, sum_error = two_sum(start_time_s, k_t_s)
     return t_k, product_error + sum_error
 

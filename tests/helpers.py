@@ -135,8 +135,11 @@ def scipy_gram_nnls(a_matrix, b, tol: float = 1e-10) -> tuple[np.ndarray, int, f
     """Lawson-Hanson NNLS with scipy.sparse mat-vecs: the gradient is
     A^T (b - A x) from the residual of every iteration, the Gram column of
     an entering column is A^T a_j, and the passive Gram block is rebuilt as
-    A_P^T A_P when columns leave. The passive subproblem keeps R = L^-1 of
-    the Cholesky factor L of G_PP, as the library does. Test oracle only.
+    A_P^T A_P and refactored when columns leave. The passive subproblem
+    keeps R = L^-1 of the Cholesky factor L of G_PP, as the library does,
+    and borders it the same way when a column enters; the library regrows R
+    by that bordering when columns leave instead, so the two agree bit for
+    bit only on solves that drop no column. Test oracle only.
 
     Returns:
         (x, iterations, residual norm).

@@ -582,6 +582,20 @@ class TestRateDesignCommand:
         assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
         assert "lockinsim: out of memory: " in capsys.readouterr().err
 
+    def test_support_too_wide_for_coherence_exits_2_naming_the_bands(self, tmp_path, capsys):
+        # The shipped bands with the first widened down to 3 Hz: 804 696
+        # columns, whose dense Gram blocks would take about 400 s. The
+        # seven matrices are built first (about 1.2 s).
+        cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
+        cfg["reconstruction"]["support_bands_hz"][0][0] = 3.0
+        path = tmp_path / "wide.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "invalid input: coherence of 804696 support columns" in captured.err
+        assert "narrow support_bands_hz" in captured.err
+        assert captured.out == ""
+
     def test_reports_rates_and_design_coherence(self, tmp_path, capsys):
         path = self.design_config(tmp_path)
         result = run_json(["rate-design", "--config", str(path)], capsys)["result"]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,17 +97,62 @@ def assert_matches_reference(a_matrix, b, tol=1e-10):
     return x
 
 
-def count_refactors(monkeypatch):
-    """Record the size of every Cholesky refactor of the passive Gram block."""
-    refactors = []
-    cholesky = np.linalg.cholesky
+def record_gram_rows(monkeypatch):
+    """Record the column of every Gram row :meth:`CooMatrix.gram_rows` forms."""
+    formed = []
+    gram_rows = CooMatrix.gram_rows
 
-    def counting(*args, **kwargs):
-        refactors.append(args[0].shape[0])
-        return cholesky(*args, **kwargs)
+    def recording(self, lo, hi):
+        formed.extend(range(lo, hi))
+        return gram_rows(self, lo, hi)
 
-    monkeypatch.setattr(csrecon.np.linalg, "cholesky", counting)
-    return refactors
+    monkeypatch.setattr(CooMatrix, "gram_rows", recording)
+    return formed
+
+
+def reformed_positions(formed):
+    """Positions in ``formed`` of the Gram rows formed a second time, as the
+    solver forms them again when it regrows R after columns leave P."""
+    seen = set()
+    positions = []
+    for position, col in enumerate(formed):
+        if col in seen:
+            positions.append(position)
+        seen.add(col)
+    return positions
+
+
+def drop_path_problems():
+    """45 random dense problems whose passive sets shed columns: 25 of
+    20 x 12, then 20 of 30 x 20 whose common positive offset correlates the
+    columns, so that the passive set sheds columns and then takes on new
+    ones."""
+    rng = np.random.default_rng(7)
+    for _ in range(25):
+        yield rng.normal(size=(20, 12)), rng.normal(size=20)
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        yield rng.normal(size=(30, 20)) + 1.0, rng.normal(size=30) + 2.0
+
+
+def stacked_entries(matrices):
+    """The entries of the stacked system, record after record: of each, the
+    entries off the DC row, its rows renumbered in ascending order below the
+    rows of the records before, and row N_i/2 of an even N_i weighted by
+    sqrt(1/2). Returns (rows, cols, data, shape)."""
+    rows, cols, data = [], [], []
+    num_rows = 0
+    for mat in matrices:
+        coo = mat.matrix
+        keep = coo.rows >= 1
+        touched, row = np.unique(coo.rows[keep], return_inverse=True)
+        half = 2 * coo.rows[keep] == mat.num_record_bins
+        rows.append(row + num_rows)
+        cols.append(coo.cols[keep])
+        data.append(coo.data[keep] * np.where(half, math.sqrt(0.5), 1.0))
+        num_rows += int(touched.size)
+    shape = (num_rows, matrices[0].support.size)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data), shape
 
 
 def capture_nnls_problems(monkeypatch):
@@ -122,18 +169,30 @@ def capture_nnls_problems(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def shipped_problem(tmp_path_factory):
-    """(A, b, tol) of the solve ``reconstruct`` makes on the shipped config."""
+def shipped_run(tmp_path_factory):
+    """(matrices, (A, b, tol)): the record matrices ``reconstruct`` builds on
+    the shipped config, and the solve it makes."""
     config = REPO_ROOT / "configs" / "wideband_recovery.yaml"
     out = tmp_path_factory.mktemp("shipped") / "out.json"
+    matrices = []
+    build = csrecon.build_sampling_matrix
     with pytest.MonkeyPatch.context() as monkeypatch:
         problems = capture_nnls_problems(monkeypatch)
+        monkeypatch.setattr(
+            "lockinsim.cli.build_sampling_matrix",
+            lambda *args: matrices.append(build(*args)) or matrices[-1],
+        )
         assert main(["reconstruct", "--config", str(config), "--out", str(out)]) == EXIT_OK
     (problem,) = problems
     assert problem[0].shape == (5229, 3602)
-    return problem
+    assert len(matrices) == 7
+    return matrices, problem
 
 
+@pytest.fixture(scope="module")
+def shipped_problem(shipped_run):
+    """(A, b, tol) of the solve ``reconstruct`` makes on the shipped config."""
+    return shipped_run[1]
 
 
 class TestWidebandGrid:
@@ -361,6 +420,46 @@ class TestCooMatrix:
             )
 
 
+class TestSolvedSystem:
+    """The stack by one stable sort on the column against the entries summed
+    and sorted by :meth:`CooMatrix.from_entries`."""
+
+    @staticmethod
+    def assert_stacks_as_from_entries(matrices):
+        system, _ = csrecon._solved_system(matrices)
+        rows, cols, data, shape = stacked_entries(matrices)
+        ref = CooMatrix.from_entries(rows, cols, data, shape)
+        assert system.shape == ref.shape
+        for got, want in zip((system.rows, system.cols, system.data), (ref.rows, ref.cols, ref.data)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_shipped_design(self, shipped_run):
+        self.assert_stacks_as_from_entries(shipped_run[0])
+
+    def test_integer_fold_phase_diagram_designs(self):
+        rng = np.random.default_rng(31)
+        grid = WidebandGrid(duration_s=1.0, nyquist_rate_hz=1024.0)
+        lo_n, hi_n = csrecon.PHASE_DIAGRAM_RECORD_BINS
+        for p in (2, 3, 4, 5, 6):
+            n_is = rng.choice(np.arange(lo_n, hi_n), size=p, replace=False)
+            self.assert_stacks_as_from_entries(
+                [build_sampling_matrix(float(n_i), int(n_i), grid) for n_i in n_is]
+            )
+
+    def test_shipped_stack_peaks_below_85_bytes_per_record_entry(self, shipped_run):
+        # One np.unique over every stacked coordinate peaks at 108.
+        matrices = shipped_run[0]
+        entries = sum(mat.matrix.nnz for mat in matrices)
+        tracemalloc.start()
+        try:
+            csrecon._solved_system(matrices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 85 * entries
+
+
 class TestCoherence:
     def test_engineered_single_collision_value(self):
         # Support bins 9 and 49 fold onto the same record row only in the
@@ -540,6 +639,20 @@ class TestNnls:
         with pytest.raises(ValueError):
             nnls_active_set(np.eye(4), np.zeros(5))
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(math.inf, "finite, got inf"), (math.nan, "finite, got nan"),
+         (0.0, "> 0, got 0.0"), (-1.0, "> 0, got -1.0")],
+        ids=["inf", "nan", "zero", "negative"],
+    )
+    def test_refuses_a_tolerance_by_name(self, tol, message):
+        # Unchecked, tol = inf stops at x = 0 after one iteration, and
+        # tol = nan fails as a numerical error.
+        rng = np.random.default_rng(5)
+        a_matrix = rng.normal(size=(20, 12))
+        with pytest.raises(ValueError, match=f"^tol must be {re.escape(message)}$"):
+            nnls_active_set(a_matrix, rng.normal(size=20), tol=tol)
+
     def test_numerically_dependent_entering_column_raises(self):
         # Column 2 is column 1 plus 2^-30 e_2 - 2^-29 e_1: its gradient
         # 2^-30 passes the KKT threshold, but its Cholesky pivot
@@ -574,28 +687,34 @@ class TestNnlsMatchesReference:
             assert_matches_reference(a_matrix, b, tol=tol)
 
     def test_random_problems_through_the_drop_path(self, monkeypatch):
-        refactors = count_refactors(monkeypatch)
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            a_matrix = rng.normal(size=(20, 12))
-            b = rng.normal(size=20)
+        formed = record_gram_rows(monkeypatch)
+        reformed = 0
+        for a_matrix, b in itertools.islice(drop_path_problems(), 25):
+            formed.clear()
             assert_matches_reference(a_matrix, b)
-        assert refactors  # columns left the passive set
+            reformed += len(reformed_positions(formed))
+        assert reformed  # columns left the passive set, and R was regrown
 
     def test_columns_enter_after_others_leave(self, monkeypatch):
-        # A common positive offset correlates the columns, so the passive set
-        # sheds columns and then takes on new ones: rows appended to L^-1
-        # after a refactor.
-        refactors = count_refactors(monkeypatch)
-        rng = np.random.default_rng(13)
+        # Rows appended to R after a regrowth: a column's Gram row formed for
+        # the first time after the last one formed again.
+        formed = record_gram_rows(monkeypatch)
         regrown = 0
-        for _ in range(20):
-            a_matrix = rng.normal(size=(30, 20)) + 1.0
-            b = rng.normal(size=30) + 2.0
-            refactors.clear()
-            x = assert_matches_reference(a_matrix, b)
-            regrown += bool(refactors) and np.count_nonzero(x) > refactors[-1]
+        for a_matrix, b in itertools.islice(drop_path_problems(), 25, None):
+            formed.clear()
+            assert_matches_reference(a_matrix, b)
+            reformed = reformed_positions(formed)
+            regrown += bool(reformed) and reformed[-1] < len(formed) - 1
         assert regrown >= 5
+
+    def test_drop_path_needs_no_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("NNLS called a dense factorization")
+
+        monkeypatch.setattr(csrecon.np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(csrecon.np.linalg, "inv", refuse)
+        for a_matrix, b in drop_path_problems():
+            assert_matches_reference(a_matrix, b)
 
 
 class TestNnlsMatchesScipyGramSolver:
@@ -603,8 +722,12 @@ class TestNnlsMatchesScipyGramSolver:
     same iterations, bit-identical x and residual."""
 
     @staticmethod
-    def assert_identical(a_matrix, b, tol):
+    def assert_identical(a_matrix, b, tol, formed):
+        # The oracle refactors when columns leave P and the library regrows
+        # R, so their bits agree only on a solve that forms no Gram row twice.
+        formed.clear()
         x, info = nnls_active_set(a_matrix, b, tol=tol)
+        assert not reformed_positions(formed)
         x_ref, iterations, residual = scipy_gram_nnls(a_matrix, b, tol=tol)
         assert info.iterations == iterations
         np.testing.assert_array_equal(x, x_ref)
@@ -614,8 +737,9 @@ class TestNnlsMatchesScipyGramSolver:
         problems = capture_nnls_problems(monkeypatch)
         recovery_phase_diagram([1, 3, 5], [2, 4, 6], trials=3, seed=311, grid_bins=1024)
         assert len(problems) == 27
+        formed = record_gram_rows(monkeypatch)
         for a_matrix, b, tol in problems:
-            self.assert_identical(a_matrix, b, tol)
+            self.assert_identical(a_matrix, b, tol, formed)
 
     def test_wideband_recovery_problem(self, tmp_path, monkeypatch, shipped_problem):
         problems = capture_nnls_problems(monkeypatch)
@@ -624,8 +748,9 @@ class TestNnlsMatchesScipyGramSolver:
         assert main(["reconstruct", "--config", path, "--out", str(out)]) == EXIT_OK
         (short_problem,) = problems
         assert short_problem[0].shape == (520, 362)
+        formed = record_gram_rows(monkeypatch)
         for a_matrix, b, tol in (short_problem, shipped_problem):
-            self.assert_identical(a_matrix, b, tol)
+            self.assert_identical(a_matrix, b, tol, formed)
 
 
 class TestWidebandSpectrum:
