@@ -42,12 +42,12 @@ from .config import (
     build_signal,
     config_hash,
     load_config,
-    target_frequency_hz,
 )
 from .csrecon import (
     NnlsError,
     WidebandGrid,
     build_sampling_matrix,
+    check_coherence_size,
     coherence,
     design_rates,
     reconstruct,
@@ -112,22 +112,9 @@ def _models(config: RunConfig) -> tuple[AnySignal, CpmgSequence, ReadoutModel]:
     return build_signal(config), build_sequence(config), build_readout(config)
 
 
-def _target_peak(
-    config: RunConfig, spec: PowerSpectrum, f_target: float, signal: AnySignal
-) -> TargetPeak:
-    return locate_target_peak(
-        spec,
-        f_target,
-        max_linewidth_hz(signal),
-        window_bins=config.analysis.window_half_bins,
-        window_linewidth_factor=config.analysis.window_linewidth_factor,
-    )
-
-
 def _target_snr(
     config: RunConfig,
     spec: PowerSpectrum,
-    f_target: float,
     signal: AnySignal,
     seq: CpmgSequence,
     model: ReadoutModel,
@@ -139,7 +126,8 @@ def _target_snr(
     tone of the signal, AM sidebands included, so no other line enters it.
     The prediction uses phi_max of the tone nearest the target frequency.
     """
-    peak = _target_peak(config, spec, f_target, signal)
+    f_target = config.analysis.target_of(signal)
+    peak = locate_target_peak(spec, f_target, max_linewidth_hz(signal), config.analysis)
     tones = expanded_tones(signal)
     tone_bins = [
         undersampled_bin(t.frequency_hz, spec.sample_rate_hz, spec.num_samples)
@@ -222,9 +210,7 @@ def cmd_spectrum(
     """Simulate a trace and report its power spectrum and SNR."""
     signal, seq, model, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
-    peak, result = _target_snr(
-        config, spec, target_frequency_hz(config, signal), signal, seq, model
-    )
+    peak, result = _target_snr(config, spec, signal, seq, model)
     result.update(
         num_samples=spec.num_samples,
         bin_width_hz=spec.bin_width_hz,
@@ -243,8 +229,8 @@ def cmd_fit(
     """Fit a Lorentzian to the spectral peak near the target frequency."""
     signal, *_, trace = _simulate_trace(config, seed, threads)
     spec = power_spectrum(trace)
-    f_target = target_frequency_hz(config, signal)
-    peak = _target_peak(config, spec, f_target, signal)
+    f_target = config.analysis.target_of(signal)
+    peak = locate_target_peak(spec, f_target, max_linewidth_hz(signal), config.analysis)
     result = dataclasses.asdict(fit_lorentzian(spec, peak.window))
     del result["covariance"]
     result.update(target_frequency_hz=f_target, expected_bin=peak.expected_bin)
@@ -259,7 +245,6 @@ def cmd_snr_sweep(
     config.require("sweep")
     signal, seq, base_model = _models(config)
     sched = build_schedule(config, seq, base_model)
-    f_target = target_frequency_hz(config, signal)
     reported = ("peak_bin", "measured_snr", "predicted_snr_ideal", "predicted_snr_depolarized")
 
     def point(idx: int, n: int) -> tuple:
@@ -268,7 +253,7 @@ def cmd_snr_sweep(
         model = dataclasses.replace(base_model, qnd_repetitions=n)
         seed_seq = np.random.SeedSequence((seed, idx))
         trace = run_sampling(signal, seq, model, sched, seed_seq, num_threads=threads)
-        _, snr = _target_snr(config, power_spectrum(trace), f_target, signal, seq, model)
+        _, snr = _target_snr(config, power_spectrum(trace), signal, seq, model)
         return n, trace.sampling_period_s, *(snr[key] for key in reported)
 
     rows = [point(idx, n) for idx, n in enumerate(config.sweep.qnd_repetitions)]
@@ -283,19 +268,10 @@ def cmd_scaling(
     """Run the duration-scaling study of linewidth and center uncertainty."""
     config.require("scaling")
     signal, seq, model = _models(config)
+    sched = build_schedule(config, seq, model)
     result = dataclasses.asdict(
         scaling_study(
-            signal,
-            seq,
-            model,
-            build_schedule(config, seq, model),
-            config.scaling.num_samples_list,
-            seed,
-            seeds_per_point=config.scaling.seeds_per_point,
-            window_bins=config.analysis.window_half_bins,
-            window_linewidth_factor=config.analysis.window_linewidth_factor,
-            target_frequency_hz=config.analysis.target_frequency_hz,
-            num_threads=threads,
+            signal, seq, model, sched, config.scaling, config.analysis, seed, num_threads=threads
         )
     )
     result["resolved"] = result.pop("resolved_mask")
@@ -355,25 +331,19 @@ def cmd_rate_design(
 ) -> CommandResult:
     """Propose incoherent sampling rates and report their coherence."""
     config.require("rate_design")
-    dcfg = config.rate_design
     if fmt == "csv" and out is None and config.reconstruction is not None:
         raise ConfigError(
             "rate-design --format csv with a reconstruction section requires --out "
             "(one matrix CSV per rate)"
         )
-    rates = design_rates(
-        dcfg.num_rates,
-        dcfg.base_period_s,
-        dcfg.max_extra_s,
-        seed,
-        time_grid_s=dcfg.time_grid_s,
-    )
+    rates = design_rates(config.rate_design, seed)
     result: dict[str, Any] = {
         "sample_rates_hz": rates.tolist(),
         "sampling_periods_s": (1.0 / rates).tolist(),
     }
     if config.reconstruction is not None:
         grid, support, _ = _wideband(config)
+        check_coherence_size(support.size)  # before any matrix is built
         matrices = [
             build_sampling_matrix(f_s, grid.record_bins(f_s), grid, support) for f_s in rates
         ]

@@ -2,13 +2,14 @@
 
 Every stochastic entry point takes its seed from the mandatory top-level
 ``seed`` (overridable on the command line); every physical quantity carries
-its unit in the key name. ``readout``, ``am`` and ``fm`` are their domain
-types, whose checks hold their bounds; ``cpmg``, each tone and the
-reconstruction grid build their domain objects at load; the other sections
-check their bounds with :func:`lockinsim._io.check_range`. The loader takes
-an int, or YAML 1.1 exponent text such as ``1.2e6`` (a string to YAML), for a
-float; rejects booleans and non-finite values given for numbers; and names an
-unknown or missing key by its dotted path.
+its unit in the key name. ``readout``, ``am``, ``fm``, ``analysis``,
+``scaling`` and ``rate_design`` are their domain types, defined in the module
+that takes them, whose checks hold their bounds; ``cpmg``, each tone and the
+reconstruction grid build their domain objects at load; ``sweep`` and
+``reconstruction`` check their bounds with :func:`lockinsim._io.check_range`.
+The loader takes an int, or YAML 1.1 exponent text such as ``1.2e6`` (a
+string to YAML), for a float; rejects booleans and non-finite values given
+for numbers; and names an unknown or missing key by its dotted path.
 """
 
 from __future__ import annotations
@@ -25,20 +26,19 @@ from typing import Any, Literal
 import yaml
 
 from ._io import canonical_json, check_range, sha256_hex
-from .csrecon import WidebandGrid
+from .csrecon import RateDesignConfig, WidebandGrid
 from .lockin import CpmgSequence
 from .readout import ReadoutModel
 from .sampler import SamplingSchedule
 from .signal import (
     AcSignal,
     AmModulation,
-    AnySignal,
     CompositeSignal,
     FmNoise,
     Tone,
     amplitude_from_field_tesla,
-    strongest_tone,
 )
+from .spectral import AnalysisConfig, ScalingConfig
 
 __all__ = [
     "ConfigError",
@@ -49,7 +49,6 @@ __all__ = [
     "build_sequence",
     "build_readout",
     "build_schedule",
-    "target_frequency_hz",
 ]
 
 
@@ -162,21 +161,6 @@ class ScheduleConfig:
 
 
 @dataclass(frozen=True)
-class AnalysisConfig:
-    window_half_bins: int = 12
-    window_linewidth_factor: float = 8.0
-    noise_guard_linewidths: float = 10.0
-    exact_snr: bool = False
-    target_frequency_hz: float | None = None
-
-    def __post_init__(self) -> None:
-        check_range(2, window_half_bins=self.window_half_bins)
-        check_range(0, strict=True, window_linewidth_factor=self.window_linewidth_factor)
-        check_range(0, strict=True, noise_guard_linewidths=self.noise_guard_linewidths)
-        check_range(0, strict=True, target_frequency_hz=self.target_frequency_hz)
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     qnd_repetitions: list[int]
 
@@ -184,18 +168,6 @@ class SweepConfig:
         if len(self.qnd_repetitions) < 2:
             raise ValueError("qnd_repetitions needs at least 2 entries")
         check_range(1, qnd_repetitions=self.qnd_repetitions)
-
-
-@dataclass(frozen=True)
-class ScalingConfig:
-    num_samples_list: list[int]
-    seeds_per_point: int = 3
-
-    def __post_init__(self) -> None:
-        if len(self.num_samples_list) < 2:
-            raise ValueError("num_samples_list needs at least 2 entries")
-        check_range(8, num_samples_list=self.num_samples_list)
-        check_range(1, seeds_per_point=self.seeds_per_point)
 
 
 @dataclass(frozen=True)
@@ -219,20 +191,6 @@ class ReconstructionConfig:
             raise ValueError("sampling_periods_s entries must be distinct")
         if not self.support_bands_hz:
             raise ValueError("support_bands_hz needs at least 1 entry")
-
-
-@dataclass(frozen=True)
-class RateDesignConfig:
-    num_rates: int
-    base_period_s: float
-    max_extra_s: float
-    time_grid_s: float = 1e-7
-
-    def __post_init__(self) -> None:
-        check_range(2, num_rates=self.num_rates)
-        check_range(0, strict=True, base_period_s=self.base_period_s)
-        check_range(0, strict=True, max_extra_s=self.max_extra_s)
-        check_range(0, strict=True, time_grid_s=self.time_grid_s)
 
 
 @dataclass(frozen=True)
@@ -372,10 +330,3 @@ def build_schedule(
         return config.schedule.build(seq, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def target_frequency_hz(config: RunConfig, signal: AnySignal) -> float:
-    """Analysis target tone (explicit setting or the strongest tone)."""
-    if config.analysis.target_frequency_hz is not None:
-        return config.analysis.target_frequency_hz
-    return strongest_tone(signal).frequency_hz

@@ -55,11 +55,13 @@ __all__ = [
     "SamplingMatrix",
     "WidebandSpectrum",
     "CoherenceReport",
+    "RateDesignConfig",
     "NnlsInfo",
     "NnlsError",
     "ReconstructionDiagnostics",
     "support_from_bands",
     "build_sampling_matrix",
+    "check_coherence_size",
     "coherence",
     "nnls_active_set",
     "reconstruct",
@@ -469,6 +471,17 @@ def _solved_system(
     return CooMatrix(*stacked, (num_rows, support.size)), kept
 
 
+def check_coherence_size(n_cols: int) -> None:
+    """Refuse, with a ValueError naming ``support_bands_hz``, a support of
+    ``n_cols`` columns whose coherence would form more than
+    ``COHERENCE_MAX_ENTRIES`` Gram entries; its matrices need not exist."""
+    if n_cols * n_cols > COHERENCE_MAX_ENTRIES:
+        raise ValueError(
+            f"coherence of {n_cols} support columns forms {n_cols * n_cols} Gram "
+            f"entries, above {COHERENCE_MAX_ENTRIES}: narrow support_bands_hz"
+        )
+
+
 def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     """Mutual coherence of the stacked system :func:`reconstruct` solves
     (memory-bounded, exact).
@@ -488,11 +501,7 @@ def coherence(matrices: Sequence[SamplingMatrix]) -> CoherenceReport:
     if len(matrices) < 2:
         raise ValueError("coherence requires at least two matrices")
     n_cols = int(matrices[0].support.size)
-    if n_cols * n_cols > COHERENCE_MAX_ENTRIES:
-        raise ValueError(
-            f"coherence of {n_cols} support columns forms {n_cols * n_cols} Gram "
-            f"entries, above {COHERENCE_MAX_ENTRIES}: narrow support_bands_hz"
-        )
+    check_coherence_size(n_cols)
     system, _ = _solved_system(matrices)
     # Every stored entry is a positive sum of hat weights, so the columns
     # with entries are those of nonzero norm; the others add zero Gram rows.
@@ -921,36 +930,45 @@ def recovery_phase_diagram(
     return success
 
 
-def design_rates(
-    num_rates: int,
-    base_period_s: float,
-    max_extra_s: float,
-    seed: int,
-    *,
-    time_grid_s: float = 1e-7,
-) -> np.ndarray:
-    """Draw ``num_rates`` distinct sampling periods for a CS acquisition.
+@dataclass(frozen=True)
+class RateDesignConfig:
+    """Sampling periods base_period_s + delta for :func:`design_rates` (the
+    config's ``rate_design`` section), with the deltas on the
+    ``time_grid_s``-spaced grid in [0, max_extra_s] (hardware delays are
+    quantized), which must hold at least ``num_rates`` levels."""
 
-    Periods are base_period_s + delta, with the deltas drawn without
-    replacement from the ``time_grid_s``-spaced grid in [0, max_extra_s]
-    (hardware delays are quantized).
+    num_rates: int
+    base_period_s: float
+    max_extra_s: float
+    time_grid_s: float = 1e-7
+
+    def __post_init__(self) -> None:
+        check_range(2, integer=True, num_rates=self.num_rates)
+        check_range(0, strict=True, base_period_s=self.base_period_s)
+        check_range(0, strict=True, max_extra_s=self.max_extra_s)
+        check_range(0, strict=True, time_grid_s=self.time_grid_s)
+        # The level indices are drawn as int64, so their count must fit one.
+        ratio = self.max_extra_s / self.time_grid_s
+        check_range(0, high=np.iinfo(np.int64).max - 1, **{"max_extra_s / time_grid_s": ratio})
+        if self.num_levels < self.num_rates:
+            raise ValueError("time grid too coarse for the requested number of rates")
+
+    @property
+    def num_levels(self) -> int:
+        """Delay levels on the time grid, 0 and max_extra_s included."""
+        return int(math.floor(self.max_extra_s / self.time_grid_s + 1e-9)) + 1
+
+
+def design_rates(design: RateDesignConfig, seed: int) -> np.ndarray:
+    """Draw ``design.num_rates`` distinct sampling periods for a CS
+    acquisition, with the delay levels drawn without replacement.
 
     Returns:
         Sample rates 1/t_s in Hz, sorted descending (shortest period first).
     """
-    check_range(2, num_rates=num_rates)
-    check_range(0, strict=True, base_period_s=base_period_s)
-    check_range(0, strict=True, max_extra_s=max_extra_s)
-    check_range(0, strict=True, time_grid_s=time_grid_s)
-    # The level indices are drawn as int64, so their count must fit one.
-    ratio = max_extra_s / time_grid_s
-    check_range(0, high=np.iinfo(np.int64).max - 1, **{"max_extra_s / time_grid_s": ratio})
-    levels = int(math.floor(ratio + 1e-9)) + 1
-    if levels < num_rates:
-        raise ValueError("time grid too coarse for the requested number of rates")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    chosen = rng.choice(levels, size=num_rates, replace=False)
-    periods = base_period_s + np.sort(chosen) * time_grid_s
+    chosen = rng.choice(design.num_levels, size=design.num_rates, replace=False)
+    periods = design.base_period_s + np.sort(chosen) * design.time_grid_s
     return 1.0 / periods
 
 

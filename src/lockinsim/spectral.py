@@ -30,6 +30,8 @@ from .sampler import SamplingSchedule, TimeTrace, run_sampling, undersampled_bin
 from .signal import AnySignal, CompositeSignal, max_linewidth_hz, strongest_tone
 
 __all__ = [
+    "AnalysisConfig",
+    "ScalingConfig",
     "PowerSpectrum",
     "SnrReport",
     "TargetPeak",
@@ -282,6 +284,38 @@ def predicted_snr(
 
 
 @dataclass(frozen=True)
+class AnalysisConfig:
+    """How the CLI finds, fits and measures the target tone (the config's
+    ``analysis`` section).
+
+    Attributes:
+        window_half_bins: Least half window of :func:`locate_target_peak`.
+        window_linewidth_factor: Half window in linewidths once that is wider.
+        noise_guard_linewidths: Guard of :func:`default_noise_band`.
+        exact_snr: The ``exact`` form of :func:`measure_snr`.
+        target_frequency_hz: The target tone; None for the strongest tone.
+    """
+
+    window_half_bins: int = 12
+    window_linewidth_factor: float = 8.0
+    noise_guard_linewidths: float = 10.0
+    exact_snr: bool = False
+    target_frequency_hz: float | None = None
+
+    def __post_init__(self) -> None:
+        check_range(2, integer=True, window_half_bins=self.window_half_bins)
+        check_range(0, strict=True, window_linewidth_factor=self.window_linewidth_factor)
+        check_range(0, strict=True, noise_guard_linewidths=self.noise_guard_linewidths)
+        check_range(0, strict=True, target_frequency_hz=self.target_frequency_hz)
+
+    def target_of(self, signal: AnySignal) -> float:
+        """The target tone's frequency: the configured one, else the strongest tone's."""
+        if self.target_frequency_hz is not None:
+            return self.target_frequency_hz
+        return strongest_tone(signal).frequency_hz
+
+
+@dataclass(frozen=True)
 class SnrReport:
     """Measured power SNR of one spectral peak.
 
@@ -309,7 +343,7 @@ def default_noise_band(
     signal_bins: Sequence[int],
     *,
     linewidth_bins: float = 1.0,
-    guard_linewidths: float = 10.0,
+    guard_linewidths: float = AnalysisConfig.noise_guard_linewidths,
 ) -> np.ndarray:
     """Mask over bins 0..N/2, True for bins >= ``guard_linewidths``
     linewidths from every signal bin.
@@ -358,26 +392,19 @@ class TargetPeak:
 
 
 def locate_target_peak(
-    spectrum: PowerSpectrum,
-    target_frequency_hz: float,
-    linewidth_hz: float,
-    *,
-    window_bins: int,
-    window_linewidth_factor: float,
+    spectrum: PowerSpectrum, target_hz: float, linewidth_hz: float, analysis: AnalysisConfig
 ) -> TargetPeak:
     """Find the target tone's peak near its folded bin.
 
-    The half window is ``window_bins`` bins for Fourier-limited lines,
-    widened to ``window_linewidth_factor`` x ``linewidth_hz`` once that is
-    wider; the peak search and the fit window share it.
+    The half window is ``analysis.window_half_bins`` bins for Fourier-limited
+    lines, widened to ``analysis.window_linewidth_factor`` x ``linewidth_hz``
+    once that is wider; the peak search and the fit window share it.
     """
     n_bins = spectrum.num_bins
-    expected = undersampled_bin(
-        target_frequency_hz, spectrum.sample_rate_hz, spectrum.num_samples
-    )
+    expected = undersampled_bin(target_hz, spectrum.sample_rate_hz, spectrum.num_samples)
     half = max(
-        window_bins,
-        int(math.ceil(window_linewidth_factor * linewidth_hz / spectrum.bin_width_hz)),
+        analysis.window_half_bins,
+        int(math.ceil(analysis.window_linewidth_factor * linewidth_hz / spectrum.bin_width_hz)),
     )
     peak = find_peak_bin(spectrum, max(1, expected - half), min(n_bins, expected + half + 1))
     return TargetPeak(expected, peak, (max(1, peak - half), min(n_bins, peak + half + 1)))
@@ -388,7 +415,7 @@ def measure_snr(
     peak_bin: int,
     noise_band: np.ndarray,
     *,
-    exact: bool = False,
+    exact: bool = AnalysisConfig.exact_snr,
 ) -> SnrReport:
     """Measure the power SNR of ``peak_bin`` against a noise band.
 
@@ -725,24 +752,43 @@ def _reseed_fm(signal: AnySignal, entropy: tuple[int, ...]) -> AnySignal:
     return reseeded[0]
 
 
+@dataclass(frozen=True)
+class ScalingConfig:
+    """The duration ladder of :func:`scaling_study` (the config's ``scaling``
+    section): trace lengths N, at least 4 per decade of duration, and the
+    independent traces simulated at each."""
+
+    num_samples_list: list[int]
+    seeds_per_point: int = 3
+
+    def __post_init__(self) -> None:
+        n_list = self.num_samples_list
+        if len(n_list) < 2:
+            raise ValueError("num_samples_list needs at least 2 entries")
+        check_range(8, integer=True, num_samples_list=n_list)
+        check_range(1, integer=True, seeds_per_point=self.seeds_per_point)
+        decades = math.log10(max(n_list) / min(n_list))
+        if decades > 0 and len(n_list) / decades < 4.0:
+            raise ValueError(
+                f"num_samples_list needs >= 4 points per decade, got {len(n_list) / decades:.2f}"
+            )
+
+
 def scaling_study(
     signal: AnySignal,
     seq: CpmgSequence,
     model: ReadoutModel,
     sched: SamplingSchedule,
-    num_samples_list: Sequence[int],
+    ladder: ScalingConfig,
+    analysis: AnalysisConfig,
     seed: int,
     *,
-    seeds_per_point: int = 3,
-    window_bins: int = 12,
-    window_linewidth_factor: float = 8.0,
-    target_frequency_hz: float | None = None,
     num_threads: int = 1,
 ) -> ScalingStudyResult:
     """Fit gamma(T) and sigma_fc(T) over a ladder of trace durations.
 
-    For each N, ``seeds_per_point`` replicate traces are simulated with
-    independent readout-noise streams and independent frequency-noise
+    For each N, ``ladder.seeds_per_point`` replicate traces are simulated
+    with independent readout-noise streams and independent frequency-noise
     paths. Two estimators are computed per duration:
 
     * ``width_hz`` comes from one fit to the bin-wise *average* of the
@@ -766,11 +812,10 @@ def scaling_study(
       of the fitted centers across the replicates.
 
     Every fit runs over the window :func:`locate_target_peak` returns
-    around the target tone's peak: +-``window_bins`` bins for
-    Fourier-limited lines, widened to ``window_linewidth_factor`` x the
-    intrinsic linewidth once resolved. The linewidth-proportional window
-    is what makes the covariance-based sigma_fc(T) exponents (-1.5 coherent,
-    -0.5 resolved-broadened) emerge; a fixed-Hz window mixes regimes.
+    around the peak of ``analysis.target_of(signal)``. The window widens
+    with the intrinsic linewidth once that is resolved, which is what makes
+    the covariance-based sigma_fc(T) exponents (-1.5 coherent, -0.5
+    resolved-broadened) emerge; a fixed-Hz window mixes regimes.
 
     Args:
         signal: Tone (optionally FM-broadened) signal.
@@ -778,41 +823,21 @@ def scaling_study(
         model: Readout model.
         sched: Schedule for every point (dead time, start time, clock
             jitter); each point replaces only its ``num_samples``.
-        num_samples_list: Trace lengths N (>= 4 points per decade of T).
+        ladder: Trace lengths N and replicates per length.
+        analysis: Target tone and fit window.
         seed: Master seed; per-(point, repeat) streams derive from it.
-        seeds_per_point: Independent traces per duration.
-        window_bins: Minimum fit half-window in bins.
-        window_linewidth_factor: Half-window in units of the intrinsic
-            linewidth when it is resolved.
-        target_frequency_hz: Tone to track (default: strongest tone).
         num_threads: Threads for trace generation.
 
     Returns:
         A :class:`ScalingStudyResult` with per-duration values and
         per-regime slopes.
     """
-    n_list = [int(n) for n in num_samples_list]
-    if len(n_list) < 2:
-        raise ValueError("need at least two durations")
-    decades = math.log10(max(n_list) / min(n_list))
-    if decades > 0 and len(n_list) / decades < 4.0:
-        raise ValueError(
-            f"need >= 4 points per decade, got {len(n_list) / decades:.2f}"
-        )
-    check_range(1, seeds_per_point=seeds_per_point)
-
-    if target_frequency_hz is None:
-        target_frequency_hz = strongest_tone(signal).frequency_hz
+    n_list, seeds_per_point = ladder.num_samples_list, ladder.seeds_per_point
+    target_hz = analysis.target_of(signal)
     linewidth_hz = max_linewidth_hz(signal)
 
     def fit_target(spec: PowerSpectrum) -> LorentzianFit:
-        peak = locate_target_peak(
-            spec,
-            target_frequency_hz,
-            linewidth_hz,
-            window_bins=window_bins,
-            window_linewidth_factor=window_linewidth_factor,
-        )
+        peak = locate_target_peak(spec, target_hz, linewidth_hz, analysis)
         return fit_lorentzian(spec, peak.window)
 
     t_s = sched.period_s(seq, model)

@@ -40,6 +40,8 @@ from lockinsim.readout import ReadoutModel, noise_variance, threshold_gain
 from lockinsim.sampler import SamplingSchedule, run_sampling, undersampled_bin
 from lockinsim.signal import AcSignal, FmNoise, Tone
 from lockinsim.spectral import (
+    AnalysisConfig,
+    ScalingConfig,
     average_spectra,
     default_noise_band,
     measure_snr,
@@ -383,9 +385,11 @@ class TestScalingLaws:
             seq,
             model,
             sched,
-            [4130, 7030, 12030, 20130, 34030, 58030, 99030, 168030],
+            ScalingConfig(
+                [4130, 7030, 12030, 20130, 34030, 58030, 99030, 168030], seeds_per_point=6
+            ),
+            AnalysisConfig(),
             seed=202,
-            seeds_per_point=6,
             num_threads=4,
         )
         assert study.width_slope_unresolved == pytest.approx(-1.0, abs=0.1)
@@ -404,23 +408,26 @@ class TestScalingLaws:
             seq,
             model,
             sched,
-            [
-                4699,
-                9398,
-                18797,
-                35244,
-                70488,
-                133143,
-                187967,
-                250623,
-                352438,
-                501245,
-                704876,
-                994659,
-                1331433,
-            ],
+            ScalingConfig(
+                [
+                    4699,
+                    9398,
+                    18797,
+                    35244,
+                    70488,
+                    133143,
+                    187967,
+                    250623,
+                    352438,
+                    501245,
+                    704876,
+                    994659,
+                    1331433,
+                ],
+                seeds_per_point=12,
+            ),
+            AnalysisConfig(),
             seed=303,
-            seeds_per_point=12,
             num_threads=4,
         )
         mask = study.resolved_mask

@@ -174,9 +174,28 @@ class TestLoadConfig:
                                 am={"mod_frequency_hz": 1.0, "mod_depth": 2})},
                 r"^signal\.am: am\.mod_depth must be in \[0, 1\], got 2\.0",
             ),
+            (
+                {"scaling": {"num_samples_list": [4130, 160030]}},
+                r"^scaling: num_samples_list needs >= 4 points per decade, got 1\.26$",
+            ),
+            (
+                {"scaling": {"num_samples_list": [4130, 5230.5]}},
+                r"^scaling\.num_samples_list\[1\]: expected an integer, got 5230\.5$",
+            ),
+            (
+                {"rate_design": {"num_rates": 3, "base_period_s": 1.0e-3,
+                                 "max_extra_s": 1.0e10, "time_grid_s": 1.0e-10}},
+                r"^rate_design: max_extra_s / time_grid_s must be in \[0, ",
+            ),
+            (
+                {"rate_design": {"num_rates": 3, "base_period_s": 1.0e-3,
+                                 "max_extra_s": 1.0e-7, "time_grid_s": 1.0e-7}},
+                r"^rate_design: time grid too coarse for the requested number of rates$",
+            ),
         ],
         ids=["bool-seed", "bool-int", "inf", "nan", "quoted-yes", "list-section",
-             "readout-bound", "am-bound"],
+             "readout-bound", "am-bound", "sparse-ladder", "fractional-ladder",
+             "level-overflow", "too-few-levels"],
     )
     def test_rejects_values_naming_their_dotted_path(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
@@ -470,6 +489,12 @@ class TestScalingCommand:
         assert main(["scaling", "--config", str(path)]) == EXIT_CONFIG
         assert "scaling" in capsys.readouterr().err
 
+    def test_a_too_sparse_ladder_is_refused_at_load_by_every_command(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scaling": {"num_samples_list": [4130, 160030]}})
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: scaling: num_samples_list needs >= 4 points" in err
+
 
 def reconstruction_config():
     """A one-second wideband grid with a 1 kHz resonant tone and two rates."""
@@ -562,7 +587,7 @@ class TestRateDesignCommand:
         path = self.design_config(tmp_path, max_extra_s=max_extra_s, time_grid_s=1.0e-10)
         assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "invalid input: max_extra_s / time_grid_s must be" in err
+        assert "configuration error: rate_design: max_extra_s / time_grid_s must be" in err
 
     @pytest.mark.parametrize("command", ["reconstruct", "rate-design"])
     def test_band_without_a_grid_bin_exits_2(self, tmp_path, capsys, command):
@@ -582,19 +607,29 @@ class TestRateDesignCommand:
         assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
         assert "lockinsim: out of memory: " in capsys.readouterr().err
 
-    def test_support_too_wide_for_coherence_exits_2_naming_the_bands(self, tmp_path, capsys):
+    def test_support_too_wide_for_coherence_exits_2_naming_the_bands(
+        self, tmp_path, capsys, monkeypatch
+    ):
         # The shipped bands with the first widened down to 3 Hz: 804 696
         # columns, whose dense Gram blocks would take about 400 s. The
-        # seven matrices are built first (about 1.2 s).
+        # support is refused before any of the seven matrices is built.
         cfg = yaml.safe_load((REPO_ROOT / "configs" / "wideband_recovery.yaml").read_text())
         cfg["reconstruction"]["support_bands_hz"][0][0] = 3.0
         path = tmp_path / "wide.yaml"
         path.write_text(yaml.safe_dump(cfg))
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return csrecon.build_sampling_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "build_sampling_matrix", counted)
         assert main(["rate-design", "--config", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "invalid input: coherence of 804696 support columns" in captured.err
         assert "narrow support_bands_hz" in captured.err
         assert captured.out == ""
+        assert built == []
 
     def test_reports_rates_and_design_coherence(self, tmp_path, capsys):
         path = self.design_config(tmp_path)

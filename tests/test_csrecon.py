@@ -19,6 +19,7 @@ from lockinsim.cli import EXIT_OK, main
 from lockinsim.csrecon import (
     CooMatrix,
     NnlsError,
+    RateDesignConfig,
     SamplingMatrix,
     WidebandGrid,
     WidebandSpectrum,
@@ -965,8 +966,8 @@ class TestRecoveryPhaseDiagram:
 
 class TestDesignRates:
     def test_deterministic_distinct_descending_quantized(self):
-        rates = design_rates(7, 1.31524e-3, 2e-5, seed=11)
-        again = design_rates(7, 1.31524e-3, 2e-5, seed=11)
+        rates = design_rates(RateDesignConfig(7, 1.31524e-3, 2e-5), seed=11)
+        again = design_rates(RateDesignConfig(7, 1.31524e-3, 2e-5), seed=11)
         np.testing.assert_array_equal(rates, again)
         periods = 1.0 / rates
         assert len(set(periods.tolist())) == 7
@@ -977,16 +978,17 @@ class TestDesignRates:
 
     def test_top_delay_level_survives_rounding_of_the_level_count(self):
         # 0.3 / 0.1 rounds to 2.9999999999999996: four levels, 0 .. 0.3 s.
-        rates = design_rates(4, 1.0, 0.3, 1, time_grid_s=0.1)
+        rates = design_rates(RateDesignConfig(4, 1.0, 0.3, time_grid_s=0.1), 1)
         np.testing.assert_allclose(1.0 / rates, [1.0, 1.1, 1.2, 1.3], rtol=1e-15)
 
     def test_validates_counts_and_grid(self):
-        with pytest.raises(ValueError):
-            design_rates(1, 1e-3, 1e-5, seed=0)
-        with pytest.raises(ValueError):
-            design_rates(7, 1e-3, -1e-5, seed=0)
+        with pytest.raises(ValueError, match="num_rates must be an integer >= 2"):
+            RateDesignConfig(1, 1e-3, 1e-5)
+        with pytest.raises(ValueError, match="max_extra_s must be > 0"):
+            RateDesignConfig(7, 1e-3, -1e-5)
         with pytest.raises(ValueError, match="too coarse"):
-            design_rates(7, 1e-3, 3e-7, seed=0)
+            RateDesignConfig(7, 1e-3, 3e-7)
+        assert RateDesignConfig(4, 1e-3, 3e-7).num_levels == 4
 
 
 class TestMatrixCsv:

@@ -12,12 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lockinsim._io import CSV_BLOCK_ROWS, check_range, csv_blocks
-from lockinsim.csrecon import WidebandGrid, WidebandSpectrum, design_rates, nnls_active_set
+from lockinsim.csrecon import RateDesignConfig, WidebandGrid, WidebandSpectrum, nnls_active_set
 from lockinsim.lockin import nonlinear_spectrum_prediction
 from lockinsim.readout import ReadoutModel
 from lockinsim.sampler import SamplingSchedule, TimeTrace, undersampled_bin
 from lockinsim.signal import AcSignal, FmNoise, PhaseNoisePath, Tone, materialize_fm_noise
-from lockinsim.spectral import PowerSpectrum
+from lockinsim.spectral import AnalysisConfig, PowerSpectrum, ScalingConfig
 
 from .helpers import str_csv_bytes
 
@@ -115,17 +115,20 @@ REFUSED = [
     ("sampling_period_s", lambda: TimeTrace(np.array([1, 2]), sampling_period_s=math.inf)),
     ("f_s", lambda: undersampled_bin(1.0e6, math.inf, 100)),
     ("f_true", lambda: undersampled_bin(math.inf, 700.0, 100)),
-    ("base_period_s", lambda: design_rates(3, math.inf, 1e-5, seed=0)),
-    ("time_grid_s", lambda: design_rates(3, 1e-3, 1e-5, seed=0, time_grid_s=0.0)),
+    ("num_rates", lambda: RateDesignConfig(2.5, 1e-3, 1e-5)),
+    ("base_period_s", lambda: RateDesignConfig(3, math.inf, 1e-5)),
+    ("time_grid_s", lambda: RateDesignConfig(3, 1e-3, 1e-5, time_grid_s=0.0)),
     # 1e310 levels overflow to inf; 1e20 levels do not fit the int64 draw.
     (
         "max_extra_s / time_grid_s",
-        lambda: design_rates(3, 1e-3, 1.0e300, seed=0, time_grid_s=1.0e-10),
+        lambda: RateDesignConfig(3, 1e-3, 1.0e300, time_grid_s=1.0e-10),
     ),
     (
         "max_extra_s / time_grid_s",
-        lambda: design_rates(3, 1e-3, 1.0e10, seed=0, time_grid_s=1.0e-10),
+        lambda: RateDesignConfig(3, 1e-3, 1.0e10, time_grid_s=1.0e-10),
     ),
+    ("window_half_bins", lambda: AnalysisConfig(window_half_bins=12.5)),
+    ("seeds_per_point", lambda: ScalingConfig([4130, 5230], seeds_per_point=2.5)),
     ("b", lambda: nnls_active_set(np.eye(3), np.array([1.0, math.nan, 0.0]))),
     (
         "window_starts",

@@ -14,8 +14,10 @@ from lockinsim.readout import ReadoutModel, noise_variance
 from lockinsim.sampler import SamplingSchedule, TimeTrace, run_sampling, undersampled_bin
 from lockinsim.signal import AcSignal, FmNoise, Tone
 from lockinsim.spectral import (
+    AnalysisConfig,
     FitError,
     PowerSpectrum,
+    ScalingConfig,
     _SPLIT_PRIME,
     _largest_prime_factor,
     _lorentzian_jacobian,
@@ -416,23 +418,28 @@ def spiked_spectrum(spikes: dict[int, float]) -> PowerSpectrum:
 
 
 class TestTargetPeak:
-    WINDOW = {"window_bins": 12, "window_linewidth_factor": 8.0}
+    WINDOW = AnalysisConfig(window_half_bins=12, window_linewidth_factor=8.0)
 
     def test_searches_the_half_window_around_the_folded_bin(self):
         spec = spiked_spectrum({105: 20.0, 120: 50.0})
-        peak = locate_target_peak(spec, 500.0, 0.0, **self.WINDOW)
+        peak = locate_target_peak(spec, 500.0, 0.0, self.WINDOW)
         assert (peak.expected_bin, peak.peak_bin, peak.window) == (100, 105, (93, 118))
 
     def test_window_widens_with_the_linewidth(self):
         spec = spiked_spectrum({105: 20.0, 120: 50.0})
-        peak = locate_target_peak(spec, 100.0, 2.5, **self.WINDOW)
+        peak = locate_target_peak(spec, 100.0, 2.5, self.WINDOW)
         assert (peak.peak_bin, peak.window) == (120, (100, 141))
 
     def test_window_excludes_dc_and_stops_at_the_last_bin(self):
-        low = locate_target_peak(spiked_spectrum({0: 1e3, 2: 5.0}), 3.0, 0.0, **self.WINDOW)
+        low = locate_target_peak(spiked_spectrum({0: 1e3, 2: 5.0}), 3.0, 0.0, self.WINDOW)
         assert (low.peak_bin, low.window) == (2, (1, 15))
-        high = locate_target_peak(spiked_spectrum({200: 5.0}), 199.0, 0.0, **self.WINDOW)
+        high = locate_target_peak(spiked_spectrum({200: 5.0}), 199.0, 0.0, self.WINDOW)
         assert (high.peak_bin, high.window) == (200, (188, 201))
+
+    def test_target_is_the_configured_frequency_else_the_strongest_tone(self):
+        sig = AcSignal(tones=(Tone(100.0, 1.0), Tone(250.0, 3.0), Tone(400.0, 2.0)))
+        assert AnalysisConfig().target_of(sig) == 250.0
+        assert AnalysisConfig(target_frequency_hz=400.0).target_of(sig) == 400.0
 
 
 class TestMedian:
@@ -538,19 +545,19 @@ def coherent_study_signal(phi_max=0.25, f_ac=1.2e6, pulse_count=32):
 
 class TestScalingStudy:
     def test_validates_the_duration_ladder(self):
-        sig, seq, model, sched = coherent_study_signal()
-        with pytest.raises(ValueError):
-            scaling_study(sig, seq, model, sched, [4130], seed=1)
-        with pytest.raises(ValueError):
-            scaling_study(sig, seq, model, sched, [4130, 160_030], seed=1)
-        with pytest.raises(ValueError):
-            scaling_study(sig, seq, model, sched, [4130, 5230], seed=1, seeds_per_point=0)
+        with pytest.raises(ValueError, match="at least 2 entries"):
+            ScalingConfig([4130])
+        with pytest.raises(ValueError, match="4 points per decade, got 1.26"):
+            ScalingConfig([4130, 160_030])
+        with pytest.raises(ValueError, match="seeds_per_point must be an integer >= 1"):
+            ScalingConfig([4130, 5230], seeds_per_point=0)
+        with pytest.raises(ValueError, match="num_samples_list must be an integer >= 8"):
+            ScalingConfig([4130, 5230.0])
 
     def test_coherent_smoke_study_reports_unresolved_regime(self):
         sig, seq, model, sched = coherent_study_signal()
-        result = scaling_study(
-            sig, seq, model, sched, [4130, 5230, 6730], seed=11, seeds_per_point=2
-        )
+        ladder = ScalingConfig([4130, 5230, 6730], seeds_per_point=2)
+        result = scaling_study(sig, seq, model, sched, ladder, AnalysisConfig(), seed=11)
         assert result.durations_s.shape == (3,)
         assert np.all(np.isfinite(result.width_hz))
         assert np.all(result.sigma_center_hz > 0.0)
